@@ -6,7 +6,8 @@ otherwise) to standard output.  Exit code 0 means success or a verified
 true; 1 means a verified false, an undecided comparison, an exhausted
 search, a stage cap, or an extraction whose preconditions fail on valid
 input; 2 means the input itself was unusable (malformed document, wrong
-kind, invalid arguments).
+kind, invalid arguments); 3 means an internal self-check failed, a bug
+rather than an answer.
 """
 
 from __future__ import annotations
@@ -488,7 +489,7 @@ def main(argv=None) -> int:
         return 1
     except InternalCheckError as exc:
         _diag("internal check failed: %s" % exc)
-        return 1
+        return 3
 
 
 if __name__ == "__main__":

@@ -222,14 +222,6 @@ class IntervalSum:
             return Verdict.FALSE
         return Verdict.UNDECIDED
 
-    def greater_than(self, bound: Fraction) -> Verdict:
-        bound = rat(bound)
-        if self.lo > bound:
-            return Verdict.TRUE
-        if self.hi <= bound:
-            return Verdict.FALSE
-        return Verdict.UNDECIDED
-
     def exact(self) -> Fraction:
         if self.lo != self.hi:
             raise ExactnessError("interval sum is not exact")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .func import QFunction, lsc_envelope
+from .func import QFunction
 from .seqlab import NormKind, PolyBasis, PolySpace, _rank
 from .space import SpaceNode, TreeSpace, unrolled_size
 
@@ -100,11 +100,6 @@ def random_qfunction(
             for i in space.node_ids()
         },
     )
-
-
-def random_lsc(rng: random.Random, space: TreeSpace) -> QFunction:
-    """A random lower semicontinuous function (the envelope of a draw)."""
-    return lsc_envelope(random_qfunction(rng, space))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
-"""End-to-end command line coverage through subprocesses."""
+"""End-to-end command line coverage, through subprocesses except where a
+test must patch the library under the command."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+import oscal.cli
+import oscal.oracle
 from oscal import documents
 from oscal.extraction import (
     CIFunction,
@@ -124,6 +128,23 @@ def test_dnorm_cap_from_environment(paths):
     assert r.returncode == 1
     r = run_cli(["fn", "dnorm", paths["f2"]], env_extra={"OSCAL_CAP": "potato"})
     assert r.returncode == 2
+
+
+def test_internal_fault_exits_three(paths, monkeypatch, capsys):
+    # a kernel returning a wrong optimum must be caught by the oracle's
+    # re-verification and reported as a fault, not as a false verdict
+    real_solve = oscal.oracle.solve
+
+    def wrong_optimum(lp):
+        res = real_solve(lp)
+        return dataclasses.replace(res, objective=res.objective + 1)
+
+    monkeypatch.setattr(oscal.oracle, "solve", wrong_optimum)
+    code = oscal.cli.main(["fn", "dnorm", str(paths["f2"]), "--oracle"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "internal check failed" in err
+    assert "objective" in err
 
 
 def test_dnorm_malformed_input(paths):
