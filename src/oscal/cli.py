@@ -8,6 +8,11 @@ search, a stage cap, or an extraction whose preconditions fail on valid
 input; 2 means the input itself was unusable (malformed document, wrong
 kind, invalid arguments); 3 means an internal self-check failed, a bug
 rather than an answer.
+
+Each subcommand imports only the layers it runs, so start-up cost
+follows the command: ``space validate`` loads no LP or extraction code,
+and only ``fn dnorm --oracle`` loads the simplex kernel for an ``fn``
+command.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import documents
 from .errors import (
@@ -29,27 +33,7 @@ from .errors import (
     SearchExhaustedError,
     SpaceError,
 )
-from .extraction import (
-    CIFunction,
-    FunctionSeq,
-    WitnessBundle,
-    build_jump_chain,
-    check_difference_witness,
-    check_jump_chain,
-)
-from .func import QFunction, lsc_envelope, usc_envelope
-from .oracle import lift_function, oracle_dnorm
 from .rationals import Verdict, format_rational, parse_rational
-from .seqlab import (
-    PolyBasis,
-    basis_constant,
-    check_identities,
-    duc_norm,
-    eps_cc_value,
-    wuc_norm,
-)
-from .space import TreeSpace, unroll
-from .transfinite import DEFAULT_CAP, CapExceeded, d_index, d_norm, decompose, iterate
 
 _VERDICT_TEXT = {
     Verdict.TRUE: "true",
@@ -85,38 +69,26 @@ def _read_text(path: str) -> str:
         raise DocumentError("cannot read %s: %s" % (path, exc.strerror)) from None
 
 
-_KIND_NAME = {
-    TreeSpace: "space",
-    QFunction: "qfunction",
-    CIFunction: "cifunction",
-    FunctionSeq: "sequence",
-    PolyBasis: "basis",
-    WitnessBundle: "witness",
-}
-
-
-def _load(path: str, *expected) -> documents.Document:
+def _load(path: str, *expected: str) -> documents.Document:
     doc = documents.loads(_read_text(path))
-    if expected and not isinstance(doc, expected):
+    kind = documents.document_kind(doc)
+    if kind not in expected:
         raise DocumentError(
             "%s: expected a %s document, got %s"
-            % (
-                path,
-                " or ".join(_KIND_NAME[cls] for cls in expected),
-                documents.document_kind(doc),
-            )
+            % (path, " or ".join(expected), kind)
         )
     return doc
 
 
-def _load_function(path: str) -> QFunction:
-    doc = _load(path, QFunction, CIFunction)
-    if isinstance(doc, CIFunction):
+def _load_function(path: str):
+    doc = _load(path, "qfunction", "cifunction")
+    if documents.document_kind(doc) == "cifunction":
         return doc.as_qfunction()
     return doc
 
 
 def _cap(args) -> int:
+    from .transfinite import DEFAULT_CAP
     value = getattr(args, "cap", None)
     if value is not None:
         if value < 1:
@@ -144,7 +116,7 @@ def _write_out(path: str, text: str) -> None:
 
 
 def cmd_space_validate(args) -> int:
-    doc = _load(args.file, TreeSpace)
+    doc = _load(args.file, "space")
     violations = doc.validate()
     if violations:
         for line in violations:
@@ -158,6 +130,7 @@ def cmd_space_validate(args) -> int:
 
 
 def cmd_fn_envelope(args) -> int:
+    from .func import lsc_envelope, usc_envelope
     f = _load_function(args.file)
     out = usc_envelope(f) if args.kind == "upper" else lsc_envelope(f)
     if not args.quiet:
@@ -166,6 +139,7 @@ def cmd_fn_envelope(args) -> int:
 
 
 def cmd_fn_osc(args) -> int:
+    from .transfinite import iterate
     f = _load_function(args.file)
     kind = "v" if args.positive else "osc"
     trace = iterate(f, kind, _cap(args))
@@ -191,6 +165,7 @@ def cmd_fn_osc(args) -> int:
 
 
 def cmd_fn_index(args) -> int:
+    from .transfinite import CapExceeded, d_index
     f = _load_function(args.file)
     res = d_index(f, _cap(args))
     if isinstance(res, CapExceeded):
@@ -204,8 +179,11 @@ def cmd_fn_index(args) -> int:
 
 
 def cmd_fn_dnorm(args) -> int:
+    from .transfinite import CapExceeded, d_norm
     f = _load_function(args.file)
     if args.unroll is not None:
+        from .oracle import lift_function
+        from .space import unroll
         unrolled, node_map = unroll(f.space, args.unroll)
         f = lift_function(f, unrolled, node_map)
     formula = d_norm(f, _cap(args))
@@ -218,6 +196,7 @@ def cmd_fn_dnorm(args) -> int:
         else:
             _emit(args, {"d_norm": format_rational(formula)})
         return 0
+    from .oracle import oracle_dnorm
     res = oracle_dnorm(f)
     agree = formula == res.optimum
     obj = {
@@ -230,6 +209,7 @@ def cmd_fn_dnorm(args) -> int:
 
 
 def cmd_fn_decompose(args) -> int:
+    from .transfinite import CapExceeded, decompose
     f = _load_function(args.file)
     dec = decompose(f, _cap(args))
     if isinstance(dec, CapExceeded):
@@ -248,7 +228,8 @@ def cmd_fn_decompose(args) -> int:
 
 
 def cmd_seq_identities(args) -> int:
-    basis = _load(args.file, PolyBasis)
+    from .seqlab import check_identities
+    basis = _load(args.file, "basis")
     rep = check_identities(basis)
     obj = {
         "checks": {name: bool(ok) for name, ok in rep.checks.items()},
@@ -266,7 +247,8 @@ def cmd_seq_identities(args) -> int:
 
 
 def cmd_seq_basis_constant(args) -> int:
-    basis = _load(args.file, PolyBasis)
+    from .seqlab import basis_constant
+    basis = _load(args.file, "basis")
     value = basis_constant(basis)
     if args.quiet:
         sys.stdout.write(format_rational(value) + "\n")
@@ -276,7 +258,8 @@ def cmd_seq_basis_constant(args) -> int:
 
 
 def cmd_seq_wuc(args) -> int:
-    basis = _load(args.file, PolyBasis)
+    from .seqlab import wuc_norm
+    basis = _load(args.file, "basis")
     value = wuc_norm(basis.space, basis.vectors)
     if args.quiet:
         sys.stdout.write(format_rational(value) + "\n")
@@ -286,7 +269,8 @@ def cmd_seq_wuc(args) -> int:
 
 
 def cmd_seq_duc(args) -> int:
-    basis = _load(args.file, PolyBasis)
+    from .seqlab import duc_norm
+    basis = _load(args.file, "basis")
     value = duc_norm(basis.space, basis.vectors)
     if args.quiet:
         sys.stdout.write(format_rational(value) + "\n")
@@ -310,7 +294,8 @@ def _parse_zeros(text: str) -> frozenset[int]:
 
 
 def cmd_seq_eps_cc(args) -> int:
-    basis = _load(args.file, PolyBasis)
+    from .seqlab import eps_cc_value
+    basis = _load(args.file, "basis")
     value = eps_cc_value(basis, _parse_zeros(args.zeros), args.j0)
     if args.quiet:
         sys.stdout.write(format_rational(value) + "\n")
@@ -326,7 +311,8 @@ def cmd_seq_eps_cc(args) -> int:
 
 
 def cmd_extract_run(args) -> int:
-    seq = _load(args.file, FunctionSeq)
+    from .extraction import build_jump_chain
+    seq = _load(args.file, "sequence")
     eta = parse_rational(args.eta)
     try:
         bundle = build_jump_chain(seq, args.alpha, args.x, eta)
@@ -341,8 +327,9 @@ def cmd_extract_run(args) -> int:
 
 
 def cmd_extract_check(args) -> int:
-    seq = _load(args.seqfile, FunctionSeq)
-    witness = _load(args.witnessfile, WitnessBundle)
+    from .extraction import check_difference_witness, check_jump_chain
+    seq = _load(args.seqfile, "sequence")
+    witness = _load(args.witnessfile, "witness")
     if witness.points:
         rep = check_jump_chain(seq, witness)
         verdict = rep.verdict

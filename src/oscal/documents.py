@@ -13,22 +13,14 @@ a loud error, not a silently dropped constraint.
 from __future__ import annotations
 
 import json
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Any, Union
+from typing import TYPE_CHECKING, Any, Union
 
-from .errors import DocumentError
-from .extraction import (
-    CIFunction,
-    CopyTable,
-    EventuallyLimit,
-    FunctionSeq,
-    IndexSeq,
-    MovingStep,
-    WitnessBundle,
-)
+from .errors import DocumentError, InternalCheckError, OscalError
 from .func import QFunction, Scalar
 from .rationals import GaussianRational, format_rational, parse_rational
-from .seqlab import NormKind, PolyBasis, PolySpace
 from .space import (
     PointRef,
     PrefixStep,
@@ -37,15 +29,38 @@ from .space import (
     TreeSpace,
 )
 
-KINDS = ("space", "qfunction", "cifunction", "sequence", "basis", "witness")
+if TYPE_CHECKING:
+    from .extraction import CIFunction, CopyTable, FunctionSeq, IndexSeq, WitnessBundle
+    from .seqlab import PolyBasis
 
-Document = Union[
-    TreeSpace, QFunction, CIFunction, FunctionSeq, PolyBasis, WitnessBundle
-]
+    Document = Union[
+        TreeSpace, QFunction, CIFunction, FunctionSeq, PolyBasis, WitnessBundle
+    ]
+
+KINDS = ("space", "qfunction", "cifunction", "sequence", "basis", "witness")
 
 
 def _fail(path: str, message: str) -> DocumentError:
     return DocumentError("%s: %s" % (path, message) if path else message)
+
+
+@contextmanager
+def _input_errors(path: str):
+    """Report the package's input errors raised inside the block as a
+    DocumentError at ``path``; internal faults and anything else propagate."""
+    try:
+        yield
+    except (DocumentError, InternalCheckError):
+        raise
+    except OscalError as exc:
+        raise _fail(path, str(exc)) from None
+
+
+def _node_key(key: str, path: str) -> int:
+    digits = key[1:] if key.startswith("-") else key
+    if not (digits.isascii() and digits.isdigit()):
+        raise _fail(path, "non-numeric node key %r" % key)
+    return int(key)
 
 
 def _sub(path: str, name: str) -> str:
@@ -153,10 +168,8 @@ def space_from_obj(obj: Any, path: str) -> TreeSpace:
         )
         nodes.append(SpaceNode(ident, prefix, recurring))
     root = _expect_int(obj["root"], _sub(path, "root"))
-    try:
+    with _input_errors(path):
         return TreeSpace(nodes, root)
-    except Exception as exc:
-        raise _fail(path, str(exc)) from None
 
 
 # -- node-keyed value maps -----------------------------------------------------
@@ -171,9 +184,7 @@ def values_from_obj(obj: Any, space: TreeSpace, path: str) -> dict[int, Scalar]:
         raise _fail(path, "expected an object keyed by node id")
     out = {}
     for key, raw in obj.items():
-        if not key.lstrip("-").isdigit():
-            raise _fail(path, "non-numeric node key %r" % key)
-        out[int(key)] = scalar_from_json(raw, "%s.%s" % (path, key))
+        out[_node_key(key, path)] = scalar_from_json(raw, "%s.%s" % (path, key))
     if set(out) != set(space.node_ids()):
         raise _fail(path, "value keys must cover the space's nodes exactly")
     return out
@@ -238,6 +249,7 @@ def _table_to_obj(table: CopyTable) -> dict:
 
 
 def _table_from_obj(obj: Any, path: str) -> CopyTable:
+    from .extraction import CopyTable
     _expect_object(obj, path, ("upto", "tail"))
     entries = []
     for idx, pair in enumerate(_expect_list(obj["upto"], path + ".upto")):
@@ -246,14 +258,12 @@ def _table_from_obj(obj: Any, path: str) -> CopyTable:
         if len(pair) != 2:
             raise _fail(ppath, 'expected ["k", value]')
         key = _expect_str(pair[0], ppath)
-        if not key.isdigit():
+        if not (key.isascii() and key.isdigit()):
             raise _fail(ppath, "copy index must be a digit string")
         entries.append((int(key), scalar_from_json(pair[1], ppath)))
     tail = scalar_from_json(obj["tail"], path + ".tail")
-    try:
+    with _input_errors(path):
         return CopyTable(tuple(entries), tail)
-    except Exception as exc:
-        raise _fail(path, str(exc)) from None
 
 
 def _cifunction_doc(f: CIFunction) -> dict:
@@ -267,6 +277,7 @@ def _cifunction_doc(f: CIFunction) -> dict:
 
 
 def _sequence_doc(seq: FunctionSeq) -> dict:
+    from .extraction import EventuallyLimit
     g = seq.generator
     if isinstance(g, EventuallyLimit):
         gen = {
@@ -314,36 +325,38 @@ def _witness_doc(w: WitnessBundle) -> dict:
     }
 
 
+# (module, class, kind, serializer).  A document's class lives in a module
+# that is already imported, so dispatch only tests kinds whose module is in
+# sys.modules and never imports one itself.
 _SERIALIZERS = (
-    (TreeSpace, "space", _space_doc),
-    (QFunction, "qfunction", _qfunction_doc),
-    (CIFunction, "cifunction", _cifunction_doc),
-    (FunctionSeq, "sequence", _sequence_doc),
-    (PolyBasis, "basis", _basis_doc),
-    (WitnessBundle, "witness", _witness_doc),
+    ("space", "TreeSpace", "space", _space_doc),
+    ("func", "QFunction", "qfunction", _qfunction_doc),
+    ("extraction", "CIFunction", "cifunction", _cifunction_doc),
+    ("extraction", "FunctionSeq", "sequence", _sequence_doc),
+    ("seqlab", "PolyBasis", "basis", _basis_doc),
+    ("extraction", "WitnessBundle", "witness", _witness_doc),
 )
 
 
-def document_kind(doc: Document) -> str:
-    for cls, kind, _ in _SERIALIZERS:
-        if isinstance(doc, cls):
-            return kind
+def _serializer(doc: Document):
+    for module, cls, kind, ser in _SERIALIZERS:
+        mod = sys.modules.get("%s.%s" % (__package__, module))
+        if mod is not None and isinstance(doc, getattr(mod, cls)):
+            return kind, ser
     raise DocumentError("not a document type: %r" % type(doc).__name__)
+
+
+def document_kind(doc: Document) -> str:
+    return _serializer(doc)[0]
 
 
 def document_obj(doc: Document) -> dict:
     """The canonical JSON object for a document (what dumps serializes)."""
-    for cls, _, ser in _SERIALIZERS:
-        if isinstance(doc, cls):
-            return ser(doc)
-    raise DocumentError("not a document type: %r" % type(doc).__name__)
+    return _serializer(doc)[1](doc)
 
 
 def dumps(doc: Document) -> str:
-    for cls, _, ser in _SERIALIZERS:
-        if isinstance(doc, cls):
-            return json.dumps(ser(doc), indent=2) + "\n"
-    raise DocumentError("not a document type: %r" % type(doc).__name__)
+    return json.dumps(document_obj(doc), indent=2) + "\n"
 
 
 # -- per-kind parsing ----------------------------------------------------------
@@ -363,6 +376,7 @@ def _parse_qfunction(obj: dict) -> QFunction:
 
 
 def _parse_cifunction(obj: dict) -> CIFunction:
+    from .extraction import CIFunction
     _expect_object(obj, "", ("kind", "space", "tables"))
     space = space_from_obj(obj["space"], "space")
     space.require_valid()
@@ -371,16 +385,13 @@ def _parse_cifunction(obj: dict) -> CIFunction:
         raise _fail("tables", "expected an object keyed by node id")
     tables = {}
     for key, tobj in raw.items():
-        if not key.lstrip("-").isdigit():
-            raise _fail("tables", "non-numeric node key %r" % key)
-        tables[int(key)] = _table_from_obj(tobj, "tables.%s" % key)
-    try:
+        tables[_node_key(key, "tables")] = _table_from_obj(tobj, "tables.%s" % key)
+    with _input_errors("tables"):
         return CIFunction(space, tables)
-    except Exception as exc:
-        raise _fail("tables", str(exc)) from None
 
 
 def _parse_sequence(obj: dict) -> FunctionSeq:
+    from .extraction import EventuallyLimit, FunctionSeq, MovingStep
     _expect_object(obj, "", ("kind", "space", "limit", "generator"))
     space = space_from_obj(obj["space"], "space")
     space.require_valid()
@@ -424,6 +435,7 @@ def _parse_sequence(obj: dict) -> FunctionSeq:
 
 
 def _parse_basis(obj: dict) -> PolyBasis:
+    from .seqlab import NormKind, PolyBasis, PolySpace
     _expect_object(obj, "", ("kind", "norm", "vectors"))
     norm = _expect_str(obj["norm"], "norm")
     try:
@@ -449,6 +461,7 @@ def _parse_basis(obj: dict) -> PolyBasis:
 
 
 def _parse_witness(obj: dict) -> WitnessBundle:
+    from .extraction import IndexSeq, WitnessBundle
     _expect_object(
         obj,
         "",
@@ -506,14 +519,10 @@ def loads(text: str) -> Document:
     if not isinstance(obj, dict):
         raise DocumentError("a document is a JSON object")
     kind = obj.get("kind")
-    if kind not in _PARSERS:
+    if kind not in KINDS:
         raise DocumentError(
             "unknown document kind %r (expected one of %s)"
             % (kind, ", ".join(KINDS))
         )
-    try:
+    with _input_errors("%s document" % kind):
         return _PARSERS[kind](obj)
-    except DocumentError:
-        raise
-    except Exception as exc:
-        raise DocumentError("%s document: %s" % (kind, exc)) from None

@@ -20,10 +20,13 @@ from oscal.extraction import (
     FunctionSeq,
     MovingStep,
     build_jump_chain,
+    check_jump_chain,
 )
-from oscal.func import QFunction
-from oscal.seqlab import NormKind, PolyBasis, PolySpace
+from oscal.func import QFunction, usc_envelope
+from oscal.rationals import format_rational as fmt
+from oscal.seqlab import NormKind, PolyBasis, PolySpace, check_identities
 from oscal.space import chain_space
+from oscal.transfinite import d_index, iterate
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -326,3 +329,107 @@ def test_copy_indexed_inputs(paths):
     assert json.loads(r.stdout) == {"i_D": "2"}
     r = run_cli(["fn", "index", paths["ci_var"]])
     assert r.returncode == 2
+
+
+# -- each command imports only the layers it runs ------------------------------
+
+# runs main(argv) like the console script, then reports the loaded modules
+# on the last line of stderr
+_PROBE = (
+    "import json, sys\n"
+    "from oscal.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "sys.stderr.write(json.dumps(sorted(sys.modules)) + '\\n')\n"
+    "sys.exit(code)\n"
+)
+
+# layers a command family must not load
+_SPACE_FN = {"seqlab", "extraction"}
+_NO_LP = {"simplex", "oracle"}  # fn commands other than dnorm --oracle
+_SEQ = {"extraction", "transfinite", "oracle"}
+_EXTRACT = {"seqlab", "simplex", "oracle"}
+
+
+def _expected_identities(basis):
+    rep = check_identities(basis)
+    return {
+        "checks": {name: bool(ok) for name, ok in rep.checks.items()},
+        "lambda": fmt(rep.lambda_),
+        "summing_norm": fmt(rep.summing_norm),
+        "coefficient_norms": [fmt(v) for v in rep.coefficient_norms],
+        "block_projection_norms": [fmt(v) for v in rep.block_projection_norms],
+        "sup_basis_norm": fmt(rep.sup_basis_norm),
+        "all_pass": rep.all_pass,
+    }
+
+
+def golden(name):
+    return (GOLDEN / name).read_text()
+
+
+@pytest.fixture(scope="module")
+def import_cases(paths, f2, h_seq):
+    """Command name -> (argv, expected stdout, layers it must not load)."""
+    witness = documents.loads(golden("witness_k3.json"))
+    report = check_jump_chain(h_seq, witness)
+    tr = iterate(f2, "osc")
+    basis = documents.loads(paths["basis"].read_text())
+    tmp = paths["tmp"]
+    return {
+        "space-validate": (
+            ["space", "validate", GOLDEN / "space_k3.json"],
+            golden("space_k3.json"), _SPACE_FN),
+        "fn-envelope": (
+            ["fn", "envelope", paths["f2"], "--kind", "upper"],
+            documents.dumps(usc_envelope(f2)), _SPACE_FN | _NO_LP),
+        "fn-osc": (
+            ["fn", "osc", paths["f2"], "--stabilize"],
+            documents.dumps(tr.stages[tr.stabilized_at]), _SPACE_FN | _NO_LP),
+        "fn-index": (
+            ["fn", "index", paths["f2"]],
+            json.dumps({"i_D": str(d_index(f2))}, indent=2) + "\n",
+            _SPACE_FN | _NO_LP),
+        "fn-decompose": (
+            ["fn", "decompose", paths["f2"], "-o", tmp / "dec_imports.json"],
+            golden("cli_decompose.txt"), _SPACE_FN | _NO_LP),
+        "fn-dnorm-oracle": (
+            ["fn", "dnorm", paths["f2"], "--oracle"],
+            golden("cli_dnorm_oracle.txt"), _SPACE_FN),
+        "seq-identities": (
+            ["seq", "identities", paths["basis"]],
+            json.dumps(_expected_identities(basis), indent=2) + "\n", _SEQ),
+        "seq-eps-cc": (
+            ["seq", "eps-cc", paths["se_basis"], "--zeros", "1,3", "--j0", "4"],
+            golden("cli_epscc.txt"), _SEQ),
+        "extract-run": (
+            ["extract", "run", paths["h"], "--alpha", "2", "--x", "0",
+             "--eta", "1/2", "-o", tmp / "wit_imports.json"],
+            golden("witness_k3.json"), _EXTRACT),
+        "extract-check": (
+            ["extract", "check", paths["h"], GOLDEN / "witness_k3.json"],
+            json.dumps({"conditions": {n: v.name.lower()
+                                       for n, v in report.conditions.items()},
+                        "verdict": report.verdict.name.lower()}, indent=2) + "\n",
+            _EXTRACT),
+    }
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["space-validate", "fn-envelope", "fn-osc", "fn-index", "fn-decompose",
+     "fn-dnorm-oracle", "seq-identities", "seq-eps-cc", "extract-run",
+     "extract-check"],
+)
+def test_command_imports_only_its_layers(command, import_cases):
+    argv, want, absent = import_cases[command]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    r = subprocess.run(
+        [sys.executable, "-c", _PROBE] + [str(a) for a in argv],
+        capture_output=True, text=True, env=env,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == want
+    loaded = set(json.loads(r.stderr.splitlines()[-1]))
+    assert "oscal.cli" in loaded
+    assert not loaded & {"oscal." + m for m in absent}

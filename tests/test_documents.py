@@ -5,9 +5,11 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscal import documents
-from oscal.errors import DocumentError
+from oscal.errors import DocumentError, InternalCheckError
 from oscal.extraction import (
     CIFunction,
     CopyTable,
@@ -142,3 +144,100 @@ def test_rejects_non_document_payloads():
         documents.loads("[1, 2, 3]")
     with pytest.raises(DocumentError):
         documents.loads('"just a string"')
+
+
+def test_internal_faults_are_not_relabelled(monkeypatch):
+    # only the package's input errors become DocumentError; a fault inside
+    # a parser surfaces as itself instead of as "malformed input"
+    golden = (GOLDEN / "qfunction_f2.json").read_text()
+
+    def broken(*args):
+        raise RuntimeError("parser fault")
+
+    monkeypatch.setattr(documents, "values_from_obj", broken)
+    with pytest.raises(RuntimeError, match="parser fault"):
+        documents.loads(golden)
+
+    def failed_check(*args):
+        raise InternalCheckError("self-check")
+
+    monkeypatch.setattr(documents, "values_from_obj", failed_check)
+    with pytest.raises(InternalCheckError):
+        documents.loads(golden)
+
+
+# -- fuzzing: loads either returns a document that round-trips or raises
+# DocumentError, whatever JSON it is given
+
+GOLDEN_DOCS = sorted(p.name for p in GOLDEN.glob("*.json"))
+
+# strings that are near misses of rationals, node keys and copy indices
+NEAR_MISSES = st.sampled_from(
+    ["0", "1", "-1", "01", "-0", "1/2", "-3/4", "1/0", "+1", "1.0", "1e3",
+     " 1", "--1", "\u00b2", "\u0661", "1/\u00b2", "p", "r", "space", "basis",
+     "sup", "l1", "moving-step", "eventually-limit", "kind", ""]
+)
+
+JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 5)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | NEAR_MISSES
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(NEAR_MISSES | st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _loads_contract(text: str) -> None:
+    try:
+        doc = documents.loads(text)
+    except DocumentError:
+        return
+    out = documents.dumps(doc)
+    assert documents.dumps(documents.loads(out)) == out
+
+
+def _locations(obj, where=()):
+    yield where
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _locations(value, where + (key,))
+    elif isinstance(obj, list):
+        for idx, value in enumerate(obj):
+            yield from _locations(value, where + (idx,))
+
+
+@settings(max_examples=150)
+@given(JSON)
+def test_fuzz_loads_any_json(value):
+    _loads_contract(json.dumps(value))
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(documents.KINDS), st.dictionaries(NEAR_MISSES, JSON, max_size=5))
+def test_fuzz_loads_any_fields(kind, fields):
+    _loads_contract(json.dumps(dict(fields, kind=kind)))
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(GOLDEN_DOCS), st.data())
+def test_fuzz_loads_mutated_goldens(name, data):
+    obj = json.loads((GOLDEN / name).read_text())
+    where = data.draw(st.sampled_from(list(_locations(obj))[1:]))
+    *parents, last = where
+    holder = obj
+    for step in parents:
+        holder = holder[step]
+    how = data.draw(st.sampled_from(["replace", "delete", "rename"]))
+    if how == "replace":
+        holder[last] = data.draw(JSON)
+    elif how == "delete":
+        del holder[last]
+    elif isinstance(holder, dict):
+        holder[data.draw(NEAR_MISSES)] = holder.pop(last)
+    else:
+        holder.insert(last, data.draw(JSON))
+    _loads_contract(json.dumps(obj, indent=2))
