@@ -6,8 +6,9 @@ otherwise) to standard output.  Exit code 0 means success or a verified
 true; 1 means a verified false, an undecided comparison, an exhausted
 search, a stage cap, or an extraction whose preconditions fail on valid
 input; 2 means the input itself was unusable (malformed document, wrong
-kind, invalid arguments); 3 means an internal self-check failed, a bug
-rather than an answer.
+kind, invalid arguments); 3 means an internal self-check failed or an
+exception no handler expects escaped (its traceback goes to standard
+error), a bug rather than an answer.
 
 Each subcommand imports only the layers it runs, so start-up cost
 follows the command: ``space validate`` loads no LP or extraction code,
@@ -182,7 +183,7 @@ def cmd_fn_dnorm(args) -> int:
     from .transfinite import CapExceeded, d_norm
     f = _load_function(args.file)
     if args.unroll is not None:
-        from .oracle import lift_function
+        from .func import lift_function
         from .space import unroll
         unrolled, node_map = unroll(f.space, args.unroll)
         f = lift_function(f, unrolled, node_map)
@@ -476,6 +477,11 @@ def main(argv=None) -> int:
         return 1
     except InternalCheckError as exc:
         _diag("internal check failed: %s" % exc)
+        return 3
+    except Exception:  # no handler expects it: a bug, not an answer
+        import traceback
+
+        traceback.print_exc()
         return 3
 
 

@@ -70,6 +70,29 @@ def _add_abs(acc: IntervalSum, z: Scalar) -> None:
         acc.add_rational(abs(z))
 
 
+def _abs_sum(
+    seq: FunctionSeq,
+    indices: IndexSeq,
+    pt: PointRef,
+    ref: Scalar,
+    lo: int,
+    hi: Optional[int],
+) -> IntervalSum:
+    """Exact bracket of sum_{lo <= i < hi} |f_{n_i}(pt) - ref|.  With hi
+    None the range is open: it runs while n_i is within the support
+    threshold of pt, past which f_{n_i}(pt) = f(pt), so callers summing
+    to infinity pass ref = f(pt)."""
+    if hi is None:
+        top = seq.support_threshold(pt)
+        hi = lo
+        while indices.value(hi) <= top:
+            hi += 1
+    acc = IntervalSum()
+    for i in range(lo, hi):
+        _add_abs(acc, seq.eval(indices.value(i), pt) - ref)
+    return acc
+
+
 # -- copy-indexed functions ---------------------------------------------------
 
 
@@ -394,29 +417,27 @@ def _phi(seq: FunctionSeq) -> QFunction:
 
 def _scan_copies(
     seq: FunctionSeq,
-    x1: PointRef,
+    base: PointRef,
     target: int,
+    copies: range,
     accept: Callable[[PointRef], bool],
-    start: int = 1,
 ) -> PointRef:
-    """Realize ``target`` below x1, scanning the copy index upward on the
-    new recurring steps until ``accept`` holds."""
+    """Realize ``target`` below base, scanning the copy index of the new
+    recurring steps upward through ``copies`` until ``accept`` holds."""
     sp = seq.space
-    path = descend_path(sp, resolve(sp, x1), target)
-    tried = 0
-    c = start
-    while tried < WITNESS_SCAN_CAP:
+    path = descend_path(sp, resolve(sp, base), target)
+    for c in copies:
         steps = [
             PrefixStep(pos) if slot == "p" else RecurringStep(pos, c)
             for slot, pos in path
         ]
-        cand = x1.extend(*steps)
+        cand = base.extend(*steps)
         if accept(cand):
             return cand
-        tried += 1
-        c += 1
     raise SearchExhaustedError(
-        "no witness realization within the copy-index cap", tried=tried
+        "no realization in the copy window [%d, %d)"
+        % (copies.start, copies.stop),
+        tried=len(copies),
     )
 
 
@@ -474,31 +495,13 @@ def extract_subsequence(
         a += 1
     indices = IndexSeq((), a - 1)
 
-    f = seq.limit
-
-    def conditions(m: int, x2: PointRef) -> bool:
-        fx1 = f.at_point(x1)
-        fx2 = f.at_point(x2)
-        head = IntervalSum()
-        for i in range(1, m):
-            _add_abs(head, seq.eval(indices.value(i), x2) - fx1)
-        cond2 = head.less_than(bound)
-        tail = IntervalSum()
-        top = seq.support_threshold(x2)
-        i = m
-        while indices.value(i) <= top:
-            _add_abs(tail, seq.eval(indices.value(i), x2) - fx2)
-            i += 1
-        cond3 = tail.less_than(bound)
-        jump = phi.at_point(x2) - phi.at_point(x1) > (1 - eta) * delta
-        c1 = Verdict.TRUE if jump else Verdict.FALSE
-        return verdict_all([c1, cond2, cond3]) is Verdict.TRUE
-
     def witness(m: int) -> PointRef:
         if m < 1:
             raise PreconditionError("positions start at 1")
         return _scan_copies(
-            seq, x1, target, lambda cand: conditions(m, cand)
+            seq, x1, target, range(1, WITNESS_SCAN_CAP + 1),
+            lambda x2: check_jump_witness(seq, indices, x1, x2, m, delta, eta)
+            is Verdict.TRUE,
         )
 
     return ExtractionPlan(
@@ -536,24 +539,15 @@ def check_jump_witness(
         raise PreconditionError("positions start at 1")
     phi = _phi(seq)
     f = seq.limit
-    verdicts = []
     jump = phi.at_point(x2) - phi.at_point(x1) > (1 - eta) * delta
-    verdicts.append(Verdict.TRUE if jump else Verdict.FALSE)
     bound = eta * delta
-    head = IntervalSum()
-    fx1 = f.at_point(x1)
-    for i in range(1, m):
-        _add_abs(head, seq.eval(indices.value(i), x2) - fx1)
-    verdicts.append(head.less_than(bound))
-    tail = IntervalSum()
-    fx2 = f.at_point(x2)
-    top = seq.support_threshold(x2)
-    i = m
-    while indices.value(i) <= top:
-        _add_abs(tail, seq.eval(indices.value(i), x2) - fx2)
-        i += 1
-    verdicts.append(tail.less_than(bound))
-    return verdict_all(verdicts)
+    head = _abs_sum(seq, indices, x2, f.at_point(x1), 1, m)
+    tail = _abs_sum(seq, indices, x2, f.at_point(x2), m, None)
+    return verdict_all([
+        Verdict.TRUE if jump else Verdict.FALSE,
+        head.less_than(bound),
+        tail.less_than(bound),
+    ])
 
 
 @dataclass(frozen=True)
@@ -605,12 +599,7 @@ class JumpChainReport:
 
     @property
     def verdict(self) -> Verdict:
-        vs = list(self.conditions.values())
-        if any(v is Verdict.FALSE for v in vs):
-            return Verdict.FALSE
-        if any(v is Verdict.UNDECIDED for v in vs):
-            return Verdict.UNDECIDED
-        return Verdict.TRUE
+        return verdict_all(self.conditions.values())
 
     def failed(self) -> list[str]:
         return [
@@ -642,20 +631,13 @@ def check_jump_chain(seq: FunctionSeq, bundle: WitnessBundle) -> JumpChainReport
     total = sum(bundle.deltas, Fraction(0))
     ok = (1 - eta) * bundle.lam < total < (1 + eta) * bundle.lam
     conditions["sum_window"] = Verdict.TRUE if ok else Verdict.FALSE
+    n, t = bundle.indices, bundle.t
     for j in range(1, 2 * k):
-        acc = IntervalSum()
         fxj = f.at_point(bundle.points[j - 1])
-        for i in range(bundle.m[j - 1], bundle.m[j]):
-            _add_abs(acc, seq.eval(bundle.indices.value(i), bundle.t) - fxj)
+        acc = _abs_sum(seq, n, t, fxj, bundle.m[j - 1], bundle.m[j])
         lim = eta * bundle.deltas[(j + 1) // 2 - 1]
         conditions["block_%d" % j] = acc.less_than(lim)
-    tail = IntervalSum()
-    ft = f.at_point(bundle.t)
-    top = seq.support_threshold(bundle.t)
-    i = bundle.m[2 * k - 1]
-    while bundle.indices.value(i) <= top:
-        _add_abs(tail, seq.eval(bundle.indices.value(i), bundle.t) - ft)
-        i += 1
+    tail = _abs_sum(seq, n, t, f.at_point(t), bundle.m[2 * k - 1], None)
     conditions["tail"] = tail.less_than(eta * bundle.deltas[k - 1])
     return JumpChainReport(conditions)
 
@@ -850,51 +832,21 @@ def build_jump_chain(
 
     f = seq.limit
 
-    def realize(base: PointRef, target: int, lo: int, hi: int, check) -> PointRef:
-        from .space import PrefixStep
-
-        path = descend_path(sp, resolve(sp, base), target)
-        for c in range(lo, hi):
-            steps = []
-            for slot, pos in path:
-                steps.append(
-                    PrefixStep(pos) if slot == "p" else RecurringStep(pos, c)
-                )
-            cand = base.extend(*steps)
-            if check(cand):
-                return cand
-        raise SearchExhaustedError(
-            "no realization in the copy window [%d, %d)" % (lo, hi),
-            tried=max(hi - lo, 0),
-        )
-
     def x3_ok(cand: PointRef) -> bool:
-        acc = IntervalSum()
-        fx2 = f.at_point(x2)
-        for i in range(m[1], m[2]):
-            _add_abs(acc, seq.eval(n.value(i), cand) - fx2)
+        acc = _abs_sum(seq, n, cand, f.at_point(x2), m[1], m[2])
         return acc.less_than(eta * lw.delta) is Verdict.TRUE
 
     def t_ok(cand: PointRef) -> bool:
-        acc = IntervalSum()
-        fx3 = f.at_point(x3)
-        for i in range(m[2], m[3]):
-            _add_abs(acc, seq.eval(n.value(i), cand) - fx3)
+        acc = _abs_sum(seq, n, cand, f.at_point(x3), m[2], m[3])
         if acc.less_than(eta * delta2) is not Verdict.TRUE:
             return False
         jump = phi.at_point(cand) - phi.at_point(x3) > (1 - eta) * delta2
         if not jump:
             return False
-        tail = IntervalSum()
-        ft = f.at_point(cand)
-        top = seq.support_threshold(cand)
-        i = m[3]
-        while n.value(i) <= top:
-            _add_abs(tail, seq.eval(n.value(i), cand) - ft)
-            i += 1
+        tail = _abs_sum(seq, n, cand, f.at_point(cand), m[3], None)
         return tail.less_than(eta * delta2) is Verdict.TRUE
 
-    x3 = realize(x2, x3_node, c3_lo, c3_hi, x3_ok)
+    x3 = _scan_copies(seq, x2, x3_node, range(c3_lo, c3_hi), x3_ok)
     # the jump target under x3: largest increase of phi, smallest id
     jump_pool = sorted(sp.acc(x3_node))
     jump_best = max(phi(y) - phi(x3_node) for y in jump_pool)
@@ -903,7 +855,7 @@ def build_jump_chain(
     t_node = min(
         y for y in jump_pool if phi(y) - phi(x3_node) == jump_best
     )
-    t = realize(x3, t_node, c4_lo, c4_hi, t_ok)
+    t = _scan_copies(seq, x3, t_node, range(c4_lo, c4_hi), t_ok)
 
     bundle = WitnessBundle(
         indices=n,

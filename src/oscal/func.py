@@ -139,6 +139,13 @@ def constant_function(space: TreeSpace, value) -> QFunction:
     return QFunction(space, {i: value for i in space.nodes})
 
 
+def lift_function(
+    f: QFunction, unrolled: TreeSpace, node_map: dict[int, int]
+) -> QFunction:
+    """Transport f to an unrolled presentation through the node mapping."""
+    return QFunction(unrolled, {i: f(node_map[i]) for i in unrolled.nodes})
+
+
 # -- envelopes ----------------------------------------------------------------
 
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalCheckError, PreconditionError
-from .func import QFunction, is_lsc
+from .func import QFunction, is_lsc, lift_function
 from .simplex import LinearProgram, LPResult, solve
-from .space import TreeSpace, unroll
+from .space import unroll
 
 
 def _pos_part(x: Fraction) -> Fraction:
@@ -117,13 +117,6 @@ def oracle_dnorm(f: QFunction) -> OracleResult:
             "oracle solution failed re-verification: %s" % ", ".join(problems)
         )
     return OracleResult(res.objective, u, v, res)
-
-
-def lift_function(
-    f: QFunction, unrolled: TreeSpace, node_map: dict[int, int]
-) -> QFunction:
-    """Transport f to an unrolled presentation through the node mapping."""
-    return QFunction(unrolled, {i: f(node_map[i]) for i in unrolled.nodes})
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .errors import PreconditionError
 from .func import QFunction
-from .seqlab import NormKind, PolyBasis, PolySpace, _rank
+from .seqlab import NormKind, PolyBasis, PolySpace
 from .space import SpaceNode, TreeSpace, unrolled_size
 
 DEFAULT_SEED = 7041982
@@ -151,8 +152,10 @@ def random_basis(
             )
             for _ in range(dim)
         )
-        if _rank(vectors) == dim:
+        try:
             return PolyBasis(space, vectors)
+        except PreconditionError:  # dependent; draw again
+            continue
 
 
 def random_blocking(

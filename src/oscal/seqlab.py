@@ -5,11 +5,18 @@ norm, the l1 norm, and the "series" norm max_n |c_1 + ... + c_n|.  A basis
 is a linearly independent family b_1..b_n (n <= m); from it we derive the
 difference family e_1 = b_1, e_j = b_j - b_{j-1}, the coordinate
 functionals, the summing functional, basis projections, and the block
-projections that truncate in difference coordinates.  All norms of span
-functionals are exact optima of rational linear programs over the span's
-unit ball (for square bases the same optimum is read off the dual norm
-via the inverse transpose, which is cheaper and provably equal; tests
-cross-check the two paths).
+projections that truncate in difference coordinates.
+
+Norms of span functionals are exact optima of rational linear programs
+over the span's unit ball.  When the basis spans its whole space (n = m)
+the same values come in closed form: a functional's norm is the ambient
+dual norm of its extension B^-T gamma, and an operator's norm is the
+induced matrix norm of its ambient matrix B M B^-1 (Horn & Johnson,
+Matrix Analysis, 5.6).  A basis of a proper subspace takes the max of
+one span-functional LP per dual vertex of the ambient ball.  The choice
+follows the basis shape alone; tests pad square bases with a zero
+coordinate to cross-check the two paths.  All the linear algebra is one
+exact row reduction.
 
 The identity/bound checks at the bottom are finite-stage statements: they
 certify the matrix algebra and the numeric bounds at dimension n, nothing
@@ -105,7 +112,9 @@ class PolySpace:
         """Extreme points of the dual unit ball, as coordinate functionals.
 
         sup -> ± coordinate functionals; l1 -> all sign vectors (hence the
-        dimension cap); series norm -> ± partial-sum functionals.
+        dimension cap, which binds only for operator norms on non-square
+        bases and for wuc_norm/duc_norm); series norm -> ± partial-sum
+        functionals.
         """
         m = self.dim
         if self.kind is NormKind.SUP:
@@ -146,71 +155,36 @@ class PolySpace:
 # --- small exact linear algebra (module-private) ---
 
 
-def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Gaussian elimination; returns the solution or None if singular."""
-    n = len(rows)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
-
-
-def _rank(vectors: Sequence[Vector]) -> int:
-    rows = [list(v) for v in vectors]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+def _row_reduce(
+    rows: Sequence[Sequence[Fraction]],
+) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of a rational matrix, and its pivot columns."""
+    a = [list(r) for r in rows]
+    pivots: list[int] = []
+    for col in range(len(a[0]) if a else 0):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(a)) if a[r][col]), None)
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = Fraction(1) / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
-def _span_coords(columns: Sequence[Vector], target: Vector):
-    """Coordinates of target in the span of independent columns, or None."""
-    n = len(columns)
-    m = len(target)
-    # row-reduce [columns | target]
-    a = [[columns[j][i] for j in range(n)] + [target[i]] for i in range(m)]
-    rank = 0
-    pivot_cols = []
-    for col in range(n):
-        piv = next((r for r in range(rank, m) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = Fraction(1) / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for r in range(m):
-            if r != rank and a[r][col]:
+        a[top], a[piv] = a[piv], a[top]
+        inv = Fraction(1) / a[top][col]
+        a[top] = [x * inv for x in a[top]]
+        for r in range(len(a)):
+            if r != top and a[r][col]:
                 f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        pivot_cols.append(col)
-        rank += 1
-    for r in range(rank, m):
-        if a[r][n] != 0:
-            return None
-    coords = [Fraction(0)] * n
-    for r, col in enumerate(pivot_cols):
-        coords[col] = a[r][n]
-    return tuple(coords)
+                a[r] = [x - f * y for x, y in zip(a[r], a[top])]
+        pivots.append(col)
+    return a, pivots
+
+
+def _solve(a: Sequence[Sequence[Fraction]], rhs: Sequence[Sequence]) -> Matrix:
+    """The unique X with a X = rhs, for a of full column rank; all three
+    matrices are given as rows."""
+    n = len(a[0])
+    red, pivots = _row_reduce([tuple(r) + tuple(s) for r, s in zip(a, rhs)])
+    if pivots != list(range(n)):  # unreachable for the systems built here
+        raise InternalCheckError("singular or inconsistent exact solve")
+    return tuple(tuple(row[n:]) for row in red[:n])
 
 
 @dataclass(frozen=True)
@@ -233,7 +207,7 @@ class PolyBasis:
         for v in vecs:
             if len(v) != self.space.dim:
                 raise PreconditionError("basis vector length mismatch")
-        if _rank(vecs) != len(vecs):
+        if len(_row_reduce(vecs)[1]) != len(vecs):
             raise PreconditionError("basis vectors are linearly dependent")
 
     @property
@@ -309,14 +283,11 @@ def functional_norm(f: SpanFunctional) -> Fraction:
     Otherwise: maximize gamma . c subject to ||sum c_j b_j|| <= 1.
     """
     basis = f.basis
-    n, m = basis.size, basis.space.dim
-    if n == m:
-        bt = [[basis.vectors[j][i] for i in range(m)] for j in range(n)]
-        # rows of bt are the b_j themselves: (B^T psi)_j = b_j . psi
-        psi = _solve_square(bt, list(f.gamma))
-        if psi is None:  # unreachable for a valid basis
-            raise InternalCheckError("square basis matrix was singular")
-        return basis.space.dual_norm(psi)
+    n = basis.size
+    if n == basis.space.dim:
+        # rows of B^T are the b_j themselves: (B^T psi)_j = b_j . psi
+        psi = _solve(basis.vectors, [(g,) for g in f.gamma])
+        return basis.space.dual_norm([row[0] for row in psi])
     lp = LinearProgram(minimize=False)
     cvars = ["c%d" % j for j in range(1, n + 1)]
     lp.make_free(*cvars)
@@ -346,18 +317,30 @@ def difference_sequence(basis: PolyBasis) -> PolyBasis:
 
 
 def _operator_norm(basis: PolyBasis, coord_matrix: Matrix) -> Fraction:
-    """Norm of the span operator whose basis-coordinate matrix is given.
+    """Norm of the span operator T whose basis-coordinate matrix is given.
 
-    For each dual vertex phi, phi∘T is the span functional with row
-    gamma_j = phi(T b_j); the operator norm is the max of their norms.
+    Square bases: T is the ambient matrix A = B M B^-1 (columns of B are
+    the b_j), and its norm is the induced matrix norm (Horn & Johnson,
+    Matrix Analysis, 5.6): the largest l1 norm of a column for l1, the
+    largest absolute row sum for sup, and for the series norm the sup
+    rule on S A S^-1 with S the partial-sum matrix, i.e. the largest
+    dual norm of a row of S A.
+    Otherwise: for each dual vertex phi, phi∘T is the span functional
+    with row gamma_j = phi(T b_j); the norm is the max of their norms.
     """
-    n = basis.size
-    images = []  # T b_j as ambient vectors
-    for j in range(n):
-        col = [coord_matrix[i][j] for i in range(n)]
-        images.append(basis.combine(col))
+    images = [basis.combine(col) for col in zip(*coord_matrix)]  # T b_j
+    space = basis.space
+    if basis.size == space.dim:
+        # B^T A^T = (B M)^T, whose rows are the images T b_j
+        columns = _solve(basis.vectors, images)
+        if space.kind is NormKind.L1:
+            return max(space.norm(col) for col in columns)
+        rows = list(zip(*columns))
+        if space.kind is NormKind.SE:
+            rows = list(itertools.accumulate(rows, _add))
+        return max(space.dual_norm(row) for row in rows)
     best = Fraction(0)
-    for phi in basis.space.dual_vertices():
+    for phi in space.dual_vertices():
         gamma = tuple(_dot(phi, img) for img in images)
         best = max(best, functional_norm(SpanFunctional(basis, gamma)))
     return best
@@ -434,18 +417,6 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def _mat_inv(a: Matrix) -> Matrix:
-    n = len(a)
-    cols = []
-    for j in range(n):
-        rhs = [Fraction(1 if i == j else 0) for i in range(n)]
-        sol = _solve_square([list(r) for r in a], rhs)
-        if sol is None:
-            raise InternalCheckError("coordinate change matrix was singular")
-        cols.append(sol)
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
-
 def _outer(col: Vector, row: Vector) -> Matrix:
     return tuple(tuple(c * r for r in row) for c in col)
 
@@ -476,58 +447,35 @@ def check_identities(basis: PolyBasis) -> IdentityReport:
     if n < 2:
         raise PreconditionError("identity report needs at least two vectors")
     diff = difference_sequence(basis)
-    # W: basis coordinates -> difference coordinates, column j = coords of b_j
-    wcols = []
-    for b in basis.vectors:
-        coords = _span_coords(diff.vectors, b)
-        if coords is None:  # unreachable: same span
-            raise InternalCheckError("difference family lost the span")
-        wcols.append(coords)
-    w = tuple(tuple(wcols[j][i] for j in range(n)) for i in range(n))
-    w_inv = _mat_inv(w)
+    # W: basis coordinates -> difference coordinates, column j = coords of
+    # b_j, so W solves D W = B with the e_j and b_j as columns of D and B
+    w = _solve(tuple(zip(*diff.vectors)), tuple(zip(*basis.vectors)))
+    w_inv = _solve(w, [_unit(n, j) for j in range(1, n + 1)])
 
-    ones = (Fraction(1),) * n
     checks: dict[str, bool] = {}
-
-    expected = []
-    for row_index in range(1, n + 1):
-        expected.append(
-            tuple(
-                Fraction(1 if j >= row_index else 0)
-                for j in range(1, n + 1)
-            )
-        )
     checks["difference_biorthogonal_rows"] = all(
-        w[i] == expected[i] for i in range(n)
+        w[i] == tuple(Fraction(1 if j >= i else 0) for j in range(n))
+        for i in range(n)
     )
-
-    def q_matrix(k: int) -> Matrix:
-        return _mat_mul(w_inv, _mat_mul(_truncation_matrix(n, k), w))
-
-    ok7 = True
-    for k in range(1, n + 1):
-        lhs = q_matrix(k)
-        rhs = _mat_add(
+    # Q_k = W^-1 P_k W, the block projections in basis coordinates
+    q = {
+        k: _mat_mul(w_inv, _mat_mul(_truncation_matrix(n, k), w))
+        for k in range(1, n + 1)
+    }
+    checks["block_projection_recursion"] = all(
+        q[k] == _mat_add(
             _truncation_matrix(n, k - 1), _outer(_unit(n, k), w[k - 1])
         )
-        if lhs != rhs:
-            ok7 = False
-            break
-    checks["block_projection_recursion"] = ok7
-
-    ok9 = True
-    for k in range(1, n):
-        lhs = _truncation_matrix(n, k)
-        rhs = _mat_sub(q_matrix(k + 1), _outer(_unit(n, k + 1), w[k]))
-        if lhs != rhs:
-            ok9 = False
-            break
-    checks["projection_recovery"] = ok9
-
-    ok23 = all(
+        for k in range(1, n + 1)
+    )
+    checks["projection_recovery"] = all(
+        _truncation_matrix(n, k)
+        == _mat_sub(q[k + 1], _outer(_unit(n, k + 1), w[k]))
+        for k in range(1, n)
+    )
+    checks["biorthogonal_differences"] = all(
         _sub(w[j - 1], w[j]) == _unit(n, j) for j in range(1, n)
     )
-    checks["biorthogonal_differences"] = ok23
 
     lam = basis_constant(basis)
     s_norm = functional_norm(summing_functional(basis))
@@ -537,9 +485,7 @@ def check_identities(basis: PolyBasis) -> IdentityReport:
     checks["coefficient_functional_bound"] = max(coeff_norms) <= s_norm * (
         1 + lam
     )
-    block_norms = tuple(
-        _operator_norm(basis, q_matrix(k)) for k in range(1, n + 1)
-    )
+    block_norms = tuple(_operator_norm(basis, q[k]) for k in range(1, n + 1))
     sup_b = max(basis.space.norm(b) for b in basis.vectors)
     checks["block_projection_bound"] = max(block_norms) <= lam + (
         1 + lam

@@ -13,6 +13,7 @@ import pytest
 
 import oscal.cli
 import oscal.oracle
+import oscal.transfinite
 from oscal import documents
 from oscal.extraction import (
     CIFunction,
@@ -22,11 +23,11 @@ from oscal.extraction import (
     build_jump_chain,
     check_jump_chain,
 )
-from oscal.func import QFunction, usc_envelope
+from oscal.func import QFunction, lift_function, usc_envelope
 from oscal.rationals import format_rational as fmt
 from oscal.seqlab import NormKind, PolyBasis, PolySpace, check_identities
-from oscal.space import chain_space
-from oscal.transfinite import d_index, iterate
+from oscal.space import chain_space, unroll
+from oscal.transfinite import d_index, d_norm, iterate
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -148,6 +149,21 @@ def test_internal_fault_exits_three(paths, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "internal check failed" in err
     assert "objective" in err
+
+
+def test_unexpected_fault_exits_three(paths, monkeypatch, capsys):
+    # an exception no handler expects is a bug too: its traceback goes to
+    # stderr and the exit code is 3, never the "verdict false" code 1
+    def broken_layer(*args, **kwargs):
+        raise RuntimeError("layer fault")
+
+    monkeypatch.setattr(oscal.transfinite, "d_norm", broken_layer)
+    code = oscal.cli.main(["fn", "dnorm", str(paths["f2"])])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" in captured.err
+    assert "RuntimeError: layer fault" in captured.err
 
 
 def test_dnorm_malformed_input(paths):
@@ -373,6 +389,7 @@ def import_cases(paths, f2, h_seq):
     witness = documents.loads(golden("witness_k3.json"))
     report = check_jump_chain(h_seq, witness)
     tr = iterate(f2, "osc")
+    lifted = lift_function(f2, *unroll(f2.space, 2))
     basis = documents.loads(paths["basis"].read_text())
     tmp = paths["tmp"]
     return {
@@ -395,6 +412,10 @@ def import_cases(paths, f2, h_seq):
         "fn-dnorm-oracle": (
             ["fn", "dnorm", paths["f2"], "--oracle"],
             golden("cli_dnorm_oracle.txt"), _SPACE_FN),
+        "fn-dnorm-unroll": (
+            ["fn", "dnorm", paths["f2"], "--unroll", "2"],
+            json.dumps({"d_norm": fmt(d_norm(lifted))}, indent=2) + "\n",
+            _SPACE_FN | _NO_LP),
         "seq-identities": (
             ["seq", "identities", paths["basis"]],
             json.dumps(_expected_identities(basis), indent=2) + "\n", _SEQ),
@@ -417,8 +438,8 @@ def import_cases(paths, f2, h_seq):
 @pytest.mark.parametrize(
     "command",
     ["space-validate", "fn-envelope", "fn-osc", "fn-index", "fn-decompose",
-     "fn-dnorm-oracle", "seq-identities", "seq-eps-cc", "extract-run",
-     "extract-check"],
+     "fn-dnorm-oracle", "fn-dnorm-unroll", "seq-identities", "seq-eps-cc",
+     "extract-run", "extract-check"],
 )
 def test_command_imports_only_its_layers(command, import_cases):
     argv, want, absent = import_cases[command]

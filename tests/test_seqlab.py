@@ -1,5 +1,6 @@
 """Finite-stage basis algebra: norms, identities, blockings, ceilings."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 from oscal.errors import PreconditionError
 from oscal.sampling import random_basis, random_blocking
 from oscal.seqlab import (
+    SIGN_ENUMERATION_CAP,
     ConvexBlocks,
+    IdentityReport,
     NormKind,
     PolyBasis,
     PolySpace,
@@ -273,3 +276,44 @@ def test_blocking_never_raises_duc(kind, seed):
     assert duc_norm(basis.space, cb.vectors) <= duc_norm(
         basis.space, basis.vectors
     )
+
+
+# --- closed-form operator norms of square bases ---
+
+
+def test_square_l1_bases_escape_the_sign_cap():
+    # l1 dual vertices are the 2^13 sign vectors; a square basis never
+    # enumerates them
+    sp = PolySpace(13, NormKind.L1)
+    assert sp.dim > SIGN_ENUMERATION_CAP
+    assert basis_constant(units(sp)) == 1
+    assert check_identities(units(sp)).all_pass
+    # running sums b_j = e_1 + ... + e_j: P_k keeps e_i = b_i - b_{i-1}
+    # for i <= k, kills it for i > k + 1 and sends e_{k+1} to -b_k, whose
+    # l1 norm is k; the l1 operator norm is the largest image of an e_i
+    basis = partial_sums(sp)
+    assert [projection_norm(basis, k) for k in range(1, 14)] == (
+        list(range(1, 13)) + [1]
+    )
+    rep = check_identities(basis)
+    assert rep.all_pass
+    assert rep.lambda_ == 12
+    assert rep.summing_norm == 1
+
+
+@settings(max_examples=30)
+@given(kind=kinds, seed=st.integers(0, 10 ** 6))
+def test_square_closed_form_matches_dual_vertex_path(kind, seed):
+    # a trailing zero coordinate changes no norm but makes the basis
+    # non-square, so the padded report takes the dual-vertex LPs where the
+    # square one takes induced matrix norms; l1 stays small (2^(m+1) LPs)
+    max_dim = 4 if kind is NormKind.L1 else 5
+    basis = random_basis(random.Random(seed), kind, 2, max_dim)
+    padded = PolyBasis(
+        PolySpace(basis.space.dim + 1, kind),
+        tuple(v + (F(0),) for v in basis.vectors),
+    )
+    square, lp = check_identities(basis), check_identities(padded)
+    for field in dataclasses.fields(IdentityReport):
+        name = field.name
+        assert getattr(square, name) == getattr(lp, name), name
