@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Union
 
-from .errors import ExactnessError, MismatchError, PreconditionError
-from .rationals import GaussianRational, as_gaussian, rat, require_rational_abs
+from .errors import MismatchError, PreconditionError
+from .rationals import GaussianRational, rat, require_rational_abs
 from .space import PointRef, TreeSpace, resolve
 
 Scalar = Union[Fraction, GaussianRational]

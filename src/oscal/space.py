@@ -22,7 +22,7 @@ recurring subtree (prefix children inside those subtrees included).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .errors import ResourceCapError, SpaceError

@@ -34,7 +34,6 @@ from .func import (
     zero_function,
     _gap,
 )
-from .space import TreeSpace
 
 DEFAULT_CAP = 64
 

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_simplex
+from reference_oracle import primal_lp
 from oscal import seqlab, simplex
 from oscal.oracle import lift_function, oracle_lp
 from oscal.sampling import build_corpus, random_basis
@@ -105,14 +106,21 @@ def corpus0():
     return build_corpus(0)
 
 
-@pytest.mark.parametrize("k", [0, 1, 2, 3])
-def test_oracle_programs_match_reference(corpus0, k):
-    """Every quotient (k = 0) and k-fold unrolled decomposition LP."""
+@pytest.mark.parametrize(
+    "builder, k",
+    [pytest.param(oracle_lp, k, id=str(k)) for k in range(4)]
+    + [pytest.param(primal_lp, k, id="primal-%d" % k) for k in range(4)],
+)
+def test_oracle_programs_match_reference(corpus0, builder, k):
+    """Every quotient (k = 0) and k-fold unrolled decomposition LP, both as
+    the dual the oracle solves (no artificials) and as the primal, which
+    needs an artificial for every node row with f(i) ≠ 0, so it goes
+    through phase 1."""
     for f in corpus0.functions:
         if k:
             space, node_map = unroll(f.space, k)
             f = lift_function(f, space, node_map)
-        assert assert_same(oracle_lp(f)).status == "optimal"
+        assert assert_same(builder(f)).status == "optimal"
 
 
 # -- sequence-basis programs -----------------------------------------------------
