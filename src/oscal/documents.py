@@ -117,10 +117,10 @@ def scalar_from_json(obj: Any, path: str) -> Scalar:
             raise _fail(path, str(exc)) from None
     if isinstance(obj, dict):
         _expect_object(obj, path, ("re", "im"))
+        if isinstance(obj["re"], dict) or isinstance(obj["im"], dict):
+            raise _fail(path, "nested complex parts")
         re = scalar_from_json(obj["re"], path + ".re")
         im = scalar_from_json(obj["im"], path + ".im")
-        if isinstance(re, GaussianRational) or isinstance(im, GaussianRational):
-            raise _fail(path, "nested complex parts")
         return GaussianRational(re, im)
     raise _fail(path, "expected a rational string or {re, im}")
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import (
@@ -238,6 +239,11 @@ class FunctionSeq:
     def space(self) -> TreeSpace:
         return self.limit.space
 
+    @cached_property
+    def phi(self) -> QFunction:
+        """Real part of the limit, whose jumps the extraction measures."""
+        return self.limit.re()
+
     def _pattern_roots(self) -> frozenset[int]:
         sp = self.space
         out = set()
@@ -411,10 +417,6 @@ class ExtractionPlan:
         return self._witness(m)
 
 
-def _phi(seq: FunctionSeq) -> QFunction:
-    return seq.limit.re()
-
-
 def _scan_copies(
     seq: FunctionSeq,
     base: PointRef,
@@ -474,7 +476,7 @@ def extract_subsequence(
     if sp.is_leaf(x1_node):
         raise PreconditionError("nothing accumulates at an isolated point")
     level = frozenset(int(y) for y in level_set)
-    phi = _phi(seq)
+    phi = seq.phi
     pool = [y for y in sorted(sp.acc(x1_node)) if y in level]
     if not pool:
         raise PreconditionError("the level set misses Acc(x1)")
@@ -537,7 +539,7 @@ def check_jump_witness(
         raise PreconditionError("eta must lie strictly between 0 and 1")
     if m < 1:
         raise PreconditionError("positions start at 1")
-    phi = _phi(seq)
+    phi = seq.phi
     f = seq.limit
     jump = phi.at_point(x2) - phi.at_point(x1) > (1 - eta) * delta
     bound = eta * delta
@@ -616,7 +618,7 @@ def check_jump_chain(seq: FunctionSeq, bundle: WitnessBundle) -> JumpChainReport
     if not bundle.points:
         raise PreconditionError("jump-chain form needs the points")
     k = bundle.k
-    phi = _phi(seq)
+    phi = seq.phi
     f = seq.limit
     eta = bundle.eta
     conditions: dict = {}
@@ -761,7 +763,7 @@ def build_jump_chain(
     sp.require_valid()
     if x not in sp.nodes:
         raise PreconditionError("unknown node %r" % x)
-    phi = _phi(seq)
+    phi = seq.phi
     trace = iterate(phi, "v", cap=8)
     v1 = trace.stage(1)
 

@@ -18,6 +18,14 @@ of p's patterns with copy indices tending to infinity converges to p.
 rank 1 + the maximal rank over all nodes of its recurring subtrees.  ``acc``
 is the set of node classes accumulating at a limit node: every node of every
 recurring subtree (prefix children inside those subtrees included).
+
+Structural queries read one depth-first preorder, recorded by ``validate``
+without recursion, so they work at any depth.  In that preorder every
+subtree is a contiguous run, and since a node lists its recurring patterns
+after its prefix children, acc(p) is one run too: from p's first recurring
+child to the end of p's subtree.  The cover of acc(p) (its elements that lie
+in the acc of no limit node inside acc(p)) has a closed form: the nodes
+reached from a recurring child of p by prefix steps alone.
 """
 
 from __future__ import annotations
@@ -75,8 +83,13 @@ class TreeSpace:
         self.nodes = table
         self.root = root
         self._violations: Optional[list[str]] = None
+        # filled by validate(): the depth-first preorder from the root,
+        # each node's position in it and the end of its subtree's run there
+        self._order: list[int] = []
+        self._pos: dict[int, int] = {}
+        self._end: dict[int, int] = {}
+        self._parent: dict[int, int] = {}
         self._rank: dict[int, int] = {}
-        self._subtree: dict[int, frozenset[int]] = {}
         self._acc: dict[int, frozenset[int]] = {}
 
     # -- basic access ------------------------------------------------------
@@ -120,7 +133,7 @@ class TreeSpace:
         if self._violations is not None:
             return list(self._violations)
         out: list[str] = []
-        parent: dict[int, int] = {}
+        parent = self._parent
         for n in self.nodes.values():
             seen_local: set[int] = set()
             for c in n.children():
@@ -143,26 +156,29 @@ class TreeSpace:
                 )
         if self.root in parent:
             out.append("root %d appears as a child" % self.root)
-        # reachability and cycle detection by one DFS from the root
-        reached: set[int] = set()
-        stack = [self.root]
-        path: set[int] = set()
-
-        def dfs(i: int) -> None:
-            if i in path:
-                out.append("cycle through node %d" % i)
-                return
-            if i in reached:
-                return
-            reached.add(i)
-            path.add(i)
-            for c in self.nodes[i].children():
-                dfs(c)
-            path.discard(i)
-
-        dfs(self.root)
+        # reachability and cycle detection by one DFS from the root, which
+        # also records the preorder and where each subtree's run ends
+        order, pos, end = self._order, self._pos, self._end
+        on_path = {self.root}
+        pos[self.root] = 0
+        order.append(self.root)
+        stack = [(self.root, iter(self.nodes[self.root].children()))]
+        while stack:
+            i, kids = stack[-1]
+            c = next(kids, None)
+            if c is None:
+                stack.pop()
+                on_path.discard(i)
+                end[i] = len(order)
+            elif c in on_path:
+                out.append("cycle through node %d" % c)
+            elif c not in pos:
+                pos[c] = len(order)
+                order.append(c)
+                on_path.add(c)
+                stack.append((c, iter(self.nodes[c].children())))
         for i in self.node_ids():
-            if i not in reached:
+            if i not in pos:
                 out.append("node %d unreachable from root" % i)
         self._violations = out
         return list(out)
@@ -174,18 +190,23 @@ class TreeSpace:
 
     # -- structure ---------------------------------------------------------
 
+    def _span(self, ident: int) -> tuple[int, int]:
+        """Where the subtree of ``ident`` runs in the preorder: [lo, hi)."""
+        self.require_valid()
+        self.node(ident)
+        return self._pos[ident], self._end[ident]
+
+    def _limit(self, ident: int) -> SpaceNode:
+        self.require_valid()
+        n = self.node(ident)
+        if n.is_leaf():
+            raise SpaceError("node %d is a leaf; nothing accumulates" % ident)
+        return n
+
     def subtree(self, ident: int) -> frozenset[int]:
         """All node ids of the subtree rooted at ``ident`` (inclusive)."""
-        self.require_valid()
-        got = self._subtree.get(ident)
-        if got is not None:
-            return got
-        acc = {ident}
-        for c in self.node(ident).children():
-            acc |= self.subtree(c)
-        got = frozenset(acc)
-        self._subtree[ident] = got
-        return got
+        lo, hi = self._span(ident)
+        return frozenset(self._order[lo:hi])
 
     def acc(self, ident: int) -> frozenset[int]:
         """Node classes accumulating at a limit node.
@@ -194,49 +215,48 @@ class TreeSpace:
         children of ``ident`` itself are excluded (they do not accumulate).
         Raises for leaves, which have no accumulation.
         """
-        self.require_valid()
         got = self._acc.get(ident)
-        if got is not None:
-            return got
-        n = self.node(ident)
-        if n.is_leaf():
-            raise SpaceError("node %d is a leaf; nothing accumulates" % ident)
-        acc: frozenset[int] = frozenset()
-        for t in n.recurring:
-            acc |= self.subtree(t)
-        self._acc[ident] = acc
-        return acc
+        if got is None:
+            n = self._limit(ident)
+            got = frozenset(
+                self._order[self._pos[n.recurring[0]]:self._end[ident]]
+            )
+            self._acc[ident] = got
+        return got
 
     def rank(self, ident: Optional[int] = None) -> int:
         """Accumulation rank: 0 at leaves, else 1 + max rank over acc."""
         if ident is None:
             ident = self.root
         self.require_valid()
-        got = self._rank.get(ident)
-        if got is not None:
-            return got
-        n = self.node(ident)
-        if n.is_leaf():
-            r = 0
-        else:
-            r = 1 + max(self.rank(y) for y in self.acc(ident))
-        self._rank[ident] = r
-        return r
+        self.node(ident)
+        if not self._rank:
+            top: dict[int, int] = {}  # highest rank in each subtree
+            for i in reversed(self._order):
+                n = self.nodes[i]
+                r = 1 + max(top[t] for t in n.recurring) if n.recurring else 0
+                self._rank[i] = r
+                top[i] = max([r] + [top[c] for c in n.prefix])
+        return self._rank[ident]
 
     def acc_cover(self, ident: int) -> frozenset[int]:
         """Maximal elements of acc(ident) under y-accumulates-below-z.
 
-        Constraints "value at ident vs every y in acc" are implied by the
-        constraints at the cover elements plus the same constraints at
-        deeper limit nodes, because acc is downward closed.  Used to thin
-        linear programs without changing their feasible set.
+        These are the nodes reached from a recurring child of ``ident`` by
+        prefix steps alone: a second recurring step puts a node in the acc
+        of a limit node inside acc(ident).  Constraints "value at ident vs
+        every y in acc" are implied by the constraints at the cover
+        elements plus the same constraints at deeper limit nodes, because
+        acc is downward closed.  Used to thin linear programs without
+        changing their feasible set.
         """
-        full = self.acc(ident)
-        dominated: set[int] = set()
-        for z in full:
-            if not self.node(z).is_leaf():
-                dominated |= self.acc(z)
-        return frozenset(full - dominated)
+        todo = list(self._limit(ident).recurring)
+        out: set[int] = set()
+        while todo:
+            y = todo.pop()
+            out.add(y)
+            todo.extend(self.nodes[y].prefix)
+        return frozenset(out)
 
 
 # -- point references --------------------------------------------------------
@@ -343,27 +363,19 @@ def descend_path(space: TreeSpace, start: int, target: int) -> list[tuple[str, i
     """Tree path from node ``start`` down to node ``target`` as a list of
     (slot, position) pairs, slot being "p" or "r".  Raises if target is not
     in the subtree of start."""
-    space.require_valid()
-    if target not in space.subtree(start):
+    lo, hi = space._span(start)
+    if not lo <= space._pos.get(target, -1) < hi:
         raise SpaceError("node %d not below node %d" % (target, start))
-
     out: list[tuple[str, int]] = []
-
-    def walk(cur: int) -> bool:
-        if cur == target:
-            return True
-        n = space.node(cur)
-        for pos, c in enumerate(n.prefix):
-            if target in space.subtree(c):
-                out.append(("p", pos))
-                return walk(c)
-        for pos, t in enumerate(n.recurring):
-            if target in space.subtree(t):
-                out.append(("r", pos))
-                return walk(t)
-        return False
-
-    walk(start)
+    cur = target
+    while cur != start:
+        up = space.nodes[space._parent[cur]]
+        if cur in up.prefix:
+            out.append(("p", up.prefix.index(cur)))
+        else:
+            out.append(("r", up.recurring.index(cur)))
+        cur = up.ident
+    out.reverse()
     return out
 
 
@@ -382,20 +394,18 @@ def point_at(space: TreeSpace, target: int, copy_index: int = 1) -> PointRef:
 # -- unrolling ---------------------------------------------------------------
 
 
-def unrolled_size(space: TreeSpace, k: int, ident: Optional[int] = None) -> int:
+def unrolled_size(space: TreeSpace, k: int) -> int:
     """Node count of unroll(space, k) without building it."""
     space.require_valid()
-    if ident is None:
-        ident = space.root
-    n = space.node(ident)
-    if n.is_leaf():
-        return 1
-    total = 1
-    for c in n.prefix:
-        total += unrolled_size(space, k, c)
-    for t in n.recurring:
-        total += (k + 1) * unrolled_size(space, k, t)
-    return total
+    size: dict[int, int] = {}
+    for i in reversed(space._order):
+        n = space.nodes[i]
+        size[i] = (
+            1
+            + sum(size[c] for c in n.prefix)
+            + (k + 1) * sum(size[t] for t in n.recurring)
+        )
+    return size[space.root]
 
 
 def unroll(space: TreeSpace, k: int) -> tuple[TreeSpace, dict[int, int]]:
@@ -423,56 +433,35 @@ def unroll(space: TreeSpace, k: int) -> tuple[TreeSpace, dict[int, int]]:
     new_nodes: list[SpaceNode] = []
     counter = max(space.nodes) + 1
 
-    def fresh() -> int:
-        nonlocal counter
-        counter += 1
-        return counter - 1
-
-    def spine(orig: int) -> None:
-        """Unroll the subtree of ``orig`` keeping its original node ids."""
-        n = space.node(orig)
-        prefix: list[int] = []
-        for c in n.prefix:
-            spine(c)
-            prefix.append(c)
-        copies: list[int] = []
-        recurring: list[int] = []
+    def frame(orig: int, new_id: int, keep: bool):
+        """Work for one unrolled node: its children as (original, keeps
+        original ids, slot) with slot 0 prefix, 1 copy, 2 recurring.  The
+        original spine keeps its ids; copies get fresh ones throughout."""
+        n = space.nodes[orig]
+        kids = [(c, keep, 0) for c in n.prefix]
         for t in n.recurring:
-            for _ in range(k):
-                cid = fresh()
-                copy(t, cid)
-                copies.append(cid)
-            spine(t)
-            recurring.append(t)
-        node_map[orig] = orig
-        new_nodes.append(
-            SpaceNode(orig, tuple(prefix) + tuple(copies), tuple(recurring))
-        )
+            kids += [(t, False, 1)] * k + [(t, keep, 2)]
+        return orig, new_id, iter(kids), ([], [], [])
 
-    def copy(orig: int, new_id: int) -> None:
-        """Unrolled deep copy of the subtree of ``orig`` under a fresh id."""
-        n = space.node(orig)
-        prefix: list[int] = []
-        for c in n.prefix:
-            cid = fresh()
-            copy(c, cid)
-            prefix.append(cid)
-        copies: list[int] = []
-        recurring: list[int] = []
-        for t in n.recurring:
-            for _ in range(k):
-                cid = fresh()
-                copy(t, cid)
-                copies.append(cid)
-            tid = fresh()
-            copy(t, tid)
-            recurring.append(tid)
-        node_map[new_id] = orig
-        new_nodes.append(
-            SpaceNode(new_id, tuple(prefix) + tuple(copies), tuple(recurring))
-        )
-
-    spine(space.root)
+    stack = [frame(space.root, space.root, True)]
+    while stack:
+        orig, new_id, kids, slots = stack[-1]
+        kid = next(kids, None)
+        if kid is None:
+            stack.pop()
+            node_map[new_id] = orig
+            new_nodes.append(
+                SpaceNode(new_id, tuple(slots[0] + slots[1]), tuple(slots[2]))
+            )
+            continue
+        child, keep, slot = kid
+        if keep:
+            cid = child
+        else:
+            cid = counter
+            counter += 1
+        slots[slot].append(cid)
+        stack.append(frame(child, cid, keep))
     return TreeSpace(new_nodes, space.root), node_map
 
 

@@ -139,6 +139,18 @@ def test_rejects_float_values(f1):
         documents.loads(text)
 
 
+def test_rejects_nested_complex_parts_at_the_outer_value(k1):
+    value = '"1"'
+    for _ in range(900):
+        value = '{"re": %s, "im": "0"}' % value
+    obj = json.loads(documents.dumps(QFunction(k1, {0: F(0), 1: F(0)})))
+    obj["values"]["0"] = "HOLE"
+    doc = json.dumps(obj).replace('"HOLE"', value)
+    with pytest.raises(DocumentError) as exc:
+        documents.loads(doc)
+    assert str(exc.value) == "values.0: nested complex parts"
+
+
 def test_rejects_non_document_payloads():
     with pytest.raises(DocumentError):
         documents.loads("[1, 2, 3]")

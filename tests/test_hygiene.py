@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import in the package is used in its
-own module.  A static scan with the stdlib ``ast`` module, so it imports
-nothing it checks."""
+own module, and no function recurses unless its depth is bounded
+independently of the input's size.  Static scans with the stdlib ``ast``
+module, so they import nothing they check."""
 
 import ast
 from pathlib import Path
@@ -71,3 +72,75 @@ def test_scan_flags_an_unused_import(tmp_path):
 def test_no_unused_module_imports():
     found = [u for path in sorted(PACKAGE.glob("*.py")) for u in unused_imports(path)]
     assert found == []
+
+
+# recursive functions whose depth does not grow with the input, and why
+BOUNDED_RECURSION = {
+    "documents.scalar_from_json": "complex parts cannot nest, so the depth is at most 2",
+    "sampling._grow_space.build": "the depth is at most max_rank",
+}
+
+
+def _calls_itself(func, method: bool) -> bool:
+    """A plain function calling its own bare name, or a method calling
+    ``self.<its name>``."""
+    for node in ast.walk(func):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if method:
+            if (isinstance(f, ast.Attribute) and f.attr == func.name
+                    and isinstance(f.value, ast.Name) and f.value.id == "self"):
+                return True
+        elif isinstance(f, ast.Name) and f.id == func.name:
+            return True
+    return False
+
+
+def recursive_functions(path: Path) -> list[str]:
+    """Dotted names (module.Class.func, module.outer.inner) of the
+    functions in a module that call themselves."""
+    found = []
+
+    def visit(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + "." + child.name
+                if _calls_itself(child, in_class):
+                    found.append(name)
+                visit(child, name, False)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + "." + child.name, True)
+            else:
+                visit(child, prefix, in_class)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), path.stem, False)
+    return found
+
+
+def test_scan_flags_a_recursive_function(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "def depth(tree):\n"
+        "    return 1 + max((depth(t) for t in tree), default=0)\n"
+        "def walk(tree):\n"
+        "    def go(t):\n"
+        "        return [go(c) for c in t]\n"
+        "    return go(tree)\n"
+        "class Node:\n"
+        "    def abs(self):\n"
+        "        return abs(self.size)\n"
+        "    def count(self):\n"
+        "        return 1 + sum(self.count() for _ in ())\n"
+    )
+    assert recursive_functions(mod) == ["mod.depth", "mod.walk.go", "mod.Node.count"]
+
+
+def test_no_unbounded_recursion():
+    found = [
+        name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in recursive_functions(path)
+    ]
+    assert [n for n in found if n not in BOUNDED_RECURSION] == []
+    assert sorted(BOUNDED_RECURSION) == sorted(found)  # no stale entries
