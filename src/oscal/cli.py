@@ -4,9 +4,10 @@ Reads documents, runs one computation or verification, writes a JSON
 result (documents for document-valued outputs, small result objects
 otherwise) to standard output.  Exit code 0 means success or a verified
 true; 1 means a verified false, an undecided comparison, an exhausted
-search, a stage cap, or an extraction whose preconditions fail on valid
-input; 2 means the input itself was unusable (malformed document, wrong
-kind, invalid arguments); 3 means an internal self-check failed or an
+search, the stage cap of ``fn osc`` or ``fn index`` (the only commands
+with one), or an extraction whose preconditions fail on valid input; 2
+means the input itself was unusable (malformed document, wrong kind,
+invalid arguments); 3 means an internal self-check failed or an
 exception no handler expects escaped (its traceback goes to standard
 error), a bug rather than an answer.
 
@@ -180,17 +181,14 @@ def cmd_fn_index(args) -> int:
 
 
 def cmd_fn_dnorm(args) -> int:
-    from .transfinite import CapExceeded, d_norm
+    from .transfinite import d_norm
     f = _load_function(args.file)
     if args.unroll is not None:
         from .func import lift_function
         from .space import unroll
         unrolled, node_map = unroll(f.space, args.unroll)
         f = lift_function(f, unrolled, node_map)
-    formula = d_norm(f, _cap(args))
-    if isinstance(formula, CapExceeded):
-        _diag("chain did not stabilize within cap %d" % formula.cap)
-        return 1
+    formula = d_norm(f)
     if not args.oracle:
         if args.quiet:
             sys.stdout.write(format_rational(formula) + "\n")
@@ -210,12 +208,8 @@ def cmd_fn_dnorm(args) -> int:
 
 
 def cmd_fn_decompose(args) -> int:
-    from .transfinite import CapExceeded, decompose
-    f = _load_function(args.file)
-    dec = decompose(f, _cap(args))
-    if isinstance(dec, CapExceeded):
-        _diag("chain did not stabilize within cap %d" % dec.cap)
-        return 1
+    from .transfinite import decompose
+    dec = decompose(_load_function(args.file))
     obj = {
         "norm": format_rational(dec.norm),
         "u": documents.document_obj(dec.u),
@@ -369,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     capper = argparse.ArgumentParser(add_help=False)
     capper.add_argument(
-        "--cap", type=int, default=None, help="stage cap (default OSCAL_CAP or 64)"
+        "--cap", type=int, default=None,
+        help="stage cap of fn osc and fn index (default OSCAL_CAP or 64)",
     )
     sub = parser.add_subparsers(dest="command")
 
@@ -399,13 +394,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(handler=cmd_fn_index)
 
-    p = fn_sub.add_parser("dnorm", parents=[common, capper])
+    p = fn_sub.add_parser("dnorm", parents=[common])
     p.add_argument("file")
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--unroll", type=int, default=None)
     p.set_defaults(handler=cmd_fn_dnorm)
 
-    p = fn_sub.add_parser("decompose", parents=[common, capper])
+    p = fn_sub.add_parser("decompose", parents=[common])
     p.add_argument("file")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(handler=cmd_fn_decompose)

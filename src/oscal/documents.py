@@ -516,6 +516,8 @@ def loads(text: str) -> Document:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError("invalid JSON: %s" % exc.msg, line=exc.lineno) from None
+    except RecursionError:
+        raise DocumentError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise DocumentError("a document is a JSON object")
     kind = obj.get("kind")

@@ -20,6 +20,8 @@ Rat = Union[Fraction, int]
 
 def rat(value) -> Fraction:
     """Coerce int/str/Fraction into a Fraction. Floats are rejected."""
+    if type(value) is Fraction:  # immutable, so it needs no copy
+        return value
     if isinstance(value, float):
         raise TypeError("floats are not allowed; use Fraction or a 'p/q' string")
     if isinstance(value, bool):

@@ -13,9 +13,10 @@ consecutive stages agree is the index of f; the norm of f is the sup of
 |f| + final stage.  The signed variant ("v") drops the absolute value and
 measures upward jumps only.
 
-Stages stabilize but the number of steps is not bounded a priori by the
-public contract, so iteration carries a cap; hitting the cap is reported
-with the :class:`CapExceeded` value rather than an exception.
+The final stage is the least fixed point of the step: :func:`final_stage`
+computes it in one pass by rank, so :func:`d_norm` and :func:`decompose`
+have no cap.  :func:`iterate`, for single stages and the index, has one;
+hitting it is reported with the :class:`CapExceeded` value.
 """
 
 from __future__ import annotations
@@ -45,23 +46,22 @@ class CapExceeded:
     cap: int
 
 
+def _relax(sp, x: int, w, jump) -> Fraction:
+    """max(w(x), max over y in acc(x) of jump(y, x) + w(y)); leaves keep w(x)."""
+    if sp.is_leaf(x):
+        return w(x)
+    return max([w(x)] + [jump(y, x) + w(y) for y in sp.acc(x)])
+
+
+def _osc_jump(f: QFunction):
+    return lambda y, x: _gap(f(y), f(x), "oscillation step at node %d" % x)
+
+
 def osc_pre_step(f: QFunction, w: QFunction) -> QFunction:
     """One oscillation step before taking the upper envelope."""
     w.require_real("stage weight")
-    sp = f.space
-    out = {}
-    for i in sp.node_ids():
-        if sp.is_leaf(i):
-            out[i] = w(i)
-        else:
-            out[i] = max(
-                [w(i)]
-                + [
-                    _gap(f(y), f(i), "oscillation step at node %d" % i) + w(y)
-                    for y in sp.acc(i)
-                ]
-            )
-    return QFunction(sp, out)
+    sp, jump = f.space, _osc_jump(f)
+    return QFunction(sp, {i: _relax(sp, i, w, jump) for i in sp.node_ids()})
 
 
 def osc_step(f: QFunction, w: QFunction) -> QFunction:
@@ -72,14 +72,8 @@ def v_pre_step(f: QFunction, w: QFunction) -> QFunction:
     """Signed (upward-jump) step before the upper envelope; f must be real."""
     f.require_real("signed oscillation")
     w.require_real("stage weight")
-    sp = f.space
-    out = {}
-    for i in sp.node_ids():
-        if sp.is_leaf(i):
-            out[i] = w(i)
-        else:
-            out[i] = max([w(i)] + [f(y) - f(i) + w(y) for y in sp.acc(i)])
-    return QFunction(sp, out)
+    sp, jump = f.space, (lambda y, x: f(y) - f(x))
+    return QFunction(sp, {i: _relax(sp, i, w, jump) for i in sp.node_ids()})
 
 
 def v_step(f: QFunction, w: QFunction) -> QFunction:
@@ -139,13 +133,24 @@ def d_index(f: QFunction, cap: int = DEFAULT_CAP) -> Union[int, CapExceeded]:
     return tr.stabilized_at
 
 
-def d_norm(f: QFunction, cap: int = DEFAULT_CAP) -> Union[Fraction, CapExceeded]:
+def final_stage(f: QFunction) -> QFunction:
+    """The final oscillation stage C, one pass over the nodes by increasing
+    rank: C(x) = max(0, max over y in acc(x) of |f(y) − f(x)| + C(y)).
+
+    One pass is exact.  Jumps are ≥ 0, so C(x) ≥ C(y) on acc(x): C is usc
+    and needs no envelope, so C is a fixed point of the step.  Every fixed
+    point w ≥ 0 lies above C, by induction on rank.  The stages climb from
+    0 and stay below C, so where they stabilize is C."""
+    sp, jump = f.space, _osc_jump(f)
+    c = dict.fromkeys(sp.nodes, Fraction(0))
+    for i in sorted(sp.node_ids(), key=sp.rank):
+        c[i] = _relax(sp, i, c.__getitem__, jump)
+    return QFunction(sp, c)
+
+
+def d_norm(f: QFunction) -> Fraction:
     """max over nodes of |f| + final oscillation stage."""
-    tr = iterate(f, "osc", cap)
-    if tr.stabilized_at is None:
-        return CapExceeded(cap)
-    final = tr.stages[tr.stabilized_at]
-    return (f.abs() + final).sup_abs()
+    return (f.abs() + final_stage(f)).sup_abs()
 
 
 @dataclass(frozen=True)
@@ -156,16 +161,11 @@ class Decomposition:
     checks: dict
 
 
-def decompose(
-    f: QFunction, cap: int = DEFAULT_CAP
-) -> Union[Decomposition, CapExceeded]:
+def decompose(f: QFunction) -> Decomposition:
     """Split f = u − v with u, v nonnegative lower semicontinuous and
     max(u + v) equal to the norm; the witness that the norm is attained."""
     f.require_real("decomposition")
-    tr = iterate(f, "osc", cap)
-    if tr.stabilized_at is None:
-        return CapExceeded(cap)
-    final = tr.stages[tr.stabilized_at]
+    final = final_stage(f)
     lam = (f.abs() + final).sup_abs()
     half = Fraction(1, 2)
     lam_fn = constant_function(f.space, lam)
@@ -181,7 +181,7 @@ def decompose(
     bad = [name for name, ok in checks.items() if not ok]
     if bad:
         raise InternalCheckError(
-            "decomposition violated %s for a stabilized trace" % ", ".join(bad)
+            "decomposition violated %s for the final stage" % ", ".join(bad)
         )
     return Decomposition(u, v, lam, checks)
 

@@ -114,7 +114,7 @@ def test_criterion_01_norm_formula_vs_oracle():
     start = time.monotonic()
     for f in fns:
         val = d_norm(f)
-        assert isinstance(val, F), "norm iteration hit its cap"
+        assert isinstance(val, F)
         assert val == oracle_dnorm(f).optimum
     assert time.monotonic() - start < 120
 
@@ -462,7 +462,7 @@ def test_criterion_11_cli(tmp_path):
         "agree": True,
     }
 
-    r = _run_cli(["fn", "dnorm", f2_path, "--oracle", "--cap", "1"])
+    r = _run_cli(["fn", "index", f2_path, "--cap", "1"])
     assert r.returncode == 1
 
     bad = tmp_path / "bad.json"

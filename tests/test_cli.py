@@ -119,19 +119,59 @@ def test_dnorm_quiet(paths):
     assert r.stdout == "true\n"
 
 
-def test_dnorm_cap_exhaustion(paths):
-    r = run_cli(["fn", "dnorm", paths["f2"], "--oracle", "--cap", "1"])
+def test_index_cap_exhaustion(paths):
+    r = run_cli(["fn", "index", paths["f2"], "--cap", "1"])
     assert r.returncode == 1
     assert "cap" in r.stderr
 
 
-def test_dnorm_cap_from_environment(paths):
+def test_index_cap_from_environment(paths):
+    r = run_cli(["fn", "index", paths["f2"]], env_extra={"OSCAL_CAP": "1"})
+    assert r.returncode == 1
+    r = run_cli(["fn", "index", paths["f2"]], env_extra={"OSCAL_CAP": "potato"})
+    assert r.returncode == 2
+    # the norm reads the final stage in one pass: no cap applies to it
     r = run_cli(
         ["fn", "dnorm", paths["f2"], "--oracle"], env_extra={"OSCAL_CAP": "1"}
     )
-    assert r.returncode == 1
-    r = run_cli(["fn", "dnorm", paths["f2"]], env_extra={"OSCAL_CAP": "potato"})
-    assert r.returncode == 2
+    assert r.returncode == 0
+    assert r.stdout == (GOLDEN / "cli_dnorm_oracle.txt").read_text()
+
+
+@pytest.fixture(scope="module")
+def chain100(tmp_path_factory):
+    sp = chain_space(100)
+    path = tmp_path_factory.mktemp("chain") / "alternating100.json"
+    path.write_text(
+        documents.dumps(QFunction(sp, {i: F(i % 2) for i in sp.node_ids()}))
+    )
+    return path
+
+
+def test_dnorm_past_the_stage_cap(chain100):
+    r = run_cli(["fn", "dnorm", chain100, "--quiet"])
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "100\n"
+
+
+def test_decompose_past_the_stage_cap(chain100, tmp_path):
+    r = run_cli(["fn", "decompose", chain100, "-o", tmp_path / "dec.json"])
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["norm"] == "100"
+    assert (tmp_path / "dec.json").read_text() == r.stdout
+
+
+def test_deeply_nested_json_is_malformed_input(tmp_path):
+    # deep enough for the recursion guard of every supported interpreter
+    depth = 100_000
+    bad = tmp_path / "deep.json"
+    bad.write_text(
+        '{"kind": "space", "root": 0, "nodes": %s}' % ("[" * depth + "]" * depth)
+    )
+    r = run_cli(["space", "validate", bad])
+    assert r.returncode == 2, r.stderr
+    assert "oscal:" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_internal_fault_exits_three(paths, monkeypatch, capsys):

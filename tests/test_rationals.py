@@ -52,6 +52,13 @@ def test_rat_rejects_floats_and_bools():
         rat(True)
 
 
+@given(fractions)
+def test_rat_returns_a_fraction_itself(q):
+    assert rat(q) is q
+    assert type(rat(q.numerator)) is Fraction
+    assert rat(q.numerator) == q.numerator
+
+
 def test_gaussian_arithmetic():
     a = GaussianRational(Fraction(1, 2), Fraction(3))
     b = GaussianRational(Fraction(2), Fraction(-1))

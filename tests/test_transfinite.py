@@ -6,9 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
+import oscal.transfinite
 from helpers import leq, qf
 from oscal.errors import PreconditionError
 from oscal.func import (
+    QFunction,
     constant_function,
     is_usc,
     lsc_envelope,
@@ -16,11 +18,14 @@ from oscal.func import (
     usc_envelope,
     zero_function,
 )
+from oscal.sampling import build_corpus, random_space
+from oscal.space import chain_space
 from oscal.transfinite import (
     CapExceeded,
     d_index,
     d_norm,
     decompose,
+    final_stage,
     fixpoint_criterion,
     iterate,
     level_set_witness,
@@ -101,6 +106,9 @@ def test_d_index_canonical(k2, f1, f2):
     capped = d_index(f2, cap=1)
     assert isinstance(capped, CapExceeded)
     assert capped.cap == 1
+    # stabilizing at 2 takes a third step, to see stage 3 equal stage 2
+    assert isinstance(d_index(f2, cap=2), CapExceeded)
+    assert d_index(f2, cap=3) == 2
 
 
 def test_d_norm_canonical(k2, f1, f2):
@@ -108,7 +116,6 @@ def test_d_norm_canonical(k2, f1, f2):
     assert d_norm(f2) == Fraction(2)
     c = constant_function(k2, Fraction(-5, 2))
     assert d_norm(c) == Fraction(5, 2)
-    assert isinstance(d_norm(f2, cap=1), CapExceeded)
 
 
 def test_decompose_canonical(k1, k2, f1, f2):
@@ -241,6 +248,69 @@ def test_real_part_oscillates_no_faster(seed):
         tr = iterate(part, "osc", cap=4)
         for n in range(4):
             assert leq(tr.stage(n), tc.stage(n))
+
+
+# -- the final stage in one pass, against the iteration as its oracle ----------
+
+
+def iterated_final_stage(f):
+    tr = iterate(f, "osc")
+    assert tr.stabilized_at is not None
+    return tr.stage(tr.stabilized_at)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_final_stage_matches_iteration_on_corpus(seed):
+    for f in build_corpus(seed).functions:
+        assert final_stage(f).values == iterated_final_stage(f).values
+
+
+@st.composite
+def drawn_functions(draw, complex_values=False):
+    space = random_space(random.Random(draw(st.integers(0, 10**6))), 2, 12)
+    if complex_values:
+        return helpers.complex_line_function(
+            random.Random(draw(st.integers(0, 10**6))), space
+        )
+    values = draw(
+        st.lists(
+            st.fractions(min_value=-4, max_value=4, max_denominator=4),
+            min_size=len(space),
+            max_size=len(space),
+        )
+    )
+    return QFunction(space, dict(zip(space.node_ids(), values)))
+
+
+@given(st.one_of(drawn_functions(), drawn_functions(complex_values=True)))
+def test_final_stage_matches_iteration_on_drawn_functions(f):
+    assert final_stage(f).values == iterated_final_stage(f).values
+
+
+def test_norm_and_decomposition_do_not_iterate(monkeypatch):
+    def no_iteration(*args, **kwargs):
+        raise AssertionError("iterate called")
+
+    monkeypatch.setattr(oscal.transfinite, "iterate", no_iteration)
+    for f in helpers.corpus().functions:
+        assert decompose(f).norm == d_norm(f)
+
+
+@pytest.mark.parametrize("depth", [80, 160, 400])
+def test_deep_alternating_chains(depth):
+    # past the stage cap of 64, which iterate would stop at
+    amp = Fraction(-5, 3)
+    sp = chain_space(depth)
+    f = QFunction(sp, {i: amp * (i % 2) for i in sp.node_ids()})
+    assert d_norm(f) == abs(amp) * depth
+    dec = decompose(f)
+    assert dec.norm == abs(amp) * depth
+    assert dec.checks == {
+        "difference": True,
+        "nonnegative": True,
+        "lower_semicontinuous": True,
+        "sup_norm": True,
+    }
 
 
 # -- level-set witnesses ---------------------------------------------------
