@@ -98,7 +98,7 @@ def _cap(args) -> int:
         return value
     env = os.environ.get("OSCAL_CAP")
     if env is not None:
-        if not env.isdigit() or int(env) < 1:
+        if not (env.isascii() and env.isdigit()) or int(env) < 1:
             raise PreconditionError(
                 "OSCAL_CAP must be a positive integer, got %r" % env
             )

@@ -9,7 +9,9 @@ The upper envelope at a limit node sees every value accumulating there:
 ``U f (p) = max(f(p), max over acc(p) of f)``; the lower envelope is dual.
 A function is upper (lower) semicontinuous iff it equals its upper (lower)
 envelope, and continuous iff it is constant on {p} ∪ acc(p) at every limit
-node p.
+node p.  Since acc(p) is the union of {z} ∪ acc(z) over its cover, both
+read only cover edges: ``U f (p) = max(f(p), max over acc_cover(p) of U f)``
+in one children-first pass, and continuity is f(z) = f(p) on each edge.
 
 ``underline_osc`` is the local oscillation: zero at isolated points and the
 largest |f(y) − f(p)| over accumulating y at a limit p.  ``osc`` is its
@@ -121,10 +123,10 @@ class QFunction:
         return max(self.abs().values.values())
 
     def __le__(self, other: "QFunction") -> bool:
-        if self.is_complex() or other.is_complex():
-            raise PreconditionError("ordering requires real functions")
         if not isinstance(other, QFunction):
             return NotImplemented
+        if self.is_complex() or other.is_complex():
+            raise PreconditionError("ordering requires real functions")
         if self.space is not other.space and self.space != other.space:
             raise MismatchError("functions live on different spaces")
         return all(self.values[i] <= other.values[i] for i in self.values)
@@ -149,30 +151,21 @@ def lift_function(
 # -- envelopes ----------------------------------------------------------------
 
 
+def _envelope(f: QFunction, pick, what: str) -> QFunction:
+    """pick(f(x), envelope over acc_cover(x)), children first."""
+    f.require_real(what)
+    env = f.space.fold_cover(lambda x, cover, e: pick([f(x)] + [e[z] for z in cover]))
+    return QFunction(f.space, env)
+
+
 def usc_envelope(f: QFunction) -> QFunction:
     """Upper envelope: at a limit node, the max of f there and over acc."""
-    f.require_real("upper envelope")
-    sp = f.space
-    out = {}
-    for i in sp.node_ids():
-        if sp.is_leaf(i):
-            out[i] = f(i)
-        else:
-            out[i] = max(f(i), max(f(y) for y in sp.acc(i)))
-    return QFunction(sp, out)
+    return _envelope(f, max, "upper envelope")
 
 
 def lsc_envelope(f: QFunction) -> QFunction:
     """Lower envelope, dual to :func:`usc_envelope`."""
-    f.require_real("lower envelope")
-    sp = f.space
-    out = {}
-    for i in sp.node_ids():
-        if sp.is_leaf(i):
-            out[i] = f(i)
-        else:
-            out[i] = min(f(i), min(f(y) for y in sp.acc(i)))
-    return QFunction(sp, out)
+    return _envelope(f, min, "lower envelope")
 
 
 def is_usc(f: QFunction) -> bool:
@@ -188,11 +181,7 @@ def is_lsc(f: QFunction) -> bool:
 def is_continuous(f: QFunction) -> bool:
     """Constant on {p} ∪ acc(p) at every limit node p (works for complex f)."""
     sp = f.space
-    for p in sp.limit_nodes():
-        v = f(p)
-        if any(f(y) != v for y in sp.acc(p)):
-            return False
-    return True
+    return all(f(z) == f(p) for p in sp.limit_nodes() for z in sp.acc_cover(p))
 
 
 def _gap(a: Scalar, b: Scalar, where: str) -> Fraction:

@@ -25,13 +25,15 @@ subtree is a contiguous run, and since a node lists its recurring patterns
 after its prefix children, acc(p) is one run too: from p's first recurring
 child to the end of p's subtree.  The cover of acc(p) (its elements that lie
 in the acc of no limit node inside acc(p)) has a closed form: the nodes
-reached from a recurring child of p by prefix steps alone.
+reached from a recurring child of p by prefix steps alone.  acc(p) is the
+union of {z} ∪ acc(z) over its cover, so :meth:`TreeSpace.fold_cover` builds
+a quantity over acc sets in one linear pass along cover edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .errors import ResourceCapError, SpaceError
 
@@ -84,13 +86,14 @@ class TreeSpace:
         self.root = root
         self._violations: Optional[list[str]] = None
         # filled by validate(): the depth-first preorder from the root,
-        # each node's position in it and the end of its subtree's run there
+        # each node's position in it, the end of its subtree's run there
+        # and each limit node's acc cover
         self._order: list[int] = []
         self._pos: dict[int, int] = {}
         self._end: dict[int, int] = {}
+        self._cover: dict[int, list[int]] = {}
         self._parent: dict[int, int] = {}
         self._rank: dict[int, int] = {}
-        self._acc: dict[int, frozenset[int]] = {}
 
     # -- basic access ------------------------------------------------------
 
@@ -157,8 +160,10 @@ class TreeSpace:
         if self.root in parent:
             out.append("root %d appears as a child" % self.root)
         # reachability and cycle detection by one DFS from the root, which
-        # also records the preorder and where each subtree's run ends
-        order, pos, end = self._order, self._pos, self._end
+        # also records the preorder, where each subtree's run ends, and the
+        # acc cover each node joins: a recurring child joins its parent's, a
+        # prefix child the one its parent joined
+        order, pos, end, owner = self._order, self._pos, self._end, {}
         on_path = {self.root}
         pos[self.root] = 0
         order.append(self.root)
@@ -173,6 +178,10 @@ class TreeSpace:
             elif c in on_path:
                 out.append("cycle through node %d" % c)
             elif c not in pos:
+                up = i if c in self.nodes[i].recurring else owner.get(i)
+                if up is not None:
+                    owner[c] = up
+                    self._cover.setdefault(up, []).append(c)
                 pos[c] = len(order)
                 order.append(c)
                 on_path.add(c)
@@ -215,14 +224,8 @@ class TreeSpace:
         children of ``ident`` itself are excluded (they do not accumulate).
         Raises for leaves, which have no accumulation.
         """
-        got = self._acc.get(ident)
-        if got is None:
-            n = self._limit(ident)
-            got = frozenset(
-                self._order[self._pos[n.recurring[0]]:self._end[ident]]
-            )
-            self._acc[ident] = got
-        return got
+        n = self._limit(ident)
+        return frozenset(self._order[self._pos[n.recurring[0]]:self._end[ident]])
 
     def rank(self, ident: Optional[int] = None) -> int:
         """Accumulation rank: 0 at leaves, else 1 + max rank over acc."""
@@ -244,19 +247,22 @@ class TreeSpace:
 
         These are the nodes reached from a recurring child of ``ident`` by
         prefix steps alone: a second recurring step puts a node in the acc
-        of a limit node inside acc(ident).  Constraints "value at ident vs
-        every y in acc" are implied by the constraints at the cover
-        elements plus the same constraints at deeper limit nodes, because
-        acc is downward closed.  Used to thin linear programs without
-        changing their feasible set.
+        of a limit node inside acc(ident).  So acc(ident) is the union of
+        {z} ∪ acc(z) over the cover, and a transitive condition such as
+        u(ident) ≤ u(y) on acc follows from it on all cover edges.
         """
-        todo = list(self._limit(ident).recurring)
-        out: set[int] = set()
-        while todo:
-            y = todo.pop()
-            out.add(y)
-            todo.extend(self.nodes[y].prefix)
-        return frozenset(out)
+        self._limit(ident)
+        return frozenset(self._cover[ident])
+
+    def fold_cover(self, visit: Callable[[int, Iterable[int], dict], object]) -> dict:
+        """out[x] = visit(x, acc_cover(x) or () at a leaf, out), children
+        first: reversed preorder puts each node after its subtree.  A node
+        lies in at most one cover, so the pass is linear."""
+        self.require_valid()
+        out: dict = {}
+        for x in reversed(self._order):
+            out[x] = visit(x, self._cover.get(x, ()), out)
+        return out
 
 
 # -- point references --------------------------------------------------------

@@ -14,9 +14,9 @@ consecutive stages agree is the index of f; the norm of f is the sup of
 measures upward jumps only.
 
 The final stage is the least fixed point of the step: :func:`final_stage`
-computes it in one pass by rank, so :func:`d_norm` and :func:`decompose`
-have no cap.  :func:`iterate`, for single stages and the index, has one;
-hitting it is reported with the :class:`CapExceeded` value.
+computes it in one linear pass along acc cover edges, so :func:`d_norm`
+and :func:`decompose` have no cap.  :func:`iterate` (single stages, the
+index) has one, and reports hitting it as :class:`CapExceeded`.
 """
 
 from __future__ import annotations
@@ -134,18 +134,22 @@ def d_index(f: QFunction, cap: int = DEFAULT_CAP) -> Union[int, CapExceeded]:
 
 
 def final_stage(f: QFunction) -> QFunction:
-    """The final oscillation stage C, one pass over the nodes by increasing
-    rank: C(x) = max(0, max over y in acc(x) of |f(y) − f(x)| + C(y)).
+    """The final oscillation stage C, one children-first pass along cover
+    edges: C(x) = max(0, max over z in acc_cover(x) of |f(z) − f(x)| + C(z)).
 
-    One pass is exact.  Jumps are ≥ 0, so C(x) ≥ C(y) on acc(x): C is usc
-    and needs no envelope, so C is a fixed point of the step.  Every fixed
-    point w ≥ 0 lies above C, by induction on rank.  The stages climb from
-    0 and stay below C, so where they stabilize is C."""
-    sp, jump = f.space, _osc_jump(f)
-    c = dict.fromkeys(sp.nodes, Fraction(0))
-    for i in sorted(sp.node_ids(), key=sp.rank):
-        c[i] = _relax(sp, i, c.__getitem__, jump)
-    return QFunction(sp, c)
+    That is the max over all y in acc(x): any other y lies in acc(z) for a
+    cover node z, where C(z) ≥ |f(y) − f(z)| + C(y), so by the triangle
+    inequality |f(y) − f(x)| + C(y) ≤ |f(z) − f(x)| + C(z).  Jumps are ≥ 0,
+    so C(x) ≥ C(y) on acc(x): C is usc and needs no envelope, so C is a
+    fixed point of the step.  Every fixed point w ≥ 0 lies above C, by
+    induction on rank.  The stages climb from 0 and stay below C, so where
+    they stabilize is C."""
+    jump = _osc_jump(f)
+
+    def visit(x, cover, c):
+        return max([Fraction(0)] + [jump(z, x) + c[z] for z in cover])
+
+    return QFunction(f.space, f.space.fold_cover(visit))
 
 
 def d_norm(f: QFunction) -> Fraction:

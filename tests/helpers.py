@@ -4,9 +4,12 @@ import functools
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from oscal.func import QFunction
 from oscal.rationals import GaussianRational
-from oscal.sampling import DEFAULT_SEED, build_corpus
+from oscal.sampling import DEFAULT_SEED, build_corpus, random_space
+from oscal.transfinite import iterate
 from oscal.space import (
     PointRef,
     PrefixStep,
@@ -70,6 +73,29 @@ def complex_line_function(rng: random.Random, space: TreeSpace) -> QFunction:
         c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         values[i] = c * w + shift
     return QFunction(space, values)
+
+
+@st.composite
+def drawn_functions(draw, complex_values=False):
+    space = random_space(random.Random(draw(st.integers(0, 10**6))), 2, 12)
+    if complex_values:
+        return complex_line_function(
+            random.Random(draw(st.integers(0, 10**6))), space
+        )
+    values = draw(
+        st.lists(
+            st.fractions(min_value=-4, max_value=4, max_denominator=4),
+            min_size=len(space),
+            max_size=len(space),
+        )
+    )
+    return QFunction(space, dict(zip(space.node_ids(), values)))
+
+
+def iterated_final_stage(f):
+    tr = iterate(f, "osc")
+    assert tr.stabilized_at is not None
+    return tr.stage(tr.stabilized_at)
 
 
 def original_point(space, unrolled, node_map, k, upoint):

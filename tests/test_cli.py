@@ -128,8 +128,11 @@ def test_index_cap_exhaustion(paths):
 def test_index_cap_from_environment(paths):
     r = run_cli(["fn", "index", paths["f2"]], env_extra={"OSCAL_CAP": "1"})
     assert r.returncode == 1
-    r = run_cli(["fn", "index", paths["f2"]], env_extra={"OSCAL_CAP": "potato"})
-    assert r.returncode == 2
+    # only ASCII digits: a superscript two or an Arabic-Indic three is no cap
+    for bad in ("potato", "\u00b2", "\u0663"):
+        r = run_cli(["fn", "index", paths["f2"]], env_extra={"OSCAL_CAP": bad})
+        assert r.returncode == 2, bad
+        assert "OSCAL_CAP must be a positive integer" in r.stderr
     # the norm reads the final stage in one pass: no cap applies to it
     r = run_cli(
         ["fn", "dnorm", paths["f2"], "--oracle"], env_extra={"OSCAL_CAP": "1"}

@@ -1,15 +1,19 @@
 """Deep presentations under the interpreter's default recursion limit:
 every structural query and the commands that read them walk iteratively,
-so a depth-10 000 chain costs time, not stack."""
+so a depth-10 000 chain costs time, not stack.  The envelopes, the final
+stage and the decomposition read only acc cover edges, so their memory is
+linear in the depth too."""
 
+import json
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import oscal.cli
 from oscal import documents
-from oscal.func import QFunction, usc_envelope
+from oscal.func import QFunction, usc_envelope, zero_function
 from oscal.space import (
     UNROLL_NODE_CAP,
     chain_space,
@@ -19,6 +23,7 @@ from oscal.space import (
     unroll,
     unrolled_size,
 )
+from oscal.transfinite import decompose, final_stage
 
 DEPTH = 10_000
 
@@ -75,3 +80,51 @@ def test_cli_envelope_of_a_deep_alternating_function(tmp_path, capsys):
     path.write_text(documents.dumps(f))
     assert oscal.cli.main(["fn", "envelope", "--kind", "upper", str(path)]) == 0
     assert capsys.readouterr().out == documents.dumps(usc_envelope(f))
+
+
+@pytest.fixture(scope="module")
+def alternating(deep, tmp_path_factory):
+    """i % 2 on the depth-10 000 chain, and its document on disk."""
+    f = QFunction(deep, {i: Fraction(i % 2) for i in deep.node_ids()})
+    path = tmp_path_factory.mktemp("deep") / "alternating.json"
+    path.write_text(documents.dumps(f))
+    return f, path
+
+
+@pytest.mark.parametrize("call", [usc_envelope, final_stage, decompose])
+def test_deep_chain_memory_is_linear(alternating, call):
+    # every acc set of the chain together holds DEPTH²/2 = 5·10⁷ entries
+    f, _ = alternating
+    tracemalloc.start()
+    try:
+        call(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+def test_cli_norm_of_a_deep_alternating_function(alternating, capsys):
+    _, path = alternating
+    assert oscal.cli.main(["fn", "dnorm", "--quiet", str(path)]) == 0
+    assert capsys.readouterr().out == "%d\n" % DEPTH
+
+
+def test_cli_decomposition_of_a_deep_alternating_function(
+    alternating, tmp_path, capsys
+):
+    _, path = alternating
+    out = tmp_path / "dec.json"
+    assert oscal.cli.main(["fn", "decompose", str(path), "-o", str(out)]) == 0
+    text = out.read_text()
+    assert capsys.readouterr().out == text
+    assert json.loads(text)["norm"] == str(DEPTH)
+
+
+def test_cli_lower_envelope_of_a_deep_alternating_function(
+    deep, alternating, capsys
+):
+    # both values accumulate at every limit node, and the leaf holds 0
+    _, path = alternating
+    assert oscal.cli.main(["fn", "envelope", "--kind", "lower", str(path)]) == 0
+    assert capsys.readouterr().out == documents.dumps(zero_function(deep))

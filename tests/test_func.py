@@ -160,6 +160,11 @@ def test_mismatched_spaces_are_rejected(f1, f2):
         f1 <= f2
 
 
+def test_ordering_against_a_non_function_is_a_type_error(f1):
+    with pytest.raises(TypeError):
+        f1 <= 3
+
+
 def test_algebra_round_trip(f2):
     assert (f2.scale(Fraction(-3, 2))).values[1] == Fraction(-3, 2)
     assert (f2.shift(2)).values[0] == Fraction(2)

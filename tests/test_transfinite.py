@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import helpers
 import oscal.transfinite
-from helpers import leq, qf
+from helpers import drawn_functions, iterated_final_stage, leq, qf
 from oscal.errors import PreconditionError
 from oscal.func import (
     QFunction,
@@ -18,7 +18,7 @@ from oscal.func import (
     usc_envelope,
     zero_function,
 )
-from oscal.sampling import build_corpus, random_space
+from oscal.sampling import build_corpus
 from oscal.space import chain_space
 from oscal.transfinite import (
     CapExceeded,
@@ -253,33 +253,10 @@ def test_real_part_oscillates_no_faster(seed):
 # -- the final stage in one pass, against the iteration as its oracle ----------
 
 
-def iterated_final_stage(f):
-    tr = iterate(f, "osc")
-    assert tr.stabilized_at is not None
-    return tr.stage(tr.stabilized_at)
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_final_stage_matches_iteration_on_corpus(seed):
     for f in build_corpus(seed).functions:
         assert final_stage(f).values == iterated_final_stage(f).values
-
-
-@st.composite
-def drawn_functions(draw, complex_values=False):
-    space = random_space(random.Random(draw(st.integers(0, 10**6))), 2, 12)
-    if complex_values:
-        return helpers.complex_line_function(
-            random.Random(draw(st.integers(0, 10**6))), space
-        )
-    values = draw(
-        st.lists(
-            st.fractions(min_value=-4, max_value=4, max_denominator=4),
-            min_size=len(space),
-            max_size=len(space),
-        )
-    )
-    return QFunction(space, dict(zip(space.node_ids(), values)))
 
 
 @given(st.one_of(drawn_functions(), drawn_functions(complex_values=True)))
@@ -296,7 +273,7 @@ def test_norm_and_decomposition_do_not_iterate(monkeypatch):
         assert decompose(f).norm == d_norm(f)
 
 
-@pytest.mark.parametrize("depth", [80, 160, 400])
+@pytest.mark.parametrize("depth", [80, 160, 400, 10_000])
 def test_deep_alternating_chains(depth):
     # past the stage cap of 64, which iterate would stop at
     amp = Fraction(-5, 3)
