@@ -9,7 +9,9 @@ with one), or an extraction whose preconditions fail on valid input; 2
 means the input itself was unusable (malformed document, wrong kind,
 invalid arguments); 3 means an internal self-check failed or an
 exception no handler expects escaped (its traceback goes to standard
-error), a bug rather than an answer.
+error), a bug rather than an answer; input that does not parse is
+reported where it is read, so a stray ``ValueError`` is such a bug too.
+``extract run --alpha`` takes any stage from 1; above the index it exits 1.
 
 Each subcommand imports only the layers it runs, so start-up cost
 follows the command: ``space validate`` loads no LP or extraction code,
@@ -62,13 +64,15 @@ def _emit_verdict(args, obj, verdict: str) -> None:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
         raise DocumentError("cannot read %s: %s" % (path, exc.strerror)) from None
+    except UnicodeDecodeError as exc:
+        raise DocumentError("%s is not UTF-8 text: %s" % (path, exc.reason)) from None
 
 
 def _load(path: str, *expected: str) -> documents.Document:
@@ -89,6 +93,20 @@ def _load_function(path: str):
     return doc
 
 
+def _digits(text: str) -> int | None:
+    """int(text) for ASCII digits that int() converts, else None."""
+    try:
+        return int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:  # past int's digit limit
+        return None
+
+
+def _positive_int(text: str) -> int:
+    if not _digits(text):
+        raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
+    return int(text)
+
+
 def _cap(args) -> int:
     from .transfinite import DEFAULT_CAP
     value = getattr(args, "cap", None)
@@ -98,7 +116,7 @@ def _cap(args) -> int:
         return value
     env = os.environ.get("OSCAL_CAP")
     if env is not None:
-        if not (env.isascii() and env.isdigit()) or int(env) < 1:
+        if not _digits(env):
             raise PreconditionError(
                 "OSCAL_CAP must be a positive integer, got %r" % env
             )
@@ -277,15 +295,12 @@ def cmd_seq_duc(args) -> int:
 def _parse_zeros(text: str) -> frozenset[int]:
     if not text:
         return frozenset()
-    out = set()
-    for part in text.split(","):
-        part = part.strip()
-        if not part.isdigit():
-            raise PreconditionError(
-                "--zeros expects comma-separated positions, got %r" % part
-            )
-        out.add(int(part))
-    return frozenset(out)
+    positions = [_digits(part.strip()) for part in text.split(",")]
+    if None in positions:
+        raise PreconditionError(
+            "--zeros expects comma-separated positions, got %r" % text
+        )
+    return frozenset(positions)
 
 
 def cmd_seq_eps_cc(args) -> int:
@@ -308,7 +323,10 @@ def cmd_seq_eps_cc(args) -> int:
 def cmd_extract_run(args) -> int:
     from .extraction import build_jump_chain
     seq = _load(args.file, "sequence")
-    eta = parse_rational(args.eta)
+    try:
+        eta = parse_rational(args.eta)
+    except ValueError as exc:
+        raise PreconditionError("--eta: %s" % exc) from None
     try:
         bundle = build_jump_chain(seq, args.alpha, args.x, eta)
     except (PreconditionError, SearchExhaustedError) as exc:
@@ -435,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = extract_sub.add_parser("run", parents=[common])
     p.add_argument("file")
-    p.add_argument("--alpha", type=int, choices=(1, 2), required=True)
+    p.add_argument("--alpha", type=_positive_int, required=True)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--eta", required=True)
     p.add_argument("-o", "--out", required=True)
@@ -462,9 +480,6 @@ def main(argv=None) -> int:
         _diag(str(exc))
         return 2
     except (PreconditionError, SpaceError, MismatchError, ExactnessError) as exc:
-        _diag(str(exc))
-        return 2
-    except ValueError as exc:
         _diag(str(exc))
         return 2
     except (ResourceCapError, SearchExhaustedError) as exc:

@@ -56,11 +56,14 @@ def _input_errors(path: str):
         raise _fail(path, str(exc)) from None
 
 
-def _node_key(key: str, path: str) -> int:
+def _node_key(key: str, path: str, what: str = "node key") -> int:
     digits = key[1:] if key.startswith("-") else key
-    if not (digits.isascii() and digits.isdigit()):
-        raise _fail(path, "non-numeric node key %r" % key)
-    return int(key)
+    try:
+        if digits.isascii() and digits.isdigit():
+            return int(key)
+    except ValueError:  # past int's digit limit
+        pass
+    raise _fail(path, "non-numeric %s %r" % (what, key))
 
 
 def _sub(path: str, name: str) -> str:
@@ -258,9 +261,8 @@ def _table_from_obj(obj: Any, path: str) -> CopyTable:
         if len(pair) != 2:
             raise _fail(ppath, 'expected ["k", value]')
         key = _expect_str(pair[0], ppath)
-        if not (key.isascii() and key.isdigit()):
-            raise _fail(ppath, "copy index must be a digit string")
-        entries.append((int(key), scalar_from_json(pair[1], ppath)))
+        index = _node_key(key, ppath, "copy index")
+        entries.append((index, scalar_from_json(pair[1], ppath)))
     tail = scalar_from_json(obj["tail"], path + ".tail")
     with _input_errors(path):
         return CopyTable(tuple(entries), tail)
@@ -518,6 +520,8 @@ def loads(text: str) -> Document:
         raise DocumentError("invalid JSON: %s" % exc.msg, line=exc.lineno) from None
     except RecursionError:
         raise DocumentError("invalid JSON: nested too deeply") from None
+    except ValueError as exc:  # a number past int's digit limit
+        raise DocumentError("invalid JSON: %s" % exc) from None
     if not isinstance(obj, dict):
         raise DocumentError("a document is a JSON object")
     kind = obj.get("kind")

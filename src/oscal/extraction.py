@@ -17,6 +17,9 @@ old copy is frozen at the limit node's value.  Both make the tail sums
 sum_{j >= m} |f_j(x) - f(x)| computable in closed form, which is what
 turns the classical "choose an infinite subset with small tails" steps
 into terminating searches.
+
+``build_jump_chain`` runs the extraction at any stage from 1 up to the
+index, as one loop over the stages: the paper's induction on the stage.
 """
 
 from __future__ import annotations
@@ -417,6 +420,12 @@ class ExtractionPlan:
         return self._witness(m)
 
 
+def _jump_target(phi: QFunction, start: int, pool: list[int]) -> tuple:
+    """The largest jump phi(y) - phi(start) over ``pool``, smallest attainer."""
+    best = max(phi(y) - phi(start) for y in pool)
+    return best, min(y for y in pool if phi(y) - phi(start) == best)
+
+
 def _scan_copies(
     seq: FunctionSeq,
     base: PointRef,
@@ -480,7 +489,7 @@ def extract_subsequence(
     pool = [y for y in sorted(sp.acc(x1_node)) if y in level]
     if not pool:
         raise PreconditionError("the level set misses Acc(x1)")
-    best = max(phi(y) - phi(x1_node) for y in pool)
+    best, target = _jump_target(phi, x1_node, pool)
     if best <= 0:
         raise PreconditionError(
             "no positive jump from x1 into the level set"
@@ -489,7 +498,6 @@ def extract_subsequence(
         raise PreconditionError(
             "delta is %s but the attained maximum is %s" % (delta, best)
         )
-    target = min(y for y in pool if phi(y) - phi(x1_node) == best)
 
     bound = eta * delta
     a = 1
@@ -711,17 +719,22 @@ def check_difference_witness(
 def difference_witness_from_chain(
     bundle: WitnessBundle,
 ) -> WitnessBundle:
-    """Reduce a jump-chain bundle to difference form.  eta/5 always
-    satisfies the reduction's requirement (1 - 3 eta')(1 - eta') >= 1 - eta
-    for 0 < eta < 1, so the reduced bundle keeps exactness."""
+    """Reduce a jump-chain bundle at eta' < 1/5 to difference form at
+    eta = 5 eta': the reduction needs (1 - 3 eta')(1 - eta') >= 1 - eta, and
+    that is 1 - 4 eta' + 3 eta'^2 >= 1 - 5 eta'.  Build at eta / 5 for eta."""
     if not bundle.points:
         raise PreconditionError("expected a jump-chain bundle")
+    if bundle.eta >= Fraction(1, 5):
+        raise PreconditionError(
+            "the chain's eta is %s; the reduction needs it below 1/5"
+            % bundle.eta
+        )
     return WitnessBundle(
         indices=bundle.indices,
         m=bundle.m,
         k=bundle.k,
         t=bundle.t,
-        eta=bundle.eta / 5,
+        eta=5 * bundle.eta,
         lam=bundle.lam,
     )
 
@@ -743,131 +756,97 @@ def _stage_attainer(pre_stage: QFunction, level: Fraction, around: int) -> int:
     raise InternalCheckError("attained stage value lost its attainer")
 
 
+def _small(seq, n, pt, ref, lo, hi, bound) -> bool:
+    """Whether sum_{lo <= i < hi} |f_{n_i}(pt) - f(ref)| < bound, exactly."""
+    acc = _abs_sum(seq, n, pt, seq.limit.at_point(ref), lo, hi)
+    return acc.less_than(bound) is Verdict.TRUE
+
+
 def build_jump_chain(
     seq: FunctionSeq, alpha: int, x: int, eta
 ) -> WitnessBundle:
-    """Run the extraction at stage alpha in {1, 2} from node x.
+    """Run the extraction at stage alpha >= 1 from node x: k = alpha jumps,
+    m = (1, ..., 2 alpha) and lam = v_alpha(x).
 
-    alpha = 1: locate the jump attainer below x, extract a subsequence,
-    search one witness point; k = 1.  alpha = 2: split the stage-2 value
-    into a first jump (level-set witness) and a stage-1 remainder at the
-    witness point, run the stage-1 construction there with copy indices
-    aligned to the block boundaries, and concatenate; k = 2.  The bundle
-    is re-checked with the requested eta before being returned."""
+    One loop over stage = alpha, ..., 1.  Each round splits the stage
+    value beta at its node into a jump delta and a remainder one stage
+    lower at the jump target: by ``level_set_witness`` at eta / (2 alpha
+    - 1) above stage 1, by the jump from the stage attainer at stage 1.
+    Round 1 extracts the subsequence and takes the plan's witness; round
+    i > 1 realizes its start and target below the last point with copy
+    indices in [n_{2i-2}, n_{2i-1}) and [n_{2i-1}, n_{2i}), so each new
+    step absorbs the cuts of its own block only.  The jump needs no scan:
+    phi is a node function, so every realization jumps by exactly delta.
+
+    No round finds stages that agree: with y the jump start and t the
+    target of a stage-j round, v_{j-2}(t) = v_{j-1}(t) would give
+    v_{j-1}(y) >= delta + lambda > (1 - eta) beta, against the shrink of
+    eta in ``level_set_witness``.  The budget holds: the next beta is
+    v_{j-1}(t) <= v_{j-1}(y) < beta, so the alpha - 1 level-set errors
+    add up to less than eta beta / 2."""
     eta = rat(eta)
     if not 0 < eta < 1:
         raise PreconditionError("eta must lie strictly between 0 and 1")
-    if alpha not in (1, 2):
-        raise PreconditionError("only stages 1 and 2 are supported")
+    if alpha < 1:
+        raise PreconditionError("alpha must be at least 1")
     sp = seq.space
     sp.require_valid()
     if x not in sp.nodes:
         raise PreconditionError("unknown node %r" % x)
     phi = seq.phi
-    trace = iterate(phi, "v", cap=8)
-    v1 = trace.stage(1)
-
-    if alpha == 1:
-        lam = v1(x)
-        if lam <= 0:
-            raise PreconditionError(
-                "the first stage vanishes at node %d; nothing to extract" % x
-            )
-        pre1 = v_pre_step(phi, trace.stage(0))
-        x1_node = _stage_attainer(pre1, lam, x)
-        x1 = point_at(sp, x1_node)
-        delta = lam  # attained maximum; sits strictly inside the window
-        plan = extract_subsequence(
-            seq, x1, frozenset(sp.node_ids()), delta, eta, s=2
-        )
-        x2 = plan.witness(2)
-        bundle = WitnessBundle(
-            indices=plan.indices,
-            m=(1, 2),
-            k=1,
-            t=x2,
-            eta=eta,
-            lam=lam,
-            points=(x1, x2),
-            deltas=(delta,),
-        )
-        report = check_jump_chain(seq, bundle)
-        if report.verdict is not Verdict.TRUE:
-            raise InternalCheckError(
-                "constructed bundle failed: %s" % ", ".join(report.failed())
-            )
-        return bundle
-
-    v2 = trace.stage(2)
-    beta = v2(x)
-    if beta <= 0:
-        raise PreconditionError(
-            "the second stage vanishes at node %d; nothing to extract" % x
-        )
-    if v1(x) >= beta:
-        raise PreconditionError(
-            "stages 1 and 2 agree at node %d; run the stage-1 form" % x
-        )
-    run_eta = eta / 3  # (1 -+ eta/3)^2 stays inside the (1 -+ eta) window
-    lw = level_set_witness(phi, 1, x, run_eta)
-    x1 = point_at(sp, lw.x1)
-    plan = extract_subsequence(
-        seq, x1, lw.level_set, lw.delta, lw.eta, s=4
-    )
-    n = plan.indices
-    m = (1, 2, 3, 4)
-    x2 = plan.witness(2)
-    x2_node = resolve(sp, x2)
-
-    # stage-1 data at the witness point
-    lam_in = v1(x2_node)
-    if lam_in <= 0:
-        raise InternalCheckError("level set delivered a stage-0 point")
+    trace = iterate(phi, "v", cap=alpha)
     pre1 = v_pre_step(phi, trace.stage(0))
-    x3_node = _stage_attainer(pre1, lam_in, x2_node)
-    delta2 = lam_in
-
-    # copy windows: the step into x3 must absorb the cuts of block 2 and
-    # of no later block, and the final step those of block 3 only.
-    c3_lo, c3_hi = n.value(m[1]), n.value(m[2])
-    c4_lo, c4_hi = n.value(m[2]), n.value(m[3])
-
-    f = seq.limit
-
-    def x3_ok(cand: PointRef) -> bool:
-        acc = _abs_sum(seq, n, cand, f.at_point(x2), m[1], m[2])
-        return acc.less_than(eta * lw.delta) is Verdict.TRUE
-
-    def t_ok(cand: PointRef) -> bool:
-        acc = _abs_sum(seq, n, cand, f.at_point(x3), m[2], m[3])
-        if acc.less_than(eta * delta2) is not Verdict.TRUE:
-            return False
-        jump = phi.at_point(cand) - phi.at_point(x3) > (1 - eta) * delta2
-        if not jump:
-            return False
-        tail = _abs_sum(seq, n, cand, f.at_point(cand), m[3], None)
-        return tail.less_than(eta * delta2) is Verdict.TRUE
-
-    x3 = _scan_copies(seq, x2, x3_node, range(c3_lo, c3_hi), x3_ok)
-    # the jump target under x3: largest increase of phi, smallest id
-    jump_pool = sorted(sp.acc(x3_node))
-    jump_best = max(phi(y) - phi(x3_node) for y in jump_pool)
-    if jump_best != delta2:
-        raise InternalCheckError("stage-1 jump is not attained below x3")
-    t_node = min(
-        y for y in jump_pool if phi(y) - phi(x3_node) == jump_best
-    )
-    t = _scan_copies(seq, x3, t_node, range(c4_lo, c4_hi), t_ok)
+    points: list[PointRef] = []
+    deltas: list[Fraction] = []
+    node = x
+    for stage in range(alpha, 0, -1):
+        beta = trace.stage(stage)(node)
+        if trace.stage(stage - 1)(node) >= beta:  # or beta = 0: stages are >= 0
+            if points:
+                raise InternalCheckError("stages agree at a jump target")
+            raise PreconditionError(
+                "stage %d adds nothing to stage %d at node %d; nothing to "
+                "extract" % (stage, stage - 1, x)
+            )
+        if stage > 1:
+            lw = level_set_witness(phi, stage - 1, node, eta / (2 * alpha - 1))
+            start, level, delta, run_eta = lw.x1, lw.level_set, lw.delta, lw.eta
+        else:
+            start = _stage_attainer(pre1, beta, node)
+            level, delta, run_eta = frozenset(sp.node_ids()), beta, eta
+        if not points:
+            plan = extract_subsequence(
+                seq, point_at(sp, start), level, delta, run_eta, s=2 * alpha
+            )
+            n = plan.indices
+            points += [plan.x1, plan.witness(2)]
+        else:
+            pool = [y for y in sorted(sp.acc(start)) if y in level]
+            best, target = _jump_target(phi, start, pool)
+            if best != delta:
+                raise InternalCheckError("a jump is not attained below its start")
+            b, prev, bar = len(points), points[-1], eta * delta
+            x_start = _scan_copies(
+                seq, prev, start, range(n.value(b), n.value(b + 1)),
+                lambda c: _small(seq, n, c, prev, b, b + 1, eta * deltas[-1]),
+            )
+            points += [x_start, _scan_copies(
+                seq, x_start, target, range(n.value(b + 1), n.value(b + 2)),
+                lambda c: _small(seq, n, c, x_start, b + 1, b + 2, bar)
+                and (stage > 1 or _small(seq, n, c, c, b + 2, None, bar)),
+            )]
+        deltas.append(delta)
+        node = resolve(sp, points[-1])
 
     bundle = WitnessBundle(
         indices=n,
-        m=m,
-        k=2,
-        t=t,
+        m=tuple(range(1, 2 * alpha + 1)),
+        k=alpha,
+        t=points[-1],
         eta=eta,
-        lam=beta,
-        points=(x1, x2, x3, t),
-        deltas=(lw.delta, delta2),
+        lam=trace.stage(alpha)(x),
+        points=tuple(points),
+        deltas=tuple(deltas),
     )
     report = check_jump_chain(seq, bundle)
     if report.verdict is not Verdict.TRUE:

@@ -190,12 +190,12 @@ def decompose(f: QFunction) -> Decomposition:
     return Decomposition(u, v, lam, checks)
 
 
-def fixpoint_criterion(f: QFunction, alpha: int, cap: int = DEFAULT_CAP) -> bool:
+def fixpoint_criterion(f: QFunction, alpha: int) -> bool:
     """Whether the chain has stopped moving at stage alpha, decided through
     the semicontinuity characterization (stage + f and stage − f both upper
     semicontinuous) and cross-checked against literal stage equality."""
     f.require_real("fixpoint criterion")
-    tr = iterate(f, "osc", max(cap, alpha + 2))
+    tr = iterate(f, "osc", alpha + 1)
     w = tr.stage(alpha)
     by_usc = is_usc(w + f) and is_usc(w - f)
     by_stage = tr.stage(alpha + 1).values == w.values
@@ -231,9 +231,7 @@ class LevelSetWitness:
     level_set: frozenset[int]
 
 
-def level_set_witness(
-    phi: QFunction, alpha: int, x: int, eta, cap: int = DEFAULT_CAP
-) -> LevelSetWitness:
+def level_set_witness(phi: QFunction, alpha: int, x: int, eta) -> LevelSetWitness:
     phi.require_real("level-set witness")
     eta = Fraction(eta)
     if not 0 < eta < 1:
@@ -241,7 +239,7 @@ def level_set_witness(
     if alpha < 1:
         raise PreconditionError("alpha must be at least 1")
     sp = phi.space
-    tr = iterate(phi, "v", max(cap, alpha + 2))
+    tr = iterate(phi, "v", alpha + 1)
     v_a = tr.stage(alpha)
     v_a1 = tr.stage(alpha + 1)
     beta = v_a1(x)

@@ -1,0 +1,171 @@
+"""The extraction driver with one hand-written branch per stage, as the
+package ran it for stages 1 and 2 before ``build_jump_chain`` became one
+loop over the stages; kept as the differential oracle for that loop at
+alpha in {1, 2}.  The bodies below are the old ones, byte for byte.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from oscal.errors import InternalCheckError, PreconditionError
+from oscal.extraction import (
+    FunctionSeq,
+    WitnessBundle,
+    _abs_sum,
+    _scan_copies,
+    check_jump_chain,
+    extract_subsequence,
+)
+from oscal.func import QFunction
+from oscal.rationals import Verdict, rat
+from oscal.space import PointRef, point_at, resolve
+from oscal.transfinite import iterate, level_set_witness, v_pre_step
+
+
+def _stage_attainer(pre_stage: QFunction, level: Fraction, around: int) -> int:
+    """Smallest node in {around} ∪ Acc(around) whose pre-envelope stage
+    value attains ``level``; exists because the enveloped stage at
+    ``around`` is the maximum of the pre-stage over exactly that set."""
+    sp = pre_stage.space
+    candidates = {around}
+    if not sp.is_leaf(around):
+        candidates |= sp.acc(around)
+    for y in sorted(candidates):
+        if pre_stage(y) == level:
+            return y
+    raise InternalCheckError("attained stage value lost its attainer")
+
+
+def build_jump_chain(
+    seq: FunctionSeq, alpha: int, x: int, eta
+) -> WitnessBundle:
+    """Run the extraction at stage alpha in {1, 2} from node x.
+
+    alpha = 1: locate the jump attainer below x, extract a subsequence,
+    search one witness point; k = 1.  alpha = 2: split the stage-2 value
+    into a first jump (level-set witness) and a stage-1 remainder at the
+    witness point, run the stage-1 construction there with copy indices
+    aligned to the block boundaries, and concatenate; k = 2.  The bundle
+    is re-checked with the requested eta before being returned."""
+    eta = rat(eta)
+    if not 0 < eta < 1:
+        raise PreconditionError("eta must lie strictly between 0 and 1")
+    if alpha not in (1, 2):
+        raise PreconditionError("only stages 1 and 2 are supported")
+    sp = seq.space
+    sp.require_valid()
+    if x not in sp.nodes:
+        raise PreconditionError("unknown node %r" % x)
+    phi = seq.phi
+    trace = iterate(phi, "v", cap=8)
+    v1 = trace.stage(1)
+
+    if alpha == 1:
+        lam = v1(x)
+        if lam <= 0:
+            raise PreconditionError(
+                "the first stage vanishes at node %d; nothing to extract" % x
+            )
+        pre1 = v_pre_step(phi, trace.stage(0))
+        x1_node = _stage_attainer(pre1, lam, x)
+        x1 = point_at(sp, x1_node)
+        delta = lam  # attained maximum; sits strictly inside the window
+        plan = extract_subsequence(
+            seq, x1, frozenset(sp.node_ids()), delta, eta, s=2
+        )
+        x2 = plan.witness(2)
+        bundle = WitnessBundle(
+            indices=plan.indices,
+            m=(1, 2),
+            k=1,
+            t=x2,
+            eta=eta,
+            lam=lam,
+            points=(x1, x2),
+            deltas=(delta,),
+        )
+        report = check_jump_chain(seq, bundle)
+        if report.verdict is not Verdict.TRUE:
+            raise InternalCheckError(
+                "constructed bundle failed: %s" % ", ".join(report.failed())
+            )
+        return bundle
+
+    v2 = trace.stage(2)
+    beta = v2(x)
+    if beta <= 0:
+        raise PreconditionError(
+            "the second stage vanishes at node %d; nothing to extract" % x
+        )
+    if v1(x) >= beta:
+        raise PreconditionError(
+            "stages 1 and 2 agree at node %d; run the stage-1 form" % x
+        )
+    run_eta = eta / 3  # (1 -+ eta/3)^2 stays inside the (1 -+ eta) window
+    lw = level_set_witness(phi, 1, x, run_eta)
+    x1 = point_at(sp, lw.x1)
+    plan = extract_subsequence(
+        seq, x1, lw.level_set, lw.delta, lw.eta, s=4
+    )
+    n = plan.indices
+    m = (1, 2, 3, 4)
+    x2 = plan.witness(2)
+    x2_node = resolve(sp, x2)
+
+    # stage-1 data at the witness point
+    lam_in = v1(x2_node)
+    if lam_in <= 0:
+        raise InternalCheckError("level set delivered a stage-0 point")
+    pre1 = v_pre_step(phi, trace.stage(0))
+    x3_node = _stage_attainer(pre1, lam_in, x2_node)
+    delta2 = lam_in
+
+    # copy windows: the step into x3 must absorb the cuts of block 2 and
+    # of no later block, and the final step those of block 3 only.
+    c3_lo, c3_hi = n.value(m[1]), n.value(m[2])
+    c4_lo, c4_hi = n.value(m[2]), n.value(m[3])
+
+    f = seq.limit
+
+    def x3_ok(cand: PointRef) -> bool:
+        acc = _abs_sum(seq, n, cand, f.at_point(x2), m[1], m[2])
+        return acc.less_than(eta * lw.delta) is Verdict.TRUE
+
+    def t_ok(cand: PointRef) -> bool:
+        acc = _abs_sum(seq, n, cand, f.at_point(x3), m[2], m[3])
+        if acc.less_than(eta * delta2) is not Verdict.TRUE:
+            return False
+        jump = phi.at_point(cand) - phi.at_point(x3) > (1 - eta) * delta2
+        if not jump:
+            return False
+        tail = _abs_sum(seq, n, cand, f.at_point(cand), m[3], None)
+        return tail.less_than(eta * delta2) is Verdict.TRUE
+
+    x3 = _scan_copies(seq, x2, x3_node, range(c3_lo, c3_hi), x3_ok)
+    # the jump target under x3: largest increase of phi, smallest id
+    jump_pool = sorted(sp.acc(x3_node))
+    jump_best = max(phi(y) - phi(x3_node) for y in jump_pool)
+    if jump_best != delta2:
+        raise InternalCheckError("stage-1 jump is not attained below x3")
+    t_node = min(
+        y for y in jump_pool if phi(y) - phi(x3_node) == jump_best
+    )
+    t = _scan_copies(seq, x3, t_node, range(c4_lo, c4_hi), t_ok)
+
+    bundle = WitnessBundle(
+        indices=n,
+        m=m,
+        k=2,
+        t=t,
+        eta=eta,
+        lam=beta,
+        points=(x1, x2, x3, t),
+        deltas=(lw.delta, delta2),
+    )
+    report = check_jump_chain(seq, bundle)
+    if report.verdict is not Verdict.TRUE:
+        raise InternalCheckError(
+            "constructed bundle failed: %s" % ", ".join(report.failed())
+        )
+    return bundle

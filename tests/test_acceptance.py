@@ -178,9 +178,9 @@ def test_criterion_04_stage_laws():
         # stage-equality criterion agrees with the semicontinuity one
         # (the call itself cross-checks both routes)
         tau = tr.stabilized_at
-        assert fixpoint_criterion(f, tau, cap=8)
+        assert fixpoint_criterion(f, tau)
         if tau > 0:
-            assert not fixpoint_criterion(f, tau - 1, cap=8)
+            assert not fixpoint_criterion(f, tau - 1)
     # subadditivity needs same-space pairs
     for f, g in helpers.corpus_pairs():
         if f.is_complex() or g.is_complex():
@@ -349,7 +349,11 @@ def test_criterion_10_extraction():
         for seq, alpha in ((G_SEQ, 1), (H_SEQ, 2)):
             b = build_jump_chain(seq, alpha, 0, eta)
             assert check_jump_chain(seq, b).verdict is Verdict.TRUE
+            # the reduction to difference form costs a factor 5 in eta
+            b = build_jump_chain(seq, alpha, 0, eta / 5)
+            assert check_jump_chain(seq, b).verdict is Verdict.TRUE
             d = difference_witness_from_chain(b)
+            assert d.eta == eta
             assert (
                 check_difference_witness(
                     seq, d.indices, d.m, d.t, d.k, d.lam, d.eta

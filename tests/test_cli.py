@@ -209,6 +209,44 @@ def test_unexpected_fault_exits_three(paths, monkeypatch, capsys):
     assert "RuntimeError: layer fault" in captured.err
 
 
+def test_internal_value_error_exits_three(paths, monkeypatch, capsys):
+    # a ValueError inside a layer is a bug, not malformed input
+    def broken_layer(*args, **kwargs):
+        raise ValueError("layer fault")
+
+    monkeypatch.setattr(oscal.transfinite, "d_norm", broken_layer)
+    code = oscal.cli.main(["fn", "dnorm", str(paths["f2"])])
+    assert code == 3
+    assert "ValueError: layer fault" in capsys.readouterr().err
+
+
+def test_non_utf8_file_is_malformed_input(tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"kind": "space", "root": 0, "nodes": ["\xe9"]}')
+    r = run_cli(["space", "validate", bad])
+    assert r.returncode == 2, r.stderr
+    assert "not UTF-8" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_number_past_the_digit_limit_is_malformed_input(tmp_path):
+    big = "1" * 5000
+    sp = '{"nodes": [{"id": 0, "prefix": [], "recurring": []}], "root": 0}'
+    docs = {
+        "number": '{"kind": "space", "root": %s, "nodes": []}' % big,
+        "node_key": '{"kind": "qfunction", "space": %s, "values": {"%s": "1"}}'
+        % (sp, big),
+        "copy_index": '{"kind": "cifunction", "space": %s, "tables": {"0": '
+        '{"upto": [["%s", "1"]], "tail": "0"}}}' % (sp, big),
+    }
+    for name, text in docs.items():
+        bad = tmp_path / ("%s.json" % name)
+        bad.write_text(text)
+        r = run_cli(["fn", "dnorm", bad])
+        assert r.returncode == 2, (name, r.stderr)
+        assert "Traceback" not in r.stderr
+
+
 def test_dnorm_malformed_input(paths):
     bad = paths["tmp"] / "bad.json"
     bad.write_text('{"kind": "qfunction", "space": ')
@@ -310,6 +348,17 @@ def test_eps_cc_pinned_target(paths):
     assert r.returncode == 2
 
 
+def test_eps_cc_zeros_take_ascii_digits_only(paths):
+    # an Arabic-Indic one is no position, and a superscript two must not
+    # reach int(); both are malformed arguments
+    for bad in ("\u0661", "\u00b2", "1,\u0663"):
+        r = run_cli(
+            ["seq", "eps-cc", paths["se_basis"], "--zeros", bad, "--j0", "4"]
+        )
+        assert r.returncode == 2, bad
+        assert "--zeros expects comma-separated positions" in r.stderr
+
+
 def test_extract_run_and_check(paths, h_seq):
     out = paths["tmp"] / "wit.json"
     r = run_cli(
@@ -369,6 +418,56 @@ def test_extract_precondition_exits_one(paths):
          "--eta", "1/2", "-o", out]
     )
     assert r.returncode == 1
+
+
+def test_extract_stage_outside_the_index(paths):
+    out = paths["tmp"] / "wit6.json"
+    # stage 0 is no stage: a malformed argument
+    for bad in ("0", "-1", "two", "\u0662"):
+        r = run_cli(
+            ["extract", "run", paths["h"], "--alpha", bad, "--x", "0",
+             "--eta", "1/2", "-o", out]
+        )
+        assert r.returncode == 2, bad
+    # stage 3 adds nothing to stage 2 at the root: a well-posed failure
+    r = run_cli(
+        ["extract", "run", paths["h"], "--alpha", "3", "--x", "0",
+         "--eta", "1/2", "-o", out]
+    )
+    assert r.returncode == 1
+    assert "stage 3 adds nothing" in r.stderr
+    assert not out.exists()
+
+
+def test_extract_run_above_stage_two(tmp_path):
+    sp = chain_space(7)
+    seq = FunctionSeq(
+        QFunction(sp, {i: F(-((i + 1) % 2)) for i in sp.node_ids()}),
+        MovingStep(None),
+    )
+    seq_path = tmp_path / "chain7.json"
+    seq_path.write_text(documents.dumps(seq))
+    out = tmp_path / "wit.json"
+    r = run_cli(
+        ["extract", "run", seq_path, "--alpha", "4", "--x", "0",
+         "--eta", "1/2", "-o", out]
+    )
+    assert r.returncode == 0, r.stderr
+    assert documents.loads(out.read_text()).k == 4
+    r = run_cli(["extract", "check", seq_path, out, "--quiet"])
+    assert (r.returncode, r.stdout) == (0, "true\n")
+
+
+def test_extract_eta_must_parse(paths):
+    out = paths["tmp"] / "wit7.json"
+    for bad in ("0.5", "\u00b2", "1/0", ""):
+        r = run_cli(
+            ["extract", "run", paths["h"], "--alpha", "2", "--x", "0",
+             "--eta", bad, "-o", out]
+        )
+        assert r.returncode == 2, bad
+        assert "--eta" in r.stderr
+        assert "Traceback" not in r.stderr
 
 
 def test_wrong_document_kind_exits_two(paths):

@@ -27,6 +27,7 @@ from oscal.extraction import (
 )
 from oscal.func import QFunction, is_continuous
 from oscal.rationals import Verdict
+from oscal.sampling import build_corpus
 from oscal.space import PointRef, RecurringStep, chain_space, point_at
 
 IDENT = IndexSeq.identity()
@@ -182,20 +183,56 @@ def test_depth_two_chain(h_seq, eta):
 @pytest.mark.parametrize("eta", [F(1, 2), F(1, 4)])
 def test_chain_reduces_to_difference_form(g_seq, h_seq, eta):
     for seq, alpha in ((g_seq, 1), (h_seq, 2)):
-        b = build_jump_chain(seq, alpha, 0, eta)
+        b = build_jump_chain(seq, alpha, 0, eta / 5)
         d = difference_witness_from_chain(b)
-        assert d.eta == eta / 5
+        assert d.eta == eta
         verdict = check_difference_witness(
             seq, d.indices, d.m, d.t, d.k, d.lam, d.eta
         )
         assert verdict is Verdict.TRUE
 
 
-def test_chain_build_preconditions(g_seq):
+def ramp_seq(depth):
+    sp = chain_space(depth)
+    values = {i: F(i, 2) if i % 2 == 0 else F(-i, 3) for i in sp.node_ids()}
+    return FunctionSeq(QFunction(sp, values), MovingStep(None))
+
+
+@pytest.mark.parametrize(
+    "seq, x",
+    [
+        (ramp_seq(8), 2),
+        (FunctionSeq(build_corpus(0).functions[10], MovingStep(None)), 0),
+    ],
+    ids=["ramp", "corpus-10"],
+)
+def test_reduction_enlarges_eta(seq, x):
+    # a chain at 1/2 verifies, yet read at 1/10 its difference form fails:
+    # the reduction costs a factor 5 in eta, it does not gain one
+    b = build_jump_chain(seq, 1, x, F(1, 2))
+    assert check_jump_chain(seq, b).verdict is Verdict.TRUE
+    args = (seq, b.indices, b.m, b.t, b.k, b.lam)
+    assert check_difference_witness(*args, F(1, 10)) is Verdict.FALSE
+    with pytest.raises(PreconditionError):
+        difference_witness_from_chain(b)
+    d = difference_witness_from_chain(build_jump_chain(seq, 1, x, F(1, 10)))
+    assert d.eta == F(1, 2)
+    verdict = check_difference_witness(
+        seq, d.indices, d.m, d.t, d.k, d.lam, d.eta
+    )
+    assert verdict is Verdict.TRUE
+
+
+def test_chain_build_preconditions(g_seq, h_seq):
     with pytest.raises(PreconditionError):
         build_jump_chain(g_seq, 1, 1, F(1, 2))  # leaf: stage vanishes there
     with pytest.raises(PreconditionError):
         build_jump_chain(g_seq, 2, 0, F(1, 2))  # stage 2 adds nothing here
+    with pytest.raises(PreconditionError):
+        build_jump_chain(h_seq, 0, 0, F(1, 2))
+    for alpha in (3, 10**9):  # above the index at the root
+        with pytest.raises(PreconditionError):
+            build_jump_chain(h_seq, alpha, 0, F(1, 2))
 
 
 # --- difference-form goldens ---
