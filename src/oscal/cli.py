@@ -3,9 +3,9 @@
 Reads documents, runs one computation or verification, writes a JSON
 result (documents for document-valued outputs, small result objects
 otherwise) to standard output.  Exit code 0 means success or a verified
-true; 1 means a verified false, an undecided comparison, an exhausted
-search, the stage cap of ``fn osc`` or ``fn index`` (the only commands
-with one), or an extraction whose preconditions fail on valid input; 2
+true; 1 means a verified false, an undecided comparison, the stage cap
+of ``fn osc`` or ``fn index`` (the only commands with one), or an
+extraction whose preconditions fail on valid input; 2
 means the input itself was unusable (malformed document, wrong kind,
 invalid arguments); 3 means an internal self-check failed or an
 exception no handler expects escaped (its traceback goes to standard
@@ -34,7 +34,6 @@ from .errors import (
     MismatchError,
     PreconditionError,
     ResourceCapError,
-    SearchExhaustedError,
     SpaceError,
 )
 from .rationals import Verdict, format_rational, parse_rational
@@ -104,6 +103,12 @@ def _digits(text: str) -> int | None:
 def _positive_int(text: str) -> int:
     if not _digits(text):
         raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
+    return int(text)
+
+
+def _nonnegative_int(text: str) -> int:
+    if _digits(text) is None:
+        raise argparse.ArgumentTypeError("expected a nonnegative integer, got %r" % text)
     return int(text)
 
 
@@ -329,7 +334,7 @@ def cmd_extract_run(args) -> int:
         raise PreconditionError("--eta: %s" % exc) from None
     try:
         bundle = build_jump_chain(seq, args.alpha, args.x, eta)
-    except (PreconditionError, SearchExhaustedError) as exc:
+    except PreconditionError as exc:
         _diag(str(exc))
         return 1
     text = documents.dumps(bundle)
@@ -403,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = fn_sub.add_parser("osc", parents=[common, capper])
     p.add_argument("file")
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--alpha", type=int, default=None)
+    group.add_argument("--alpha", type=_nonnegative_int, default=None)
     group.add_argument("--stabilize", action="store_true")
     p.add_argument("--positive", action="store_true")
     p.set_defaults(handler=cmd_fn_osc)
@@ -482,7 +487,7 @@ def main(argv=None) -> int:
     except (PreconditionError, SpaceError, MismatchError, ExactnessError) as exc:
         _diag(str(exc))
         return 2
-    except (ResourceCapError, SearchExhaustedError) as exc:
+    except ResourceCapError as exc:
         _diag(str(exc))
         return 1
     except InternalCheckError as exc:

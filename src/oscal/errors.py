@@ -31,14 +31,6 @@ class PreconditionError(OscalError):
     """A documented precondition of an operation does not hold."""
 
 
-class SearchExhaustedError(OscalError):
-    """A witness search hit its iteration cap without succeeding."""
-
-    def __init__(self, message: str, tried: int = 0):
-        super().__init__(message)
-        self.tried = tried
-
-
 class InternalCheckError(OscalError):
     """A self-check that should be unconditionally true failed (a bug)."""
 

@@ -16,7 +16,8 @@ entering copy >= j of a moving pattern is cut there, so the value of an
 old copy is frozen at the limit node's value.  Both make the tail sums
 sum_{j >= m} |f_j(x) - f(x)| computable in closed form, which is what
 turns the classical "choose an infinite subset with small tails" steps
-into terminating searches.
+into terminating arithmetic: every extracted point is realized at a copy
+index given in closed form, with no search.
 
 ``build_jump_chain`` runs the extraction at any stage from 1 up to the
 index, as one loop over the stages: the paper's induction on the stage.
@@ -29,11 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
-from .errors import (
-    InternalCheckError,
-    PreconditionError,
-    SearchExhaustedError,
-)
+from .errors import InternalCheckError, PreconditionError
 from .func import QFunction, Scalar, is_continuous
 from .rationals import (
     GaussianRational,
@@ -55,8 +52,6 @@ from .space import (
     truncate_point,
 )
 from .transfinite import iterate, level_set_witness, v_pre_step
-
-WITNESS_SCAN_CAP = 1_000_000
 
 
 def _abs_upper(z: Scalar) -> Fraction:
@@ -426,30 +421,13 @@ def _jump_target(phi: QFunction, start: int, pool: list[int]) -> tuple:
     return best, min(y for y in pool if phi(y) - phi(start) == best)
 
 
-def _scan_copies(
-    seq: FunctionSeq,
-    base: PointRef,
-    target: int,
-    copies: range,
-    accept: Callable[[PointRef], bool],
-) -> PointRef:
-    """Realize ``target`` below base, scanning the copy index of the new
-    recurring steps upward through ``copies`` until ``accept`` holds."""
+def _realize(seq: FunctionSeq, base: PointRef, target: int, copy: int) -> PointRef:
+    """Realize ``target`` below base, every new recurring step at ``copy``."""
     sp = seq.space
-    path = descend_path(sp, resolve(sp, base), target)
-    for c in copies:
-        steps = [
-            PrefixStep(pos) if slot == "p" else RecurringStep(pos, c)
-            for slot, pos in path
-        ]
-        cand = base.extend(*steps)
-        if accept(cand):
-            return cand
-    raise SearchExhaustedError(
-        "no realization in the copy window [%d, %d)"
-        % (copies.start, copies.stop),
-        tried=len(copies),
-    )
+    return base.extend(*(
+        PrefixStep(pos) if slot == "p" else RecurringStep(pos, copy)
+        for slot, pos in descend_path(sp, resolve(sp, base), target)
+    ))
 
 
 def extract_subsequence(
@@ -465,14 +443,27 @@ def extract_subsequence(
     The index choice makes the tail sum at x1 small: n_1 starts the first
     arithmetic tail {a, a+1, ...} whose exact tail sum at x1 is below
     eta*delta, and successive picks take least elements, so the whole
-    subsequence is the tail itself.  witness(m) then searches copy
-    indices upward for a realization x2 of the best jump target with
+    subsequence is the tail itself.  witness(m) realizes the best jump
+    target as a point x2 below x1 with
 
       1)  phi(x2) - phi(x1) > (1 - eta) delta
       2)  sum_{i < m} |b_i(x2) - f(x1)| < eta delta
       3)  sum_{i >= m} |b_i(x2) - f(x2)| < eta delta
 
-    with b_i = f_{n_i}; every sum is evaluated exactly.
+    with b_i = f_{n_i}; every sum is evaluated exactly.  The new recurring
+    steps take copy c* = n_{m-1} (n_0 = 1), or copy 1 when the support
+    threshold T of x1 is at least n_{m-1}: the least copy that can pass,
+    and one that passes whenever any copy does.  Only ``MovingStep``
+    sequences get here (an ``EventuallyLimit`` limit is continuous, so it
+    has no positive jump), and the path below x1 enters a moving pattern
+    first (phi is constant on a non-moving one).  So with copy c, b_i(x2)
+    = b_i(x1) when n_i <= max(c, T) and f(x2) otherwise, while |f(x2) -
+    f(x1)| >= delta > eta delta.  Condition 1 does not depend on c.
+    Condition 2 holds only if n_{m-1} <= max(c, T), and then its terms
+    are those of x1's tail, whatever c is.  Condition 3 fails if some i >=
+    m has T < n_i <= c, and otherwise sums the same terms n_i <= T, whatever
+    c is.  So every accepted copy c has c >= c* and the verdict of c*: if
+    c* fails, every copy fails, and witness raises ``PreconditionError``.
     """
     delta = rat(delta)
     eta = rat(eta)
@@ -508,11 +499,16 @@ def extract_subsequence(
     def witness(m: int) -> PointRef:
         if m < 1:
             raise PreconditionError("positions start at 1")
-        return _scan_copies(
-            seq, x1, target, range(1, WITNESS_SCAN_CAP + 1),
-            lambda x2: check_jump_witness(seq, indices, x1, x2, m, delta, eta)
-            is Verdict.TRUE,
+        last = indices.value(m - 1) if m > 1 else 1
+        x2 = _realize(
+            seq, x1, target, 1 if seq.support_threshold(x1) >= last else last
         )
+        if check_jump_witness(seq, indices, x1, x2, m, delta, eta) is not Verdict.TRUE:
+            raise PreconditionError(
+                "no realization of node %d below x1 is a jump witness at "
+                "position %d" % (target, m)
+            )
+        return x2
 
     return ExtractionPlan(
         seq=seq,
@@ -756,12 +752,6 @@ def _stage_attainer(pre_stage: QFunction, level: Fraction, around: int) -> int:
     raise InternalCheckError("attained stage value lost its attainer")
 
 
-def _small(seq, n, pt, ref, lo, hi, bound) -> bool:
-    """Whether sum_{lo <= i < hi} |f_{n_i}(pt) - f(ref)| < bound, exactly."""
-    acc = _abs_sum(seq, n, pt, seq.limit.at_point(ref), lo, hi)
-    return acc.less_than(bound) is Verdict.TRUE
-
-
 def build_jump_chain(
     seq: FunctionSeq, alpha: int, x: int, eta
 ) -> WitnessBundle:
@@ -772,11 +762,19 @@ def build_jump_chain(
     value beta at its node into a jump delta and a remainder one stage
     lower at the jump target: by ``level_set_witness`` at eta / (2 alpha
     - 1) above stage 1, by the jump from the stage attainer at stage 1.
-    Round 1 extracts the subsequence and takes the plan's witness; round
-    i > 1 realizes its start and target below the last point with copy
-    indices in [n_{2i-2}, n_{2i-1}) and [n_{2i-1}, n_{2i}), so each new
-    step absorbs the cuts of its own block only.  The jump needs no scan:
-    phi is a node function, so every realization jumps by exactly delta.
+    Round 1 extracts the subsequence, realizes x_1 at copy 1 and takes
+    the plan's witness, which lands at copy n_1 (x_1's support threshold
+    is at most 1 <= n_1).  Round i > 1 realizes its start at copy n_b
+    and its target at copy n_{b+1} below the last point, b = 2i - 2 the
+    number of points so far.  So the new recurring steps of x_{b+1} carry
+    copy n_b, and term n_b cuts t where it leaves x_b, or where it leaves
+    x_{b+1} = x_b when the start is the node itself.  Each step down
+    enters a moving pattern or one on which f is constantly f(x_b), so
+    the cut point is worth f(x_b): block b >= 2 of the checker sums to 0,
+    block 1 is at most x_1's own tail, below eta delta_1 by the choice of
+    n_1, and no term past n_{2 alpha - 1} cuts t, so the tail is 0.  The
+    jumps are exact: phi is a node function, so phi(x_{2i}) - phi(x_{2i-1})
+    is delta_i at every realization.
 
     No round finds stages that agree: with y the jump start and t the
     target of a stage-j round, v_{j-2}(t) = v_{j-1}(t) would give
@@ -790,9 +788,7 @@ def build_jump_chain(
     if alpha < 1:
         raise PreconditionError("alpha must be at least 1")
     sp = seq.space
-    sp.require_valid()
-    if x not in sp.nodes:
-        raise PreconditionError("unknown node %r" % x)
+    sp.node(x)  # an unknown node is malformed input, a SpaceError
     phi = seq.phi
     trace = iterate(phi, "v", cap=alpha)
     pre1 = v_pre_step(phi, trace.stage(0))
@@ -809,7 +805,7 @@ def build_jump_chain(
                 "extract" % (stage, stage - 1, x)
             )
         if stage > 1:
-            lw = level_set_witness(phi, stage - 1, node, eta / (2 * alpha - 1))
+            lw = level_set_witness(trace, stage - 1, node, eta / (2 * alpha - 1))
             start, level, delta, run_eta = lw.x1, lw.level_set, lw.delta, lw.eta
         else:
             start = _stage_attainer(pre1, beta, node)
@@ -825,16 +821,9 @@ def build_jump_chain(
             best, target = _jump_target(phi, start, pool)
             if best != delta:
                 raise InternalCheckError("a jump is not attained below its start")
-            b, prev, bar = len(points), points[-1], eta * delta
-            x_start = _scan_copies(
-                seq, prev, start, range(n.value(b), n.value(b + 1)),
-                lambda c: _small(seq, n, c, prev, b, b + 1, eta * deltas[-1]),
-            )
-            points += [x_start, _scan_copies(
-                seq, x_start, target, range(n.value(b + 1), n.value(b + 2)),
-                lambda c: _small(seq, n, c, x_start, b + 1, b + 2, bar)
-                and (stage > 1 or _small(seq, n, c, c, b + 2, None, bar)),
-            )]
+            b = len(points)
+            x_start = _realize(seq, points[-1], start, n.value(b))
+            points += [x_start, _realize(seq, x_start, target, n.value(b + 1))]
         deltas.append(delta)
         node = resolve(sp, points[-1])
 

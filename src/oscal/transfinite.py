@@ -231,7 +231,13 @@ class LevelSetWitness:
     level_set: frozenset[int]
 
 
-def level_set_witness(phi: QFunction, alpha: int, x: int, eta) -> LevelSetWitness:
+def level_set_witness(trace: OscTrace, alpha: int, x: int, eta) -> LevelSetWitness:
+    """Level-set data at node x below the growth from v_alpha to
+    v_{alpha+1}, read from ``trace``: the signed stages of phi = trace.base,
+    computed through stage alpha + 1."""
+    if trace.kind != "v":
+        raise PreconditionError("the level-set witness reads signed (v) stages")
+    phi = trace.base
     phi.require_real("level-set witness")
     eta = Fraction(eta)
     if not 0 < eta < 1:
@@ -239,9 +245,8 @@ def level_set_witness(phi: QFunction, alpha: int, x: int, eta) -> LevelSetWitnes
     if alpha < 1:
         raise PreconditionError("alpha must be at least 1")
     sp = phi.space
-    tr = iterate(phi, "v", alpha + 1)
-    v_a = tr.stage(alpha)
-    v_a1 = tr.stage(alpha + 1)
+    v_a = trace.stage(alpha)
+    v_a1 = trace.stage(alpha + 1)
     beta = v_a1(x)
     if v_a(x) == 0:
         raise PreconditionError("stage %d vanishes at node %d" % (alpha, x))

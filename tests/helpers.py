@@ -14,6 +14,7 @@ from oscal.space import (
     PointRef,
     PrefixStep,
     RecurringStep,
+    SpaceNode,
     TreeSpace,
     point_at,
     unroll,
@@ -90,6 +91,36 @@ def drawn_functions(draw, complex_values=False):
         )
     )
     return QFunction(space, dict(zip(space.node_ids(), values)))
+
+
+def staged_function(seed: int, depth: int = 4) -> QFunction:
+    """A seeded real function whose signed stages grow past stage 1, on a
+    space with prefix children; ``build_corpus`` has no node where
+    v_2 > v_1.  Every limit node has one or two recurring children and up
+    to two prefix children, which may be limit nodes too.  A node under r
+    recurring steps is worth -(r mod 2) times 1 or 2, plus 0, 1/4 or 1/2:
+    the alternating chain's profile, so the stages keep growing down the
+    recurring steps, up to ``depth``."""
+    rng = random.Random(seed)
+    nodes, values = [], {}
+
+    def build(d, r):
+        ident = len(values)
+        values[ident] = -Fraction(r % 2 * rng.choice([1, 2])) + Fraction(
+            rng.randint(0, 2), 4
+        )
+        recurring = tuple(
+            build(d - 1, r + 1) for _ in range(rng.choice([1, 1, 2]) if d else 0)
+        )
+        prefix = tuple(
+            build(rng.randint(0, d - 1), r)
+            for _ in range(rng.choice([0, 1, 1, 2]) if d else 0)
+        )
+        nodes.append(SpaceNode(ident, prefix, recurring))
+        return ident
+
+    root = build(depth, 0)
+    return QFunction(TreeSpace(nodes, root), values)
 
 
 def iterated_final_stage(f):

@@ -1,26 +1,90 @@
 """The extraction driver with one hand-written branch per stage, as the
 package ran it for stages 1 and 2 before ``build_jump_chain`` became one
 loop over the stages; kept as the differential oracle for that loop at
-alpha in {1, 2}.  The bodies below are the old ones, byte for byte.
+alpha in {1, 2}.  The bodies below are the old ones, byte for byte, but
+for the level-set call, which now passes the trace it reads, and the
+jump witness, which comes from ``scan_witness``.
+
+Both search their copy indices with ``_scan_copies``, the copy-window
+scan the package used before it realized every point at a closed-form
+copy; ``scan_witness`` is the search that the closed form of
+``ExtractionPlan.witness`` replaced.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable
 
 from oscal.errors import InternalCheckError, PreconditionError
 from oscal.extraction import (
+    ExtractionPlan,
     FunctionSeq,
     WitnessBundle,
     _abs_sum,
-    _scan_copies,
+    _jump_target,
     check_jump_chain,
+    check_jump_witness,
     extract_subsequence,
 )
 from oscal.func import QFunction
 from oscal.rationals import Verdict, rat
-from oscal.space import PointRef, point_at, resolve
+from oscal.space import (
+    PointRef,
+    PrefixStep,
+    RecurringStep,
+    descend_path,
+    point_at,
+    resolve,
+)
 from oscal.transfinite import iterate, level_set_witness, v_pre_step
+
+# Copies scanned for a jump witness.  Past copy max(T, n_m), T the
+# support threshold of x1, every copy puts a term worth at least delta
+# into the witness tail, so a scan that gets past it has seen every copy
+# that could pass; the tests assert that theirs do.
+WITNESS_SCAN_COPIES = range(1, 17)
+
+
+def _scan_copies(
+    seq: FunctionSeq,
+    base: PointRef,
+    target: int,
+    copies: range,
+    accept: Callable[[PointRef], bool],
+) -> PointRef:
+    """Realize ``target`` below base, scanning the copy index of the new
+    recurring steps upward through ``copies`` until ``accept`` holds."""
+    sp = seq.space
+    path = descend_path(sp, resolve(sp, base), target)
+    for c in copies:
+        steps = [
+            PrefixStep(pos) if slot == "p" else RecurringStep(pos, c)
+            for slot, pos in path
+        ]
+        cand = base.extend(*steps)
+        if accept(cand):
+            return cand
+    raise PreconditionError(
+        "no realization in the copy window [%d, %d)"
+        % (copies.start, copies.stop)
+    )
+
+
+def scan_witness(plan: ExtractionPlan, m: int) -> PointRef:
+    """The least copy realizing the plan's jump target as a witness for
+    position m, found by trying every copy in ``WITNESS_SCAN_COPIES``."""
+    seq = plan.seq
+    sp = seq.space
+    x1_node = resolve(sp, plan.x1)
+    pool = [y for y in sorted(sp.acc(x1_node)) if y in plan.level_set]
+    _, target = _jump_target(seq.phi, x1_node, pool)
+    return _scan_copies(
+        seq, plan.x1, target, WITNESS_SCAN_COPIES,
+        lambda x2: check_jump_witness(
+            seq, plan.indices, plan.x1, x2, m, plan.delta, plan.eta
+        ) is Verdict.TRUE,
+    )
 
 
 def _stage_attainer(pre_stage: QFunction, level: Fraction, around: int) -> int:
@@ -74,7 +138,7 @@ def build_jump_chain(
         plan = extract_subsequence(
             seq, x1, frozenset(sp.node_ids()), delta, eta, s=2
         )
-        x2 = plan.witness(2)
+        x2 = scan_witness(plan, 2)
         bundle = WitnessBundle(
             indices=plan.indices,
             m=(1, 2),
@@ -103,14 +167,14 @@ def build_jump_chain(
             "stages 1 and 2 agree at node %d; run the stage-1 form" % x
         )
     run_eta = eta / 3  # (1 -+ eta/3)^2 stays inside the (1 -+ eta) window
-    lw = level_set_witness(phi, 1, x, run_eta)
+    lw = level_set_witness(trace, 1, x, run_eta)
     x1 = point_at(sp, lw.x1)
     plan = extract_subsequence(
         seq, x1, lw.level_set, lw.delta, lw.eta, s=4
     )
     n = plan.indices
     m = (1, 2, 3, 4)
-    x2 = plan.witness(2)
+    x2 = scan_witness(plan, 2)
     x2_node = resolve(sp, x2)
 
     # stage-1 data at the witness point

@@ -439,6 +439,28 @@ def test_extract_stage_outside_the_index(paths):
     assert not out.exists()
 
 
+def test_extract_unknown_node_is_malformed(paths):
+    out = paths["tmp"] / "wit8.json"
+    for node in (["--x", "99"], ["--x=-1"]):
+        r = run_cli(
+            ["extract", "run", paths["h"], "--alpha", "1", *node,
+             "--eta", "1/2", "-o", out]
+        )
+        assert r.returncode == 2, node
+        assert "no node with id" in r.stderr
+        assert not out.exists()
+
+
+def test_osc_negative_stage_is_malformed(paths):
+    # a stage counts from 0; --alpha -1 used to print the last stage
+    for bad in ("-1", "-3", "two", "\u0662"):
+        r = run_cli(["fn", "osc", paths["f2"], "--alpha=" + bad])
+        assert (r.returncode, r.stdout) == (2, ""), bad
+    r = run_cli(["fn", "osc", paths["f2"], "--alpha", "0"])
+    assert r.returncode == 0
+    assert documents.loads(r.stdout).values == {0: F(0), 1: F(0), 2: F(0)}
+
+
 def test_extract_run_above_stage_two(tmp_path):
     sp = chain_space(7)
     seq = FunctionSeq(

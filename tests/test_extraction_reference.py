@@ -1,28 +1,35 @@
 """The stage loop of ``build_jump_chain`` against the two hand-written
 branches it replaced (``reference_extraction``) at stages 1 and 2, and
-against both checkers at every stage up to the index."""
+against both checkers at every stage up to the index; the closed-form
+copies of the extracted points against the copy scans they replaced."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oscal.extraction
+import oscal.transfinite
 import reference_extraction
+from helpers import staged_function
 from oscal.errors import OscalError
 from oscal.extraction import (
     FunctionSeq,
     MovingStep,
     WitnessBundle,
+    _realize,
     build_jump_chain,
     check_difference_witness,
     check_jump_chain,
     difference_witness_from_chain,
+    extract_subsequence,
 )
 from oscal.func import QFunction
 from oscal.rationals import Verdict
 from oscal.sampling import build_corpus
-from oscal.space import chain_space
+from oscal.space import PrefixStep, RecurringStep, chain_space, point_at, resolve
 from oscal.transfinite import iterate
 
 PROFILES = {
@@ -38,6 +45,22 @@ def chain_seq(depth, profile):
     return FunctionSeq(QFunction(sp, values), MovingStep(None))
 
 
+STAGED_SEEDS = range(20)
+
+
+def staged_seq(seed):
+    return FunctionSeq(staged_function(seed), MovingStep(None))
+
+
+def every_seq():
+    """The chain profiles at depths 1..8, then the staged sampler."""
+    for name in sorted(PROFILES):
+        for depth in range(1, 9):
+            yield chain_seq(depth, PROFILES[name])
+    for seed in STAGED_SEEDS:
+        yield staged_seq(seed)
+
+
 def growth(seq):
     """(alpha, x) for every strict growth v_{alpha-1}(x) < v_alpha(x)."""
     trace = iterate(seq.phi, "v")
@@ -49,9 +72,9 @@ def growth(seq):
     ]
 
 
-def outcome(build, seq, alpha, x, eta):
+def outcome(build, *args):
     try:
-        return build(seq, alpha, x, eta)
+        return build(*args)
     except OscalError as exc:
         return type(exc)
 
@@ -72,6 +95,11 @@ def test_stages_one_and_two_match_the_reference_on_chains(name):
         seq = chain_seq(depth, PROFILES[name])
         for eta in (F(1, 2), F(1, 4)):
             assert_matches_reference(seq, eta)
+
+
+def test_stages_one_and_two_match_the_reference_on_staged_spaces():
+    for seed in STAGED_SEEDS:
+        assert_matches_reference(staged_seq(seed), F(1, 4))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -137,3 +165,103 @@ def test_every_stage_up_to_the_index_verifies_on_drawn_chains(values, eta):
     )
     for alpha, x in growth(seq):
         assert_verifies(seq, alpha, x, eta)
+
+
+def test_the_staged_sampler_grows_past_stage_one_with_prefix_children():
+    grown = 0
+    for seed in STAGED_SEEDS:
+        seq = staged_seq(seed)
+        sp = seq.space
+        assert any(sp.node(i).prefix for i in sp.node_ids())
+        grown += sum(alpha >= 2 for alpha, _ in growth(seq))
+    assert grown >= 40
+
+
+@pytest.mark.parametrize("seed", STAGED_SEEDS)
+def test_every_stage_up_to_the_index_verifies_on_staged_spaces(seed):
+    seq = staged_seq(seed)
+    for alpha, x in growth(seq):
+        for eta in (F(1, 2), F(1, 4)):
+            assert_verifies(seq, alpha, x, eta)
+
+
+def assert_proven_copies(seq, bundle):
+    """x_1 sits at copy 1 and x_{b+1} adds recurring steps at copy n_b
+    only.  The last step's copy is tight: at n_{2k} the tail fails, and at
+    n_{2k-1} - 1 the last block does."""
+    n, points, k = bundle.indices, bundle.points, bundle.k
+    above = ()
+    for b, point in enumerate(points):
+        assert point.steps[: len(above)] == above
+        copies = {
+            s.copy for s in point.steps[len(above):]
+            if isinstance(s, RecurringStep)
+        }
+        assert copies <= {n.value(b) if b else 1}, b
+        above = point.steps
+    target = resolve(seq.space, bundle.t)
+
+    def conditions_at(copy):
+        t = _realize(seq, points[-2], target, copy)
+        moved = dataclasses.replace(bundle, t=t, points=points[:-1] + (t,))
+        return check_jump_chain(seq, moved).conditions
+
+    assert conditions_at(n.value(2 * k))["tail"] is Verdict.FALSE
+    if n.value(2 * k - 1) > 1:
+        last = conditions_at(n.value(2 * k - 1) - 1)
+        assert last["block_%d" % (2 * k - 1)] is Verdict.FALSE
+
+
+def test_points_sit_at_their_proven_copies():
+    built = through_prefix = 0
+    for seq in every_seq():
+        for alpha, x in growth(seq):
+            bundle = build_jump_chain(seq, alpha, x, F(1, 2))
+            assert_proven_copies(seq, bundle)
+            built += 1
+            through_prefix += any(
+                isinstance(s, PrefixStep) for s in bundle.t.steps
+            )
+    assert built > 300 and through_prefix > 20
+
+
+def test_witness_matches_the_scanning_oracle():
+    """x1 realized at copies 1..4, positions m = 1..5: the closed-form
+    witness is the point the copy scan finds, or both fail."""
+    found = failed = 0
+    for seq in every_seq():
+        sp, phi = seq.space, seq.phi
+        for node in sp.limit_nodes():
+            delta = max(phi(y) - phi(node) for y in sp.acc(node))
+            if delta <= 0:
+                continue
+            for copy in range(1, 5):
+                plan = extract_subsequence(
+                    seq, point_at(sp, node, copy), sp.node_ids(), delta,
+                    F(1, 2), 6,
+                )
+                for m in range(1, 6):
+                    past = max(
+                        seq.support_threshold(plan.x1), plan.indices.value(m)
+                    )
+                    assert past < reference_extraction.WITNESS_SCAN_COPIES[-1]
+                    got = outcome(plan.witness, m)
+                    assert got == outcome(
+                        reference_extraction.scan_witness, plan, m
+                    ), (node, copy, m)
+                    failed += isinstance(got, type)
+                    found += not isinstance(got, type)
+    assert found > 3000 and failed > 300
+
+
+def test_one_v_trace_per_build(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return iterate(*args, **kwargs)
+
+    monkeypatch.setattr(oscal.extraction, "iterate", counted)
+    monkeypatch.setattr(oscal.transfinite, "iterate", counted)
+    build_jump_chain(chain_seq(12, PROFILES["alternating"]), 6, 0, F(1, 2))
+    assert calls == [("v",)]

@@ -1,7 +1,8 @@
 """Source hygiene: every module-level import in the package is used in its
-own module, and no function recurses unless its depth is bounded
-independently of the input's size.  Static scans with the stdlib ``ast``
-module, so they import nothing they check."""
+own module, no function recurses unless its depth is bounded
+independently of the input's size, and every error type is raised
+somewhere.  Static scans with the stdlib ``ast`` module, so they import
+nothing they check."""
 
 import ast
 from pathlib import Path
@@ -144,3 +145,37 @@ def test_no_unbounded_recursion():
     ]
     assert [n for n in found if n not in BOUNDED_RECURSION] == []
     assert sorted(BOUNDED_RECURSION) == sorted(found)  # no stale entries
+
+
+def raised_names(path: Path) -> set[str]:
+    """Names raised in a module: ``raise Name(...)`` and ``raise Name``."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                found.add(exc.id)
+    return found
+
+
+def test_scan_flags_raised_names(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise KeyError(x)\n"
+        "    try:\n"
+        "        raise StopIteration\n"
+        "    except StopIteration as exc:\n"
+        "        raise exc\n"
+        "    raise\n"
+    )
+    assert raised_names(mod) == {"KeyError", "StopIteration", "exc"}
+
+
+def test_every_error_type_has_a_raiser():
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    declared = {n.name for n in tree.body if isinstance(n, ast.ClassDef)}
+    raised = set().union(*(raised_names(p) for p in PACKAGE.glob("*.py")))
+    assert "PreconditionError" in declared
+    assert sorted(declared - {"OscalError"} - raised) == []

@@ -294,7 +294,7 @@ def test_deep_alternating_chains(depth):
 
 
 def test_level_set_witness_canonical(k3, phi3):
-    w = level_set_witness(phi3, 1, 0, Fraction(1, 6))
+    w = level_set_witness(iterate(phi3, "v"), 1, 0, Fraction(1, 6))
     assert w.beta == Fraction(2)
     assert w.lambda_under == Fraction(1)
     assert w.delta == Fraction(1)
@@ -316,17 +316,28 @@ def test_level_set_witness_canonical(k3, phi3):
 def test_level_set_witness_requires_strict_growth(k1, k2, f1, f2):
     # stages that have already stabilized cannot witness a higher level
     with pytest.raises(PreconditionError):
-        level_set_witness(f1, 1, 0, Fraction(1, 4))
+        level_set_witness(iterate(f1, "v"), 1, 0, Fraction(1, 4))
     # rank-two chains stabilize the positive oscillation at stage one,
     # so the analogous probe there fails the same precondition
     with pytest.raises(PreconditionError):
-        level_set_witness(-f2, 1, 0, Fraction(1, 4))
+        level_set_witness(iterate(-f2, "v"), 1, 0, Fraction(1, 4))
     # vanishing stage value
     with pytest.raises(PreconditionError):
-        level_set_witness(zero_function(k2), 1, 0, Fraction(1, 4))
+        level_set_witness(iterate(zero_function(k2), "v"), 1, 0, Fraction(1, 4))
+
+
+def test_level_set_witness_reads_the_given_v_trace(k3, phi3):
+    # the caller's trace is the only source of stages: a trace of the
+    # other kind, or one stopped below stage alpha + 1, is refused
+    with pytest.raises(PreconditionError):
+        level_set_witness(iterate(phi3, "osc"), 1, 0, Fraction(1, 6))
+    with pytest.raises(PreconditionError):
+        level_set_witness(iterate(phi3, "v", 1), 1, 0, Fraction(1, 6))
+    short = level_set_witness(iterate(phi3, "v", 2), 1, 0, Fraction(1, 6))
+    assert short == level_set_witness(iterate(phi3, "v"), 1, 0, Fraction(1, 6))
 
 
 def test_level_set_witness_shrinks_eta(k3, phi3):
-    w = level_set_witness(phi3, 1, 0, Fraction(9, 10))
+    w = level_set_witness(iterate(phi3, "v"), 1, 0, Fraction(9, 10))
     assert w.eta < Fraction(9, 10)
     assert iterate(phi3, "v").stage(1)(0) < (1 - w.eta) * w.beta
