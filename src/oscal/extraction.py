@@ -338,14 +338,6 @@ class FunctionSeq:
         return max(_abs_upper(v) for v in vals)
 
 
-def seq_eval(seq: FunctionSeq, j: int, x: PointRef) -> Scalar:
-    return seq.eval(j, x)
-
-
-def seq_tail_bound(seq: FunctionSeq, x: PointRef, m: int) -> Fraction:
-    return seq.tail_bound(x, m)
-
-
 # -- subsequence bookkeeping --------------------------------------------------
 
 
@@ -490,10 +482,16 @@ def extract_subsequence(
             "delta is %s but the attained maximum is %s" % (delta, best)
         )
 
+    # n_1 is the least a with tail sum S(a) = sum_{j >= a} |f_j(x1) - f(x1)|
+    # below eta*delta; S only grows as a falls, so walk the terms down once
     bound = eta * delta
     a = 1
-    while seq.tail_bound(x1, a) >= bound:
-        a += 1
+    tail = Fraction(0)
+    for j, d in reversed(seq.tail_terms(x1, 1)):
+        tail += _abs_upper(d)
+        if tail >= bound:
+            a = j + 1
+            break
     indices = IndexSeq((), a - 1)
 
     def witness(m: int) -> PointRef:

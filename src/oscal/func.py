@@ -12,10 +12,6 @@ envelope, and continuous iff it is constant on {p} ∪ acc(p) at every limit
 node p.  Since acc(p) is the union of {z} ∪ acc(z) over its cover, both
 read only cover edges: ``U f (p) = max(f(p), max over acc_cover(p) of U f)``
 in one children-first pass, and continuity is f(z) = f(p) on each edge.
-
-``underline_osc`` is the local oscillation: zero at isolated points and the
-largest |f(y) − f(p)| over accumulating y at a limit p.  ``osc`` is its
-upper envelope, the usual upper-semicontinuous oscillation.
 """
 
 from __future__ import annotations
@@ -189,23 +185,3 @@ def _gap(a: Scalar, b: Scalar, where: str) -> Fraction:
     if isinstance(d, GaussianRational):
         return require_rational_abs(d, where)
     return abs(d)
-
-
-def underline_osc(f: QFunction) -> QFunction:
-    """Local oscillation: 0 at leaves, max |f(y) − f(p)| over acc(p) at p."""
-    sp = f.space
-    out = {}
-    for i in sp.node_ids():
-        if sp.is_leaf(i):
-            out[i] = Fraction(0)
-        else:
-            out[i] = max(
-                [Fraction(0)]
-                + [_gap(f(y), f(i), "oscillation at node %d" % i) for y in sp.acc(i)]
-            )
-    return QFunction(sp, out)
-
-
-def osc(f: QFunction) -> QFunction:
-    """Upper-semicontinuous oscillation: the upper envelope of the local one."""
-    return usc_envelope(underline_osc(f))

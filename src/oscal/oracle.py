@@ -17,10 +17,10 @@ t ≥ 0 and w ≥ 0
 where a cover edge (p, y) joins a limit node p to a maximal element y of
 acc(p) and c_py = min(f⁺(y) − f⁺(p), f⁻(y) − f⁻(p)) merges the u row and
 the v row, which share a left-hand side.  A node row with f(i) ≠ 0 has a
-negative right-hand side and needs an artificial variable, so the kernel
-would spend its pivots finding a feasible point.  :func:`oracle_lp`
-therefore builds the dual, whose right-hand sides are all nonnegative and
-whose slack basis is feasible from the start:
+negative right-hand side, and the kernel takes only programs that start
+feasible at their slack basis: maximize over ``≤`` rows with right-hand
+sides ≥ 0.  :func:`oracle_lp` therefore builds the dual, which has that
+shape:
 
     maximize Σ |f(i)|·y_i − Σ c_py·z_py  over y, z ≥ 0, subject to
              Σ y_i ≤ 1                                   (column t),
@@ -92,11 +92,11 @@ def oracle_lp(f: QFunction) -> LinearProgram:
         objective[z] = -_edge_bound(f, p, y)
         rows[p][z] = -1
         rows[y][z] = 1
-    lp = LinearProgram(minimize=False)
+    lp = LinearProgram()
     lp.set_objective(objective)
-    lp.add({"y%d" % i: 1 for i in nodes}, "<=", 1)
+    lp.add({"y%d" % i: 1 for i in nodes}, 1)
     for j in nodes:
-        lp.add(rows[j], "<=", 0)
+        lp.add(rows[j], 0)
     return lp
 
 

@@ -255,23 +255,23 @@ def _norm_rows(space: PolySpace, combo: dict[str, Vector], lp: LinearProgram,
     if space.kind is NormKind.SUP:
         for i in range(m):
             row = {v: vec[i] for v, vec in combo.items() if vec[i]}
-            lp.add(dict(row), "<=", 1)
-            lp.add({v: -c for v, c in row.items()}, "<=", 1)
+            lp.add(dict(row), 1)
+            lp.add({v: -c for v, c in row.items()}, 1)
     elif space.kind is NormKind.SE:
         prefix = {v: Fraction(0) for v in combo}
         for i in range(m):
             for v, vec in combo.items():
                 prefix[v] += vec[i]
             row = {v: c for v, c in prefix.items() if c}
-            lp.add(dict(row), "<=", 1)
-            lp.add({v: -c for v, c in row.items()}, "<=", 1)
+            lp.add(dict(row), 1)
+            lp.add({v: -c for v, c in row.items()}, 1)
     else:
         aux = ["a%s_%d" % (tag, i) for i in range(m)]
         for i in range(m):
             row = {v: vec[i] for v, vec in combo.items() if vec[i]}
-            lp.add({**row, aux[i]: -1}, "<=", 0)
-            lp.add({**{v: -c for v, c in row.items()}, aux[i]: -1}, "<=", 0)
-        lp.add({a: 1 for a in aux}, "<=", 1)
+            lp.add({**row, aux[i]: -1}, 0)
+            lp.add({**{v: -c for v, c in row.items()}, aux[i]: -1}, 0)
+        lp.add({a: 1 for a in aux}, 1)
 
 
 def functional_norm(f: SpanFunctional) -> Fraction:
@@ -288,7 +288,7 @@ def functional_norm(f: SpanFunctional) -> Fraction:
         # rows of B^T are the b_j themselves: (B^T psi)_j = b_j . psi
         psi = _solve(basis.vectors, [(g,) for g in f.gamma])
         return basis.space.dual_norm([row[0] for row in psi])
-    lp = LinearProgram(minimize=False)
+    lp = LinearProgram()
     cvars = ["c%d" % j for j in range(1, n + 1)]
     lp.make_free(*cvars)
     lp.set_objective({v: g for v, g in zip(cvars, f.gamma) if g})
@@ -610,7 +610,7 @@ def eps_cc_value(
         raise PreconditionError("target coefficient is pinned to zero")
     diff = difference_sequence(basis)
     free = [j for j in range(1, n + 1) if j not in zeros]
-    lp = LinearProgram(minimize=False)
+    lp = LinearProgram()
     cvars = {j: "c%d" % j for j in free}
     lp.make_free(*cvars.values())
     lp.set_objective({cvars[j0]: 1})

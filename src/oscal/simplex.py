@@ -1,10 +1,16 @@
 """Exact linear programming over the rationals.
 
-Two-phase simplex on sparse integer rows.  Each tableau row is a ``dict``
-from column to nonzero ``int``, right-hand side included, and stands for a
-positive multiple of its canonical row (the one with a 1 in its basic
-column), so the basic coefficient is always positive.  A pivot on (r, c)
-leaves row r as it is and replaces every other row i holding column c by
+The kernel solves one program shape: maximize c·x subject to rows
+Σ a·x ≤ b with b ≥ 0, each variable nonnegative or free.  Every program
+the package builds has that shape (the norm oracle solves the dual of its
+decomposition program for exactly this reason), so the slack basis is
+feasible from the start and a single simplex phase runs from it.
+
+Rows are sparse integers.  Each tableau row is a ``dict`` from column to
+nonzero ``int``, right-hand side included, and stands for a positive
+multiple of its canonical row (the one with a 1 in its basic column), so
+the basic coefficient is always positive.  A pivot on (r, c) leaves row r
+as it is and replaces every other row i holding column c by
 ``a_rc·row_i − a_ic·row_r`` divided by the gcd of its entries; inner loops
 touch only nonzeros and do only ``int`` work.  The cost row is an integer
 row over its own positive denominator.  Rationals appear only where the
@@ -19,10 +25,9 @@ ratio ``rhs_i / a_i``, which is compared by cross-multiplying, so the pivot
 path is exactly the one a tableau of canonical rows would take.  There is
 no tolerance anywhere.
 
-Free variables are handled by the usual positive/negative split, and duals
-are read off the optimal tableau from the reduced costs of the slack,
-surplus and artificial columns (one per row), reported per constraint in
-the order they were added.
+Free variables are handled by the usual positive/negative split.  The dual
+of each row is the reduced cost of its slack column on the optimal
+tableau, reported per row in the order the rows were added.
 """
 
 from __future__ import annotations
@@ -35,14 +40,12 @@ from typing import Optional
 from .errors import PreconditionError
 from .rationals import rat
 
-SENSES = ("<=", ">=", "==")
-
 
 @dataclass
 class LinearProgram:
-    """A small LP builder: variables are named, nonnegative by default."""
+    """maximize c·x subject to rows Σ a·x ≤ b with b ≥ 0; variables are
+    named, nonnegative unless made free."""
 
-    minimize: bool = True
     _objective: dict = field(default_factory=dict)
     _rows: list = field(default_factory=list)
     _vars: list = field(default_factory=list)
@@ -62,12 +65,16 @@ class LinearProgram:
         self._register(coeffs)
         self._objective = coeffs
 
-    def add(self, coeffs: dict, sense: str, rhs) -> None:
-        if sense not in SENSES:
-            raise PreconditionError("unknown constraint sense %r" % sense)
+    def add(self, coeffs: dict, rhs) -> None:
+        """Add the row Σ coeffs·x ≤ rhs, with rhs ≥ 0."""
+        rhs = rat(rhs)
+        if rhs < 0:
+            raise PreconditionError(
+                "right-hand side %s is negative; rows need rhs >= 0" % rhs
+            )
         coeffs = {n: rat(c) for n, c in coeffs.items()}
         self._register(coeffs)
-        self._rows.append((coeffs, sense, rat(rhs)))
+        self._rows.append((coeffs, rhs))
 
     @property
     def variables(self) -> list:
@@ -80,13 +87,11 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LPResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "unbounded"
     objective: Optional[Fraction]
     values: dict
     duals: Optional[list]
     pivots: int
-
-
 
 
 # keys outside the column range (columns are >= 0): every row's
@@ -141,15 +146,11 @@ def _pivot(rows, basis, r, c) -> None:
     basis[r] = c
 
 
-def _optimize(rows, cost, basis, barred) -> tuple[str, int, dict]:
-    """Bland-rule simplex loop; returns (status, pivot count, cost row).
-    Columns in ``barred`` never enter."""
+def _optimize(rows, cost, basis) -> tuple[str, int, dict]:
+    """Bland-rule simplex loop; returns (status, pivot count, cost row)."""
     pivots = 0
     while True:
-        enter = min(
-            (j for j, v in cost.items() if v < 0 and j >= 0 and j not in barred),
-            default=-1,
-        )
+        enter = min((j for j, v in cost.items() if v < 0 and j >= 0), default=-1)
         if enter < 0:
             return "optimal", pivots, cost
         leave = -1
@@ -170,16 +171,12 @@ def _optimize(rows, cost, basis, barred) -> tuple[str, int, dict]:
         pivots += 1
 
 
-_FLIP = {"<=": ">=", ">=": "<=", "==": "=="}
-
-
 def solve(lp: LinearProgram) -> LPResult:
     names = lp.variables
     if not names:
         raise PreconditionError("linear program has no variables")
 
-    # column layout: structural (with free splits), then row by row a
-    # slack or surplus column and an artificial column where needed.
+    # column layout: structural (with free splits), then one slack per row
     col_of: dict[str, int] = {}
     neg_col_of: dict[str, int] = {}
     ncols = 0
@@ -190,92 +187,29 @@ def solve(lp: LinearProgram) -> LPResult:
             neg_col_of[n] = ncols
             ncols += 1
 
-    raw = lp.constraints
-    m = len(raw)
-    flipped = [False] * m
-    slack_col = [-1] * m
-    art_col = [-1] * m
-
-    # each row starts as a positive multiple of its canonical row: the
-    # basic (slack or artificial) coefficient is the scale
+    # the slack basis: row i starts canonical, with basic slack ncols + i
     rows: list[dict] = []
-    basis: list[int] = []
-    senses = []
-    for idx, (coeffs, sense, rhs) in enumerate(raw):
+    for i, (coeffs, rhs) in enumerate(lp.constraints):
         vec = {}
         for n, c in coeffs.items():
             if c:
                 vec[col_of[n]] = c
                 if n in neg_col_of:
                     vec[neg_col_of[n]] = -c
-        if rhs < 0:
-            vec = {j: -v for j, v in vec.items()}
-            rhs = -rhs
-            sense = _FLIP[sense]
-            flipped[idx] = True
         if rhs:
             vec[_RHS] = rhs
-        if sense != "==":  # slack or surplus
-            slack_col[idx] = ncols
-            vec[ncols] = Fraction(1 if sense == "<=" else -1)
-            ncols += 1
-        if sense != "<=":  # artificial
-            art_col[idx] = ncols
-            vec[ncols] = Fraction(1)
-            ncols += 1
-        basis.append(ncols - 1)
+        vec[ncols + i] = Fraction(1)
         rows.append(_integer_row(vec))
-        senses.append(sense)
+    basis = [ncols + i for i in range(len(rows))]
 
-    artificials = {c for c in art_col if c >= 0}
-    pivots = 0
-
-    # phase 1 (only when artificials exist)
-    if artificials:
-        cost = {c: 1 for c in artificials}
-        cost[_DEN] = 1
-        for i, b in enumerate(basis):
-            if b in cost:
-                cost = _reduce(_combine(cost, rows[i], b))
-        _, p, cost = _optimize(rows, cost, basis, ())
-        pivots += p
-        if cost.get(_RHS, 0) < 0:
-            return LPResult("infeasible", None, {}, None, pivots)
-        # drive leftover artificials out of the basis; they sit at zero, so
-        # the pivot entry may be negative, and negating the row first keeps
-        # its scale positive
-        drop: list[int] = []
-        for i in range(len(rows)):
-            if basis[i] in artificials:
-                target = min(
-                    (j for j in rows[i] if j >= 0 and j not in artificials),
-                    default=-1,
-                )
-                if target >= 0:
-                    if rows[i][target] < 0:
-                        rows[i] = {j: -v for j, v in rows[i].items()}
-                    _pivot(rows, basis, i, target)
-                    pivots += 1
-                else:
-                    drop.append(i)
-        for i in reversed(drop):
-            del rows[i]
-            del basis[i]
-
-    # phase 2
-    sign = 1 if lp.minimize else -1
+    # the cost row of −c·x; the slack basis has zero cost, so it is reduced
     goal = {_DEN: Fraction(1)}
     for n, c in lp._objective.items():
         if c:
-            goal[col_of[n]] = sign * c
+            goal[col_of[n]] = -c
             if n in neg_col_of:
-                goal[neg_col_of[n]] = -sign * c
-    cost = _integer_row(goal)
-    for i, b in enumerate(basis):
-        if b in cost:
-            cost = _reduce(_combine(cost, rows[i], b))
-    status, p, cost = _optimize(rows, cost, basis, artificials)
-    pivots += p
+                goal[neg_col_of[n]] = c
+    status, pivots, cost = _optimize(rows, _integer_row(goal), basis)
     if status == "unbounded":
         return LPResult("unbounded", None, {}, None, pivots)
 
@@ -289,21 +223,6 @@ def solve(lp: LinearProgram) -> LPResult:
             v = v - col_val.get(neg_col_of[n], Fraction(0))
         values[n] = v
     den = cost[_DEN]
-    z = -Fraction(cost.get(_RHS, 0), den)
-    objective = z if lp.minimize else -z
-
-    duals: list[Fraction] = []
-    for idx in range(m):
-        if senses[idx] == "<=":
-            y = -Fraction(cost.get(slack_col[idx], 0), den)
-        elif senses[idx] == ">=":
-            y = Fraction(cost.get(slack_col[idx], 0), den)
-        else:
-            y = -Fraction(cost.get(art_col[idx], 0), den)
-        if flipped[idx]:
-            y = -y
-        if not lp.minimize:
-            y = -y
-        duals.append(y)
-
+    objective = Fraction(cost.get(_RHS, 0), den)
+    duals = [Fraction(cost.get(ncols + i, 0), den) for i in range(len(rows))]
     return LPResult("optimal", objective, values, duals, pivots)

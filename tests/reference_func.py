@@ -1,6 +1,8 @@
 """The acc-pair forms of the envelopes, the semicontinuity and continuity
 tests and the final oscillation stage, kept as the differential oracle for
-the cover-edge forms in ``oscal.func`` and ``oscal.transfinite``.
+the cover-edge forms in ``oscal.func`` and ``oscal.transfinite``, and the
+first oscillation stage as ``oscal.func`` once defined it (``underline_osc``
+and ``osc``), the oracle for ``osc_pre_step(f, 0)`` and ``osc_step(f, 0)``.
 
 Each body below visits every (x, y in acc(x)) pair, as the package did
 before it read only the acc cover; time and memory grow as the square of
@@ -58,6 +60,26 @@ def is_continuous(f: QFunction) -> bool:
         if any(f(y) != v for y in sp.acc(p)):
             return False
     return True
+
+
+def underline_osc(f: QFunction) -> QFunction:
+    """Local oscillation: 0 at leaves, max |f(y) − f(p)| over acc(p) at p."""
+    sp = f.space
+    out = {}
+    for i in sp.node_ids():
+        if sp.is_leaf(i):
+            out[i] = Fraction(0)
+        else:
+            out[i] = max(
+                [Fraction(0)]
+                + [_gap(f(y), f(i), "oscillation at node %d" % i) for y in sp.acc(i)]
+            )
+    return QFunction(sp, out)
+
+
+def osc(f: QFunction) -> QFunction:
+    """Upper-semicontinuous oscillation: the upper envelope of the local one."""
+    return usc_envelope(underline_osc(f))
 
 
 def _relax(sp, x: int, w, jump) -> Fraction:

@@ -3,11 +3,12 @@
 This is the program ``oscal.oracle.oracle_lp`` built before it switched to
 the dual: minimize t over t ≥ 0 and w ≥ 0, one row ``2·w_i − t ≤ −|f(i)|``
 per node and two rows ``w_p − w_y ≤ c`` per cover edge (p, y), one for
-each of u and v.  Every node row has a negative right-hand side, so the
-kernel reaches a feasible point only through phase 1.  ``test_oracle``
-requires its optimum to equal ``oracle_dnorm``'s and the returned (w, t) to
-satisfy every row of it, and ``test_simplex_reference`` keeps it as a
-phase-1-heavy program for the dense-vs-sparse kernel check.
+each of u and v.  Every node row with f(i) ≠ 0 has a negative right-hand
+side, a shape the package's kernel does not take, so it is built as a
+:class:`reference_simplex.GeneralProgram` and solved by the two-phase
+reference kernel.  ``test_oracle`` requires its optimum to equal
+``oracle_dnorm``'s and the (w, t) read from the dual to satisfy every row
+of it.
 """
 
 from __future__ import annotations
@@ -15,14 +16,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from oscal.func import QFunction
-from oscal.simplex import LinearProgram
+from reference_simplex import GeneralProgram
 
 
 def _pos_part(x: Fraction) -> Fraction:
     return x if x > 0 else Fraction(0)
 
 
-def primal_lp(f: QFunction) -> LinearProgram:
+def primal_lp(f: QFunction) -> GeneralProgram:
     """Build the decomposition LP for a real node function.
 
     Uses the substitution u = f⁺ + w, v = f⁻ + w with w ≥ 0, which is a
@@ -35,7 +36,7 @@ def primal_lp(f: QFunction) -> LinearProgram:
     f.require_real("norm oracle")
     sp = f.space
     sp.require_valid()
-    lp = LinearProgram(minimize=True)
+    lp = GeneralProgram(minimize=True)
     lp.set_objective({"t": 1})
     for i in sp.node_ids():
         fi = f(i)

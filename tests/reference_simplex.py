@@ -1,18 +1,79 @@
 """The original dense-tableau simplex kernel, kept as a test oracle.
 
 This is the kernel ``oscal.simplex`` shipped before rows became sparse
-integer vectors: a dense two-phase tableau in :class:`fractions.Fraction`
-with Bland's rule throughout.  It solves the same :class:`LinearProgram`
-objects, so ``test_simplex_reference`` can require the production kernel to
-agree with it on status, objective, values, duals and pivot count.
+integer vectors and before it dropped phase 1: a dense two-phase tableau in
+:class:`fractions.Fraction` with Bland's rule throughout.  It solves
+:class:`GeneralProgram` objects, which allow every program shape (``<=``,
+``>=`` and ``==`` rows of either sign, minimize or maximize), and the
+package's own :class:`LinearProgram` objects, which it reads as the general
+program they are: maximize over ``<=`` rows.  ``test_simplex_reference``
+requires the production kernel to agree with it on status, objective,
+values, duals and pivot count.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from oscal.errors import PreconditionError
+from oscal.rationals import rat
 from oscal.simplex import LinearProgram, LPResult
+
+SENSES = ("<=", ">=", "==")
+
+
+@dataclass
+class GeneralProgram:
+    """A program of any shape: variables are named, nonnegative unless
+    made free, and rows have any sense and any right-hand side."""
+
+    minimize: bool = True
+    _objective: dict = field(default_factory=dict)
+    _rows: list = field(default_factory=list)
+    _vars: list = field(default_factory=list)
+    _free: set = field(default_factory=set)
+
+    @classmethod
+    def of(cls, lp: LinearProgram) -> "GeneralProgram":
+        """The kernel's program read as a general one, variables in order."""
+        return cls(
+            False,
+            dict(lp._objective),
+            [(coeffs, "<=", rhs) for coeffs, rhs in lp.constraints],
+            lp.variables,
+            set(lp._free),
+        )
+
+    def _register(self, names) -> None:
+        for name in names:
+            if name not in self._vars:
+                self._vars.append(name)
+
+    def make_free(self, *names: str) -> None:
+        self._register(names)
+        self._free.update(names)
+
+    def set_objective(self, coeffs: dict) -> None:
+        coeffs = {n: rat(c) for n, c in coeffs.items()}
+        self._register(coeffs)
+        self._objective = coeffs
+
+    def add(self, coeffs: dict, sense: str, rhs) -> None:
+        if sense not in SENSES:
+            raise PreconditionError("unknown constraint sense %r" % sense)
+        coeffs = {n: rat(c) for n, c in coeffs.items()}
+        self._register(coeffs)
+        self._rows.append((coeffs, sense, rat(rhs)))
+
+    @property
+    def variables(self) -> list:
+        return list(self._vars)
+
+    @property
+    def constraints(self) -> list:
+        return list(self._rows)
+
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -67,7 +128,10 @@ def _optimize(rows, cost, basis, allowed) -> tuple[str, int]:
         pivots += 1
 
 
-def solve(lp: LinearProgram) -> LPResult:
+def solve(lp) -> LPResult:
+    """Solve a :class:`GeneralProgram` or the package's :class:`LinearProgram`."""
+    if isinstance(lp, LinearProgram):
+        lp = GeneralProgram.of(lp)
     names = lp.variables
     if not names:
         raise PreconditionError("linear program has no variables")

@@ -31,7 +31,7 @@ from oscal.extraction import (
     check_jump_chain,
     difference_witness_from_chain,
 )
-from oscal.func import QFunction, is_usc, lsc_envelope, osc
+from oscal.func import QFunction, is_usc, lsc_envelope, zero_function
 from oscal.oracle import oracle_dnorm, symmetry_check
 from oscal.rationals import Verdict
 from oscal.sampling import random_basis, random_blocking
@@ -205,7 +205,7 @@ def test_criterion_05_difference_and_sandwich():
     for a, b in pairs:
         u = lsc_envelope(a.abs())
         v = lsc_envelope(b.abs())
-        bound = osc(u + v)
+        bound = osc_step(u + v, zero_function(u.space))
         tr = iterate(u - v, "osc", cap=5)
         for stage in tr.stages:
             assert helpers.leq(stage, bound)

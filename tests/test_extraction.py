@@ -22,8 +22,6 @@ from oscal.extraction import (
     check_jump_witness,
     difference_witness_from_chain,
     extract_subsequence,
-    seq_eval,
-    seq_tail_bound,
 )
 from oscal.func import QFunction, is_continuous
 from oscal.rationals import Verdict
@@ -46,21 +44,21 @@ def pt(*copies):
 
 
 def test_eval_against_copy_age(g_seq):
-    assert seq_eval(g_seq, 3, leaf(5)) == F(-1)  # term too early: cut to root
-    assert seq_eval(g_seq, 3, leaf(2)) == F(0)
-    assert seq_eval(g_seq, 7, ROOT) == F(-1)
+    assert g_seq.eval(3, leaf(5)) == F(-1)  # term too early: cut to root
+    assert g_seq.eval(3, leaf(2)) == F(0)
+    assert g_seq.eval(7, ROOT) == F(-1)
 
 
 def test_tail_bounds(g_seq):
-    assert seq_tail_bound(g_seq, leaf(5), 2) == F(4)
-    assert seq_tail_bound(g_seq, leaf(5), 6) == F(0)
+    assert g_seq.tail_bound(leaf(5), 2) == F(4)
+    assert g_seq.tail_bound(leaf(5), 6) == F(0)
     assert g_seq.uniform_bound() == F(1)
     assert g_seq.support_threshold(leaf(5)) == 5
 
 
 def test_eval_on_alternating_chain(h_seq):
     t = pt(1, 2, 3)
-    assert [seq_eval(h_seq, j, t) for j in (1, 2, 3, 4)] == [
+    assert [h_seq.eval(j, t) for j in (1, 2, 3, 4)] == [
         F(-1),
         F(0),
         F(-1),
@@ -139,6 +137,48 @@ def test_extraction_preconditions(g_seq):
     )
     with pytest.raises(PreconditionError):
         extract_subsequence(flat, ROOT, frozenset({1}), F(0), F(1, 2), 2)
+
+
+def step_seq():
+    sp = chain_space(3)
+    values = dict(zip(sp.node_ids(), (F(0), F(1), F(0), F(2))))
+    return FunctionSeq(QFunction(sp, values), MovingStep(None))
+
+
+def plan_at(seq, x1, eta):
+    node = seq.space.node_ids()[len(x1.steps)]
+    delta = max(seq.phi(y) - seq.phi(node) for y in seq.space.acc(node))
+    return extract_subsequence(seq, x1, seq.space.node_ids(), delta, eta, 1)
+
+
+@pytest.mark.parametrize("eta", [F(1, 10), F(1, 2), F(9, 10)])
+def test_first_index_is_the_least_small_tail(eta):
+    # the tail scan that n_1 used to come from: one tail sum per candidate
+    seq = step_seq()
+    points = [ROOT] + [pt(c) for c in range(1, 6)]
+    points += [pt(c, d) for c in range(1, 6) for d in range(1, 8)]
+    for x1 in points:
+        plan = plan_at(seq, x1, eta)
+        a = 1
+        while seq.tail_bound(x1, a) >= eta * plan.delta:
+            a += 1
+        assert plan.indices.value(1) == a
+
+
+def test_first_index_takes_one_pass_over_the_tail(monkeypatch):
+    seq = step_seq()
+    x1 = leaf(1000)
+    calls = []
+    real_eval = FunctionSeq.eval
+
+    def counted(self, j, x):
+        calls.append(j)
+        return real_eval(self, j, x)
+
+    monkeypatch.setattr(FunctionSeq, "eval", counted)
+    plan = plan_at(seq, x1, F(1, 2))
+    assert plan.indices.value(1) == 1001
+    assert len(calls) <= 2 * seq.support_threshold(x1)
 
 
 # --- jump chains ---
@@ -316,9 +356,9 @@ def test_eventually_limit_semantics(k2):
     pre = QFunction(k2, {0: F(0), 1: F(0), 2: F(0)})
     el = FunctionSeq(lim, EventuallyLimit((pre, pre)))
     p_iso = point_at(k2, 2)
-    assert seq_eval(el, 2, p_iso) == F(0)
-    assert seq_eval(el, 3, p_iso) == F(1)
-    assert seq_tail_bound(el, p_iso, 1) == F(2)
+    assert el.eval(2, p_iso) == F(0)
+    assert el.eval(3, p_iso) == F(1)
+    assert el.tail_bound(p_iso, 1) == F(2)
     assert el.support_threshold(p_iso) == 2
 
 
@@ -338,7 +378,7 @@ def test_eventually_limit_guards(k1, k2):
 def test_restricted_moving_steps(k2):
     lim = QFunction(k2, {0: F(1), 1: F(1), 2: F(1)})
     ms = FunctionSeq(lim, MovingStep(frozenset({1})))
-    assert seq_eval(ms, 1, point_at(k2, 2)) == F(1)
+    assert ms.eval(1, point_at(k2, 2)) == F(1)
     with pytest.raises(PreconditionError):
         FunctionSeq(
             QFunction(k2, {0: F(0), 1: F(1), 2: F(1)}),

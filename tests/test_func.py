@@ -14,13 +14,12 @@ from oscal.func import (
     is_lsc,
     is_usc,
     lsc_envelope,
-    osc,
-    underline_osc,
     usc_envelope,
     zero_function,
 )
 from oscal.rationals import GaussianRational
 from oscal.space import chain_space
+from oscal.transfinite import osc_pre_step, osc_step
 
 functions = st.sampled_from(helpers.corpus().functions)
 
@@ -45,14 +44,15 @@ def test_envelopes_on_the_copy_indicator(k1):
 
 
 def test_oscillation_canonical_values(f1, f2):
-    assert underline_osc(f1).values == {0: Fraction(1), 1: Fraction(0)}
-    assert osc(f1).values == {0: Fraction(1), 1: Fraction(0)}
-    assert underline_osc(f2).values == {
+    z1, z2 = zero_function(f1.space), zero_function(f2.space)
+    assert osc_pre_step(f1, z1).values == {0: Fraction(1), 1: Fraction(0)}
+    assert osc_step(f1, z1).values == {0: Fraction(1), 1: Fraction(0)}
+    assert osc_pre_step(f2, z2).values == {
         0: Fraction(1),
         1: Fraction(1),
         2: Fraction(0),
     }
-    assert osc(f2).values == underline_osc(f2).values
+    assert osc_step(f2, z2).values == osc_pre_step(f2, z2).values
     assert usc_envelope(f2).values == {
         0: Fraction(1),
         1: Fraction(1),
@@ -63,7 +63,7 @@ def test_oscillation_canonical_values(f1, f2):
 def test_constants_are_continuous(k3):
     c = constant_function(k3, Fraction(5, 3))
     assert is_continuous(c)
-    assert osc(c).values == zero_function(k3).values
+    assert osc_step(c, zero_function(k3)).values == zero_function(k3).values
 
 
 # -- envelope laws -------------------------------------------------------------
@@ -94,20 +94,24 @@ def test_upper_envelope_is_minimal(f, h):
 @given(functions)
 def test_oscillation_envelope_identity(f):
     uf, lf = usc_envelope(f), lsc_envelope(f)
-    assert underline_osc(f).values == fmax(uf - f, f - lf).values
+    local = osc_pre_step(f, zero_function(f.space))
+    assert local.values == fmax(uf - f, f - lf).values
 
 
 @given(functions)
 def test_oscillation_is_usc(f):
-    assert is_usc(osc(f))
-    assert leq(underline_osc(f), osc(f))
+    z = zero_function(f.space)
+    assert is_usc(osc_step(f, z))
+    assert leq(osc_pre_step(f, z), osc_step(f, z))
 
 
 @given(functions)
 def test_nonnegative_oscillation_chain(f):
     f = f.abs()
     uf, lf = usc_envelope(f), lsc_envelope(f)
-    assert max(osc(f).values.values()) <= max((uf - lf).values.values())
+    assert max(osc_step(f, zero_function(f.space)).values.values()) <= max(
+        (uf - lf).values.values()
+    )
     assert max((uf - lf).values.values()) <= max(f.values.values())
 
 
@@ -140,7 +144,7 @@ def test_irrational_modulus_is_refused(k1):
     with pytest.raises(ExactnessError):
         fc.abs()
     with pytest.raises(ExactnessError):
-        underline_osc(fc)
+        osc_pre_step(fc, zero_function(k1))
     with pytest.raises(PreconditionError):
         usc_envelope(fc)
 
@@ -150,7 +154,8 @@ def test_complex_oscillation_with_exact_gaps(k1):
         k1,
         {0: GaussianRational(Fraction(3), Fraction(4)), 1: Fraction(0)},
     )
-    assert underline_osc(fc).values == {0: Fraction(5), 1: Fraction(0)}
+    local = osc_pre_step(fc, zero_function(k1))
+    assert local.values == {0: Fraction(5), 1: Fraction(0)}
 
 
 def test_mismatched_spaces_are_rejected(f1, f2):

@@ -1,7 +1,8 @@
 """The cover-edge forms of the envelopes, the semicontinuity and continuity
 tests and the final oscillation stage against the acc-pair forms they
 replaced (``reference_func``), and the final stage against the stage
-iteration as well.
+iteration as well.  The first oscillation step from the zero weight is
+checked against the local oscillation and its upper envelope.
 
 One difference is allowed.  The pair forms take |f(y) − f(x)| for every y
 in acc(x), so a complex f whose difference across some pair that is not a
@@ -21,11 +22,11 @@ import reference_func
 from helpers import drawn_functions, iterated_final_stage
 from oscal import func
 from oscal.errors import ExactnessError, PreconditionError
-from oscal.func import QFunction, constant_function
+from oscal.func import QFunction, constant_function, zero_function
 from oscal.rationals import GaussianRational
 from oscal.sampling import build_corpus, random_space
 from oscal.space import chain_space
-from oscal.transfinite import final_stage
+from oscal.transfinite import final_stage, osc_pre_step, osc_step
 
 
 def outcome(call, f):
@@ -51,6 +52,9 @@ def check_final_stage(f):
 def check_against_reference(f):
     for name in ("usc_envelope", "lsc_envelope", "is_usc", "is_lsc", "is_continuous"):
         got = outcome(getattr(func, name), f)
+        assert got == outcome(getattr(reference_func, name), f), name
+    for step, name in ((osc_pre_step, "underline_osc"), (osc_step, "osc")):
+        got = outcome(lambda h: step(h, zero_function(h.space)), f)
         assert got == outcome(getattr(reference_func, name), f), name
     check_final_stage(f)
 

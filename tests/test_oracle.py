@@ -17,6 +17,7 @@ from oscal.sampling import build_corpus, random_space
 from oscal.simplex import solve
 from oscal.space import chain_space, unroll
 from oscal.transfinite import d_norm
+import reference_simplex
 from reference_oracle import primal_lp
 
 
@@ -122,11 +123,12 @@ def test_oracle_on_deep_chain():
 
 
 def assert_matches_primal(f):
-    """The dual's optimum is the primal's, and the (t, w) read from the
-    dual's duals satisfy every primal row."""
+    """The dual's optimum is the primal's, solved by the two-phase
+    reference kernel, and the (t, w) read from the dual's duals satisfy
+    every primal row."""
     res = oracle_dnorm(f)
     primal = primal_lp(f)
-    assert solve(primal).objective == res.optimum
+    assert reference_simplex.solve(primal).objective == res.optimum
     duals = res.lp_result.duals
     point = {"t": duals[0]}
     point.update(("w%d" % i, w) for i, w in zip(f.space.node_ids(), duals[1:]))

@@ -7,10 +7,10 @@ from oscal.simplex import LinearProgram, solve
 
 
 def test_small_maximization():
-    lp = LinearProgram(minimize=False)
+    lp = LinearProgram()
     lp.set_objective({"x": 2, "y": 3})
-    lp.add({"x": 1, "y": 1}, "<=", 4)
-    lp.add({"y": 1}, "<=", 3)
+    lp.add({"x": 1, "y": 1}, 4)
+    lp.add({"y": 1}, 3)
     res = solve(lp)
     assert res.status == "optimal"
     assert res.objective == Fraction(11)
@@ -21,81 +21,71 @@ def test_small_maximization():
 
 
 def test_exact_fractional_optimum():
-    lp = LinearProgram(minimize=False)
+    lp = LinearProgram()
     lp.set_objective({"x": 1})
-    lp.add({"x": 3}, "<=", 1)
+    lp.add({"x": 3}, 1)
     assert solve(lp).objective == Fraction(1, 3)
 
 
-def test_free_variable_with_equality():
-    lp = LinearProgram(minimize=True)
-    lp.set_objective({"x": 1, "y": 1})
+def test_free_variable_takes_negative_values():
+    lp = LinearProgram()
+    lp.set_objective({"x": -1, "y": -1})
     lp.make_free("y")
-    lp.add({"x": 1, "y": -1}, "==", 3)
+    lp.add({"y": -1}, 3)  # y >= -3
     res = solve(lp)
     assert res.status == "optimal"
-    assert res.objective == Fraction(-3)
-    assert res.values["y"] == Fraction(-3)
+    assert res.objective == Fraction(3)
+    assert res.values == {"x": Fraction(0), "y": Fraction(-3)}
+    assert res.duals == [Fraction(1)]
 
 
-def test_infeasible_and_unbounded():
-    lp = LinearProgram(minimize=False)
+def test_unbounded():
+    lp = LinearProgram()
     lp.set_objective({"x": 1})
-    lp.add({"x": 1}, "<=", -1)
-    assert solve(lp).status == "infeasible"
-
-    lp = LinearProgram(minimize=False)
-    lp.set_objective({"x": 1})
-    lp.add({"x": 1}, ">=", 1)
-    assert solve(lp).status == "unbounded"
-
-
-def test_greater_equal_needs_two_phases():
-    lp = LinearProgram(minimize=True)
-    lp.set_objective({"x": 5, "y": 4})
-    lp.add({"x": 6, "y": 4}, ">=", 24)
-    lp.add({"x": 1, "y": 2}, ">=", 6)
+    lp.add({"x": -1}, 1)
     res = solve(lp)
-    assert res.status == "optimal"
-    assert res.objective == Fraction(21)
-    assert res.values == {"x": Fraction(3), "y": Fraction(3, 2)}
+    assert res.status == "unbounded"
+    assert (res.objective, res.values, res.duals) == (None, {}, None)
 
 
 def test_degenerate_problem_terminates():
     # many redundant constraints through the same vertex
-    lp = LinearProgram(minimize=False)
+    lp = LinearProgram()
     lp.set_objective({"x": 1, "y": 1})
-    lp.add({"x": 1}, "<=", 1)
-    lp.add({"x": 1, "y": 1}, "<=", 2)
-    lp.add({"x": 2, "y": 2}, "<=", 4)
-    lp.add({"x": 1, "y": 2}, "<=", 3)
+    lp.add({"x": 1}, 1)
+    lp.add({"x": 1, "y": 1}, 2)
+    lp.add({"x": 2, "y": 2}, 4)
+    lp.add({"x": 1, "y": 2}, 3)
     res = solve(lp)
     assert res.status == "optimal"
     assert res.objective == Fraction(2)
 
 
-def test_negative_rhs_is_normalized():
-    lp = LinearProgram(minimize=True)
-    lp.set_objective({"x": 1})
-    lp.add({"x": -1}, "<=", -2)  # i.e. x >= 2
-    res = solve(lp)
-    assert res.objective == Fraction(2)
+def test_negative_rhs_is_refused():
+    lp = LinearProgram()
+    with pytest.raises(PreconditionError):
+        lp.add({"x": -1}, -2)
+    with pytest.raises(PreconditionError):
+        lp.add({"x": 1}, Fraction(-1, 3))
+    assert lp.constraints == [] and lp.variables == []
+    lp.add({"x": 1}, 0)  # zero is a right-hand side like any other
+    assert lp.constraints == [({"x": Fraction(1)}, Fraction(0))]
 
 
 def test_input_guards():
+    with pytest.raises(PreconditionError):
+        solve(LinearProgram())
     lp = LinearProgram()
-    with pytest.raises(PreconditionError):
-        solve(lp)
-    with pytest.raises(PreconditionError):
-        lp.add({"x": 1}, "=", 1)
     with pytest.raises(TypeError):
-        lp.add({"x": 0.5}, "<=", 1)
+        lp.add({"x": 0.5}, 1)
+    with pytest.raises(TypeError):
+        lp.add({"x": 1}, 0.5)
 
 
 def test_scaling_keeps_exactness():
-    lp = LinearProgram(minimize=False)
+    lp = LinearProgram()
     lp.set_objective({("x%d" % i): Fraction(1) for i in range(1, 9)})
     for i in range(1, 9):
-        lp.add({"x%d" % i: i}, "<=", 1)
+        lp.add({"x%d" % i: i}, 1)
     res = solve(lp)
     assert res.objective == sum(Fraction(1, i) for i in range(1, 9))

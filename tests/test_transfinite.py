@@ -14,7 +14,6 @@ from oscal.func import (
     constant_function,
     is_usc,
     lsc_envelope,
-    osc,
     usc_envelope,
     zero_function,
 )
@@ -56,7 +55,7 @@ def test_osc_step_canonical(k1, k2, f1, f2):
 @given(functions)
 def test_osc_step_of_a_constant_returns_the_weight(f):
     c = constant_function(f.space, Fraction(3, 7))
-    w = osc(f.abs())  # an arbitrary USC weight
+    w = osc_step(f.abs(), zero_function(f.space))  # an arbitrary USC weight
     assert osc_step(c, w).values == w.values
 
 
@@ -208,7 +207,7 @@ def test_fixpoints_persist(f):
 def test_semicontinuous_functions_oscillate_in_one_step(f):
     for h in (usc_envelope(f), lsc_envelope(f)):
         tr = iterate(h, "osc", cap=6)
-        target = osc(h)
+        target = osc_step(h, zero_function(h.space))
         for n in range(1, 6):
             assert tr.stage(n).values == target.values
 
@@ -220,7 +219,7 @@ def test_difference_oscillation_bound(pair):
     a, b = pair
     u = lsc_envelope(a.abs())
     v = lsc_envelope(b.abs())
-    bound = osc(u + v)
+    bound = osc_step(u + v, zero_function(u.space))
     tr = iterate(u - v, "osc", cap=5)
     for stage in tr.stages:
         assert leq(stage, bound)
