@@ -322,13 +322,6 @@ class FunctionSeq:
                 out.append((j, d))
         return out
 
-    def tail_bound(self, x: PointRef, m: int) -> Fraction:
-        """Rational B >= sum_{j>=m} |f_j(x) - f(x)|; exact when every
-        difference has rational modulus (always, for real sequences)."""
-        return sum(
-            (_abs_upper(d) for _, d in self.tail_terms(x, m)), Fraction(0)
-        )
-
     def uniform_bound(self) -> Fraction:
         """Rational bound on |f_j| over all j and all points."""
         vals = list(self.limit.values.values())

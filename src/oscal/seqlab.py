@@ -16,7 +16,8 @@ Matrix Analysis, 5.6).  A basis of a proper subspace takes the max of
 one span-functional LP per dual vertex of the ambient ball.  The choice
 follows the basis shape alone; tests pad square bases with a zero
 coordinate to cross-check the two paths.  All the linear algebra is one
-exact row reduction.
+exact row reduction; a square basis reduces against B^T once, for B^-T,
+and its functional and operator norms multiply by that.
 
 The identity/bound checks at the bottom are finite-stage statements: they
 certify the matrix algebra and the numeric bounds at dimension n, nothing
@@ -28,6 +29,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -214,6 +216,13 @@ class PolyBasis:
     def size(self) -> int:
         return len(self.vectors)
 
+    @cached_property
+    def transpose_inverse(self) -> Matrix:
+        """B^-T as rows, for a square basis (columns of B are the b_j): the
+        unique X with B^T X = I, solved once per basis."""
+        n = self.size
+        return _solve(self.vectors, [_unit(n, j) for j in range(1, n + 1)])
+
     def combine(self, coeffs: Sequence) -> Vector:
         """The ambient vector sum_j c_j b_j."""
         cs = _vec(coeffs)
@@ -285,9 +294,9 @@ def functional_norm(f: SpanFunctional) -> Fraction:
     basis = f.basis
     n = basis.size
     if n == basis.space.dim:
-        # rows of B^T are the b_j themselves: (B^T psi)_j = b_j . psi
-        psi = _solve(basis.vectors, [(g,) for g in f.gamma])
-        return basis.space.dual_norm([row[0] for row in psi])
+        # psi = B^-T gamma solves (B^T psi)_j = b_j . psi = gamma_j
+        psi = [_dot(row, f.gamma) for row in basis.transpose_inverse]
+        return basis.space.dual_norm(psi)
     lp = LinearProgram()
     cvars = ["c%d" % j for j in range(1, n + 1)]
     lp.make_free(*cvars)
@@ -332,7 +341,7 @@ def _operator_norm(basis: PolyBasis, coord_matrix: Matrix) -> Fraction:
     space = basis.space
     if basis.size == space.dim:
         # B^T A^T = (B M)^T, whose rows are the images T b_j
-        columns = _solve(basis.vectors, images)
+        columns = _mat_mul(basis.transpose_inverse, images)
         if space.kind is NormKind.L1:
             return max(space.norm(col) for col in columns)
         rows = list(zip(*columns))
@@ -407,14 +416,15 @@ class IdentityReport:
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(
-            sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+    """a b, row by row; zero entries of either factor add nothing."""
+    out = []
+    for row in a:
+        acc = [Fraction(0)] * len(b[0])
+        for x, b_row in zip(row, b):
+            if x:
+                acc = [s + x * y if y else s for s, y in zip(acc, b_row)]
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def _outer(col: Vector, row: Vector) -> Matrix:

@@ -15,7 +15,9 @@ as it is and replaces every other row i holding column c by
 touch only nonzeros and do only ``int`` work.  The cost row is an integer
 row over its own positive denominator.  Rationals appear only where the
 program is scaled to integers (row by row, by the lcm of its denominators)
-and where values, objective and duals are read out.
+and where values, objective and duals are read out; ``int`` coefficients
+stay ``int`` from the program to the tableau, and a row of them needs no
+scaling.
 
 Bland's anti-cycling rule throughout: the entering column is the
 lowest-index one with negative reduced cost and ties in the ratio test are
@@ -41,6 +43,11 @@ from .errors import PreconditionError
 from .rationals import rat
 
 
+def _exact(c):
+    """An ``int`` as it is (bools excluded), anything else through ``rat``."""
+    return c if type(c) is int else rat(c)
+
+
 @dataclass
 class LinearProgram:
     """maximize c·x subject to rows Σ a·x ≤ b with b ≥ 0; variables are
@@ -61,18 +68,18 @@ class LinearProgram:
         self._free.update(names)
 
     def set_objective(self, coeffs: dict) -> None:
-        coeffs = {n: rat(c) for n, c in coeffs.items()}
+        coeffs = {n: _exact(c) for n, c in coeffs.items()}
         self._register(coeffs)
         self._objective = coeffs
 
     def add(self, coeffs: dict, rhs) -> None:
         """Add the row Σ coeffs·x ≤ rhs, with rhs ≥ 0."""
-        rhs = rat(rhs)
+        rhs = _exact(rhs)
         if rhs < 0:
             raise PreconditionError(
                 "right-hand side %s is negative; rows need rhs >= 0" % rhs
             )
-        coeffs = {n: rat(c) for n, c in coeffs.items()}
+        coeffs = {n: _exact(c) for n, c in coeffs.items()}
         self._register(coeffs)
         self._rows.append((coeffs, rhs))
 
@@ -101,11 +108,16 @@ _DEN = -1
 
 
 def _integer_row(coeffs: dict) -> dict:
-    """Scale a key -> Fraction map to integers by the lcm of its denominators.
+    """Scale a key -> int or Fraction map to integers by the lcm of its
+    denominators; a map of ``int``s is returned as it is.
 
-    The result is already primitive: for each prime power dividing the lcm,
-    some entry's denominator holds all of it and its numerator is prime to it.
+    Every row ``solve`` scales holds a 1 (its slack, or the cost row's
+    denominator), so the result is primitive: for each prime power dividing
+    the lcm, some entry's denominator holds all of it and its numerator is
+    prime to it, and no other prime divides the scaled 1.
     """
+    if all(type(v) is int for v in coeffs.values()):
+        return coeffs
     scale = math.lcm(*(v.denominator for v in coeffs.values()))
     return {
         j: v.numerator * (scale // v.denominator) for j, v in coeffs.items()
@@ -198,12 +210,12 @@ def solve(lp: LinearProgram) -> LPResult:
                     vec[neg_col_of[n]] = -c
         if rhs:
             vec[_RHS] = rhs
-        vec[ncols + i] = Fraction(1)
+        vec[ncols + i] = 1
         rows.append(_integer_row(vec))
     basis = [ncols + i for i in range(len(rows))]
 
     # the cost row of −c·x; the slack basis has zero cost, so it is reduced
-    goal = {_DEN: Fraction(1)}
+    goal = {_DEN: 1}
     for n, c in lp._objective.items():
         if c:
             goal[col_of[n]] = -c

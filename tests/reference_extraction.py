@@ -9,6 +9,10 @@ Both search their copy indices with ``_scan_copies``, the copy-window
 scan the package used before it realized every point at a closed-form
 copy; ``scan_witness`` is the search that the closed form of
 ``ExtractionPlan.witness`` replaced.
+
+``tail_bound`` is the tail sum ``FunctionSeq`` used to offer, summed term
+by term from ``eval``: the tests check ``tail_terms`` against it and use it
+for the n_1 scan that ``extract_subsequence`` replaced with one suffix sum.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from oscal.extraction import (
     FunctionSeq,
     WitnessBundle,
     _abs_sum,
+    _abs_upper,
     _jump_target,
     check_jump_chain,
     check_jump_witness,
@@ -44,6 +49,20 @@ from oscal.transfinite import iterate, level_set_witness, v_pre_step
 # into the witness tail, so a scan that gets past it has seen every copy
 # that could pass; the tests assert that theirs do.
 WITNESS_SCAN_COPIES = range(1, 17)
+
+
+def tail_bound(seq: FunctionSeq, x: PointRef, m: int) -> Fraction:
+    """Rational B >= sum_{j>=m} |f_j(x) - f(x)|; exact when every
+    difference has rational modulus (always, for real sequences).  Terms
+    past the support threshold of x vanish."""
+    base = seq.limit.at_point(x)
+    return sum(
+        (
+            _abs_upper(seq.eval(j, x) - base)
+            for j in range(m, seq.support_threshold(x) + 1)
+        ),
+        Fraction(0),
+    )
 
 
 def _scan_copies(

@@ -27,6 +27,7 @@ from oscal.func import QFunction, is_continuous
 from oscal.rationals import Verdict
 from oscal.sampling import build_corpus
 from oscal.space import PointRef, RecurringStep, chain_space, point_at
+from reference_extraction import tail_bound
 
 IDENT = IndexSeq.identity()
 ROOT = PointRef(())
@@ -50,10 +51,20 @@ def test_eval_against_copy_age(g_seq):
 
 
 def test_tail_bounds(g_seq):
-    assert g_seq.tail_bound(leaf(5), 2) == F(4)
-    assert g_seq.tail_bound(leaf(5), 6) == F(0)
+    assert tail_bound(g_seq, leaf(5), 2) == F(4)
+    assert tail_bound(g_seq, leaf(5), 6) == F(0)
     assert g_seq.uniform_bound() == F(1)
     assert g_seq.support_threshold(leaf(5)) == 5
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_tail_terms_sum_to_the_term_by_term_bound(g_seq, h_seq, m):
+    points = [ROOT] + [leaf(c) for c in range(1, 8)]
+    cases = [(g_seq, x) for x in points] + [(h_seq, pt(1, 2, 3))]
+    for seq, x in cases:
+        terms = seq.tail_terms(x, m)
+        assert all(j >= m and d != 0 for j, d in terms)
+        assert sum(abs(d) for _, d in terms) == tail_bound(seq, x, m)
 
 
 def test_eval_on_alternating_chain(h_seq):
@@ -160,7 +171,7 @@ def test_first_index_is_the_least_small_tail(eta):
     for x1 in points:
         plan = plan_at(seq, x1, eta)
         a = 1
-        while seq.tail_bound(x1, a) >= eta * plan.delta:
+        while tail_bound(seq, x1, a) >= eta * plan.delta:
             a += 1
         assert plan.indices.value(1) == a
 
@@ -358,7 +369,7 @@ def test_eventually_limit_semantics(k2):
     p_iso = point_at(k2, 2)
     assert el.eval(2, p_iso) == F(0)
     assert el.eval(3, p_iso) == F(1)
-    assert el.tail_bound(p_iso, 1) == F(2)
+    assert tail_bound(el, p_iso, 1) == F(2)
     assert el.support_threshold(p_iso) == 2
 
 

@@ -17,6 +17,7 @@ from oscal.sampling import build_corpus, random_space
 from oscal.simplex import solve
 from oscal.space import chain_space, unroll
 from oscal.transfinite import d_norm
+import reference_oracle
 import reference_simplex
 from reference_oracle import primal_lp
 
@@ -222,3 +223,111 @@ def test_suboptimal_multipliers_fail_reverification(f2, monkeypatch):
     with pytest.raises(InternalCheckError) as err:
         oracle_dnorm(f2)
     assert str(err.value).endswith("re-verification: duality gap")
+
+
+# -- the oracle before it shared its cover edges, as a differential oracle -------
+
+
+def assert_matches_reference(f):
+    """Same program and same results, field by field, as the oracle that
+    computed its cover edges twice and checked through QFunction algebra."""
+    lp, ref_lp = oracle_lp(f), reference_oracle.oracle_lp(f)
+    assert lp.variables == ref_lp.variables
+    assert lp.constraints == ref_lp.constraints
+    assert lp._objective == ref_lp._objective
+    res, ref = oracle_dnorm(f), reference_oracle.oracle_dnorm(f)
+    assert res.optimum == ref.optimum
+    assert res.u.values == ref.u.values
+    assert res.v.values == ref.v.values
+    assert res.lp_result.values == ref.lp_result.values
+    assert res.lp_result.duals == ref.lp_result.duals
+    assert res.lp_result.pivots == ref.lp_result.pivots
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_oracle_matches_reference_on_corpus(seed):
+    for f in build_corpus(seed).functions:
+        if f.is_complex():
+            continue
+        for k in range(4):
+            lifted = f
+            if k:
+                space, node_map = unroll(f.space, k)
+                lifted = lift_function(f, space, node_map)
+            assert_matches_reference(lifted)
+
+
+@settings(max_examples=60)
+@given(f=drawn_functions())
+def test_oracle_matches_reference_on_drawn_functions(f):
+    assert_matches_reference(f)
+
+
+# -- symmetry_check solves each function's quotient program once -----------------
+
+
+def count_solves(monkeypatch):
+    calls = []
+    real_solve = oscal.oracle.solve
+
+    def counted(lp):
+        calls.append(lp)
+        return real_solve(lp)
+
+    monkeypatch.setattr(oscal.oracle, "solve", counted)
+    return calls
+
+
+def fresh(f):
+    """A new function object with f's values."""
+    return QFunction(f.space, dict(f.values))
+
+
+def test_symmetry_solves_the_quotient_once_per_function(f2, monkeypatch):
+    f = fresh(f2)
+    calls = count_solves(monkeypatch)
+    for k in (1, 2, 3):
+        assert symmetry_check(f, k).agree
+    assert len(calls) == 4  # one quotient, three unrolled programs
+
+
+def test_symmetry_alternating_functions_report_their_own_optimum(f2):
+    f, g = fresh(f2), f2.scale(3)
+    for h in (f, g, f, g, f):
+        for k in (1, 2):
+            rep = symmetry_check(h, k)
+            assert rep.quotient_optimum == oracle_dnorm(h).optimum
+            assert rep.agree
+    assert oracle_dnorm(f).optimum == 2 and oracle_dnorm(g).optimum == 6
+
+
+def test_symmetry_solves_a_new_function_with_equal_values(f2, monkeypatch):
+    f = fresh(f2)
+    symmetry_check(f, 1)
+    calls = count_solves(monkeypatch)
+    symmetry_check(fresh(f), 1)
+    assert len(calls) == 2
+
+
+def test_symmetry_sees_values_changed_in_place(f2):
+    f = fresh(f2)
+    assert symmetry_check(f, 1).quotient_optimum == 2
+    for i in f.values:
+        f.values[i] *= 5
+    assert symmetry_check(f, 2).quotient_optimum == 10
+
+
+def test_patched_solve_still_fails_inside_symmetry_check(f2, monkeypatch):
+    real_solve = oscal.oracle.solve
+
+    def zero_multipliers(lp):
+        res = real_solve(lp)
+        return dataclasses.replace(res, values=dict.fromkeys(res.values, F(0)))
+
+    f = fresh(f2)
+    symmetry_check(f, 1)  # the quotient is kept; the unrolled program is not
+    monkeypatch.setattr(oscal.oracle, "solve", zero_multipliers)
+    for g in (f, fresh(f2)):
+        with pytest.raises(InternalCheckError) as err:
+            symmetry_check(g, 2)
+        assert str(err.value).endswith("re-verification: duality gap")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oscal.seqlab
 from oscal.errors import PreconditionError
 from oscal.sampling import random_basis, random_blocking
 from oscal.seqlab import (
@@ -317,3 +318,30 @@ def test_square_closed_form_matches_dual_vertex_path(kind, seed):
     for field in dataclasses.fields(IdentityReport):
         name = field.name
         assert getattr(square, name) == getattr(lp, name), name
+
+
+@settings(max_examples=30)
+@given(kind=kinds, seed=st.integers(0, 10 ** 6))
+def test_transpose_inverse_inverts_the_basis(kind, seed):
+    basis = random_basis(random.Random(seed), kind)  # always square
+    n = basis.size
+    inv = basis.transpose_inverse
+    # rows of B^T are the b_j: (B^T X)_ji = b_j . X[:, i]
+    for j, b in enumerate(basis.vectors):
+        for i in range(n):
+            assert sum(b[k] * inv[k][i] for k in range(n)) == (i == j)
+
+
+def test_square_report_solves_against_the_basis_once(monkeypatch):
+    calls = []
+    real_solve = oscal.seqlab._solve
+
+    def counted(a, rhs):
+        calls.append(len(rhs))
+        return real_solve(a, rhs)
+
+    monkeypatch.setattr(oscal.seqlab, "_solve", counted)
+    basis = partial_sums(PolySpace(5, NormKind.SE))
+    assert check_identities(basis).all_pass
+    # W, W^-1, and B^-T once for every projection, block and functional norm
+    assert len(calls) == 3

@@ -89,3 +89,39 @@ def test_scaling_keeps_exactness():
         lp.add({"x%d" % i: i}, 1)
     res = solve(lp)
     assert res.objective == sum(Fraction(1, i) for i in range(1, 9))
+
+
+def test_integer_coefficients_stay_integers():
+    lp = LinearProgram()
+    lp.set_objective({"x": 2, "y": Fraction(1, 2)})
+    lp.add({"x": 1, "y": 3}, 4)
+    ((coeffs, rhs),) = lp.constraints
+    assert type(rhs) is int
+    assert all(type(c) is int for c in coeffs.values())
+    assert type(lp._objective["x"]) is int
+    assert type(lp._objective["y"]) is Fraction
+    with pytest.raises(TypeError):
+        lp.add({"x": True}, 1)
+    with pytest.raises(TypeError):
+        lp.add({"x": 1}, False)
+    with pytest.raises(TypeError):
+        lp.set_objective({"x": 1.0})
+
+
+def test_integer_and_fraction_input_solve_alike():
+    def program(num):
+        lp = LinearProgram()
+        lp.make_free("z")
+        lp.set_objective({"x": num(3), "y": num(2), "z": num(-1)})
+        lp.add({"x": num(1), "y": num(1)}, num(4))
+        lp.add({"x": num(1), "y": num(3)}, num(6))
+        lp.add({"x": num(2), "z": num(-1)}, num(5))
+        lp.add({"z": num(1)}, num(0))
+        return lp
+
+    res = solve(program(int))
+    assert res.status == "optimal"
+    assert res == solve(program(Fraction))
+    assert all(type(v) is Fraction for v in res.values.values())
+    assert all(type(d) is Fraction for d in res.duals)
+    assert type(res.objective) is Fraction
