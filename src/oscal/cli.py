@@ -2,13 +2,18 @@
 
 Reads documents, runs one computation or verification, writes a JSON
 result (documents for document-valued outputs, small result objects
-otherwise) to standard output.  Exit code 0 means success or a verified
-true; 1 means a verified false, an undecided comparison, the stage cap
-of ``fn osc`` or ``fn index`` (the only commands with one), or an
-extraction whose preconditions fail on valid input; 2
-means the input itself was unusable (malformed document, wrong kind,
-invalid arguments); 3 means an internal self-check failed or an
-exception no handler expects escaped (its traceback goes to standard
+otherwise) to standard output.  ``--quiet`` prints only the bare verdict
+("true", "false", "undecided"), the bare value, or ``ok`` for a valid
+space, and nothing for a computed document; ``-o`` files are written
+either way.  Integer options take ASCII digits only
+(``rationals.parse_int``).
+
+Exit code 0 means success or a verified true; 1 means a verified false,
+an undecided comparison, the stage cap of ``fn osc`` or ``fn index`` (the
+only commands with one), or an extraction whose preconditions fail on
+valid input; 2 means the input itself was unusable (malformed document,
+wrong kind, invalid arguments); 3 means an internal self-check failed or
+an exception no handler expects escaped (its traceback goes to standard
 error), a bug rather than an answer; input that does not parse is
 reported where it is read, so a stray ``ValueError`` is such a bug too.
 ``extract run --alpha`` takes any stage from 1; above the index it exits 1.
@@ -36,30 +41,31 @@ from .errors import (
     ResourceCapError,
     SpaceError,
 )
-from .rationals import Verdict, format_rational, parse_rational
-
-_VERDICT_TEXT = {
-    Verdict.TRUE: "true",
-    Verdict.FALSE: "false",
-    Verdict.UNDECIDED: "undecided",
-}
+from .rationals import Verdict, format_rational, parse_int, parse_rational
 
 
 def _diag(message: str) -> None:
     print("oscal: %s" % message, file=sys.stderr)
 
 
-def _emit(args, obj) -> None:
-    if getattr(args, "quiet", False):
-        return
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
-
-
-def _emit_verdict(args, obj, verdict: str) -> None:
-    if getattr(args, "quiet", False):
-        sys.stdout.write(verdict + "\n")
+def _emit(args, obj, quiet_text: str) -> None:
+    """Print ``quiet_text`` under --quiet, else ``obj`` as indented JSON."""
+    if args.quiet:
+        sys.stdout.write(quiet_text + "\n")
     else:
         sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+
+
+def _emit_text(args, text: str, out: str | None = None) -> None:
+    """Write ``text`` to the file ``out`` when given; echo it unless --quiet."""
+    if out is not None:
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise DocumentError("cannot write %s: %s" % (out, exc.strerror)) from None
+    if not args.quiet:
+        sys.stdout.write(text)
 
 
 def _read_text(path: str) -> str:
@@ -92,49 +98,40 @@ def _load_function(path: str):
     return doc
 
 
-def _digits(text: str) -> int | None:
-    """int(text) for ASCII digits that int() converts, else None."""
-    try:
-        return int(text) if text.isascii() and text.isdigit() else None
-    except ValueError:  # past int's digit limit
-        return None
-
-
 def _positive_int(text: str) -> int:
-    if not _digits(text):
+    value = parse_int(text)
+    if not value:
         raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
-    return int(text)
+    return value
 
 
 def _nonnegative_int(text: str) -> int:
-    if _digits(text) is None:
+    value = parse_int(text)
+    if value is None:
         raise argparse.ArgumentTypeError("expected a nonnegative integer, got %r" % text)
-    return int(text)
+    return value
+
+
+def _integer(text: str) -> int:
+    value = parse_int(text, signs="-")
+    if value is None:
+        raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
+    return value
 
 
 def _cap(args) -> int:
     from .transfinite import DEFAULT_CAP
-    value = getattr(args, "cap", None)
-    if value is not None:
-        if value < 1:
-            raise PreconditionError("cap must be a positive integer")
-        return value
+    if args.cap is not None:
+        return args.cap
     env = os.environ.get("OSCAL_CAP")
-    if env is not None:
-        if not _digits(env):
-            raise PreconditionError(
-                "OSCAL_CAP must be a positive integer, got %r" % env
-            )
-        return int(env)
-    return DEFAULT_CAP
-
-
-def _write_out(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise DocumentError("cannot write %s: %s" % (path, exc.strerror)) from None
+    if env is None:
+        return DEFAULT_CAP
+    value = parse_int(env)
+    if not value:
+        raise PreconditionError(
+            "OSCAL_CAP must be a positive integer, got %r" % env
+        )
+    return value
 
 
 # -- commands ------------------------------------------------------------------
@@ -147,10 +144,7 @@ def cmd_space_validate(args) -> int:
         for line in violations:
             _diag(line)
         return 2
-    if args.quiet:
-        sys.stdout.write("ok\n")
-    else:
-        sys.stdout.write(documents.dumps(doc))
+    _emit(args, documents.document_obj(doc), "ok")
     return 0
 
 
@@ -158,8 +152,7 @@ def cmd_fn_envelope(args) -> int:
     from .func import lsc_envelope, usc_envelope
     f = _load_function(args.file)
     out = usc_envelope(f) if args.kind == "upper" else lsc_envelope(f)
-    if not args.quiet:
-        sys.stdout.write(documents.dumps(out))
+    _emit_text(args, documents.dumps(out))
     return 0
 
 
@@ -184,8 +177,7 @@ def cmd_fn_osc(args) -> int:
             _diag("chain did not stabilize within cap %d" % trace.cap)
             return 1
         out = trace.stages[trace.stabilized_at]
-    if not args.quiet:
-        sys.stdout.write(documents.dumps(out))
+    _emit_text(args, documents.dumps(out))
     return 0
 
 
@@ -196,10 +188,7 @@ def cmd_fn_index(args) -> int:
     if isinstance(res, CapExceeded):
         _diag("chain did not stabilize within cap %d" % res.cap)
         return 1
-    if args.quiet:
-        sys.stdout.write("%d\n" % res)
-    else:
-        _emit(args, {"i_D": str(res)})
+    _emit(args, {"i_D": str(res)}, str(res))
     return 0
 
 
@@ -213,10 +202,8 @@ def cmd_fn_dnorm(args) -> int:
         f = lift_function(f, unrolled, node_map)
     formula = d_norm(f)
     if not args.oracle:
-        if args.quiet:
-            sys.stdout.write(format_rational(formula) + "\n")
-        else:
-            _emit(args, {"d_norm": format_rational(formula)})
+        text = format_rational(formula)
+        _emit(args, {"d_norm": text}, text)
         return 0
     from .oracle import oracle_dnorm
     res = oracle_dnorm(f)
@@ -226,7 +213,7 @@ def cmd_fn_dnorm(args) -> int:
         "oracle": format_rational(res.optimum),
         "agree": agree,
     }
-    _emit_verdict(args, obj, "true" if agree else "false")
+    _emit(args, obj, "true" if agree else "false")
     return 0 if agree else 1
 
 
@@ -238,10 +225,7 @@ def cmd_fn_decompose(args) -> int:
         "u": documents.document_obj(dec.u),
         "v": documents.document_obj(dec.v),
     }
-    text = json.dumps(obj, indent=2) + "\n"
-    _write_out(args.out, text)
-    if not args.quiet:
-        sys.stdout.write(text)
+    _emit_text(args, json.dumps(obj, indent=2) + "\n", args.out)
     return 0
 
 
@@ -260,47 +244,30 @@ def cmd_seq_identities(args) -> int:
         "sup_basis_norm": format_rational(rep.sup_basis_norm),
         "all_pass": rep.all_pass,
     }
-    _emit_verdict(args, obj, "true" if rep.all_pass else "false")
+    _emit(args, obj, "true" if rep.all_pass else "false")
     return 0 if rep.all_pass else 1
 
 
-def cmd_seq_basis_constant(args) -> int:
-    from .seqlab import basis_constant
+def cmd_seq_value(args) -> int:
+    """seq basis-constant, wuc and duc: one number of a basis, printed
+    under its ``args.measure`` key."""
+    from . import seqlab
     basis = _load(args.file, "basis")
-    value = basis_constant(basis)
-    if args.quiet:
-        sys.stdout.write(format_rational(value) + "\n")
+    if args.measure == "basis_constant":
+        value = seqlab.basis_constant(basis)
+    elif args.measure == "wuc":
+        value = seqlab.wuc_norm(basis.space, basis.vectors)
     else:
-        _emit(args, {"basis_constant": format_rational(value)})
-    return 0
-
-
-def cmd_seq_wuc(args) -> int:
-    from .seqlab import wuc_norm
-    basis = _load(args.file, "basis")
-    value = wuc_norm(basis.space, basis.vectors)
-    if args.quiet:
-        sys.stdout.write(format_rational(value) + "\n")
-    else:
-        _emit(args, {"wuc": format_rational(value)})
-    return 0
-
-
-def cmd_seq_duc(args) -> int:
-    from .seqlab import duc_norm
-    basis = _load(args.file, "basis")
-    value = duc_norm(basis.space, basis.vectors)
-    if args.quiet:
-        sys.stdout.write(format_rational(value) + "\n")
-    else:
-        _emit(args, {"duc": format_rational(value)})
+        value = seqlab.duc_norm(basis.space, basis.vectors)
+    text = format_rational(value)
+    _emit(args, {args.measure: text}, text)
     return 0
 
 
 def _parse_zeros(text: str) -> frozenset[int]:
     if not text:
         return frozenset()
-    positions = [_digits(part.strip()) for part in text.split(",")]
+    positions = [parse_int(part.strip()) for part in text.split(",")]
     if None in positions:
         raise PreconditionError(
             "--zeros expects comma-separated positions, got %r" % text
@@ -312,16 +279,8 @@ def cmd_seq_eps_cc(args) -> int:
     from .seqlab import eps_cc_value
     basis = _load(args.file, "basis")
     value = eps_cc_value(basis, _parse_zeros(args.zeros), args.j0)
-    if args.quiet:
-        sys.stdout.write(format_rational(value) + "\n")
-    else:
-        _emit(
-            args,
-            {
-                "eps_cc": format_rational(value),
-                "label": "stage-%d bound" % basis.size,
-            },
-        )
+    text = format_rational(value)
+    _emit(args, {"eps_cc": text, "label": "stage-%d bound" % basis.size}, text)
     return 0
 
 
@@ -337,10 +296,7 @@ def cmd_extract_run(args) -> int:
     except PreconditionError as exc:
         _diag(str(exc))
         return 1
-    text = documents.dumps(bundle)
-    _write_out(args.out, text)
-    if not args.quiet:
-        sys.stdout.write(text)
+    _emit_text(args, documents.dumps(bundle), args.out)
     return 0
 
 
@@ -352,10 +308,8 @@ def cmd_extract_check(args) -> int:
         rep = check_jump_chain(seq, witness)
         verdict = rep.verdict
         obj = {
-            "conditions": {
-                name: _VERDICT_TEXT[v] for name, v in rep.conditions.items()
-            },
-            "verdict": _VERDICT_TEXT[verdict],
+            "conditions": {name: v.value for name, v in rep.conditions.items()},
+            "verdict": verdict.value,
         }
     else:
         verdict = check_difference_witness(
@@ -367,8 +321,8 @@ def cmd_extract_check(args) -> int:
             witness.lam,
             witness.eta,
         )
-        obj = {"verdict": _VERDICT_TEXT[verdict]}
-    _emit_verdict(args, obj, _VERDICT_TEXT[verdict])
+        obj = {"verdict": verdict.value}
+    _emit(args, obj, verdict.value)
     return 0 if verdict is Verdict.TRUE else 1
 
 
@@ -386,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     capper = argparse.ArgumentParser(add_help=False)
     capper.add_argument(
-        "--cap", type=int, default=None,
+        "--cap", type=_positive_int, default=None,
         help="stage cap of fn osc and fn index (default OSCAL_CAP or 64)",
     )
     sub = parser.add_subparsers(dest="command")
@@ -420,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = fn_sub.add_parser("dnorm", parents=[common])
     p.add_argument("file")
     p.add_argument("--oracle", action="store_true")
-    p.add_argument("--unroll", type=int, default=None)
+    p.add_argument("--unroll", type=_nonnegative_int, default=None)
     p.set_defaults(handler=cmd_fn_dnorm)
 
     p = fn_sub.add_parser("decompose", parents=[common])
@@ -435,22 +389,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(handler=cmd_seq_identities)
 
-    p = seq_sub.add_parser("basis-constant", parents=[common])
-    p.add_argument("file")
-    p.set_defaults(handler=cmd_seq_basis_constant)
-
-    p = seq_sub.add_parser("wuc", parents=[common])
-    p.add_argument("file")
-    p.set_defaults(handler=cmd_seq_wuc)
-
-    p = seq_sub.add_parser("duc", parents=[common])
-    p.add_argument("file")
-    p.set_defaults(handler=cmd_seq_duc)
+    for name in ("basis-constant", "wuc", "duc"):
+        p = seq_sub.add_parser(name, parents=[common])
+        p.add_argument("file")
+        p.set_defaults(handler=cmd_seq_value, measure=name.replace("-", "_"))
 
     p = seq_sub.add_parser("eps-cc", parents=[common])
     p.add_argument("file")
     p.add_argument("--zeros", required=True)
-    p.add_argument("--j0", type=int, required=True)
+    p.add_argument("--j0", type=_positive_int, required=True)
     p.set_defaults(handler=cmd_seq_eps_cc)
 
     p_extract = sub.add_parser("extract", help="subsequence extraction")
@@ -459,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = extract_sub.add_parser("run", parents=[common])
     p.add_argument("file")
     p.add_argument("--alpha", type=_positive_int, required=True)
-    p.add_argument("--x", type=int, required=True)
+    p.add_argument("--x", type=_integer, required=True)
     p.add_argument("--eta", required=True)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(handler=cmd_extract_run)
@@ -481,10 +428,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return handler(args)
-    except DocumentError as exc:
-        _diag(str(exc))
-        return 2
-    except (PreconditionError, SpaceError, MismatchError, ExactnessError) as exc:
+    except (
+        DocumentError, PreconditionError, SpaceError, MismatchError, ExactnessError
+    ) as exc:
         _diag(str(exc))
         return 2
     except ResourceCapError as exc:

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Any, Union
 
 from .errors import DocumentError, InternalCheckError, OscalError
 from .func import QFunction, Scalar
-from .rationals import GaussianRational, format_rational, parse_rational
+from .rationals import GaussianRational, format_rational, parse_int, parse_rational
 from .space import (
     PointRef,
     PrefixStep,
@@ -36,9 +36,6 @@ if TYPE_CHECKING:
     Document = Union[
         TreeSpace, QFunction, CIFunction, FunctionSeq, PolyBasis, WitnessBundle
     ]
-
-KINDS = ("space", "qfunction", "cifunction", "sequence", "basis", "witness")
-
 
 def _fail(path: str, message: str) -> DocumentError:
     return DocumentError("%s: %s" % (path, message) if path else message)
@@ -57,13 +54,10 @@ def _input_errors(path: str):
 
 
 def _node_key(key: str, path: str, what: str = "node key") -> int:
-    digits = key[1:] if key.startswith("-") else key
-    try:
-        if digits.isascii() and digits.isdigit():
-            return int(key)
-    except ValueError:  # past int's digit limit
-        pass
-    raise _fail(path, "non-numeric %s %r" % (what, key))
+    value = parse_int(key, signs="-")
+    if value is None:
+        raise _fail(path, "non-numeric %s %r" % (what, key))
+    return value
 
 
 def _sub(path: str, name: str) -> str:
@@ -92,6 +86,12 @@ def _expect_list(obj: Any, path: str) -> list:
     if not isinstance(obj, list):
         raise _fail(path, "expected an array")
     return obj
+
+
+def _list_of(obj: Any, path: str, item) -> tuple:
+    """The array at ``path``, entry j read by ``item(entry, "path[j]")``."""
+    entries = _expect_list(obj, path)
+    return tuple(item(e, "%s[%d]" % (path, j)) for j, e in enumerate(entries))
 
 
 def _expect_str(obj: Any, path: str) -> str:
@@ -152,24 +152,18 @@ def space_to_obj(space: TreeSpace) -> dict:
     return {"nodes": nodes, "root": space.root}
 
 
+def _node_from_obj(obj: Any, path: str) -> SpaceNode:
+    _expect_object(obj, path, ("id", "prefix", "recurring"))
+    return SpaceNode(
+        _expect_int(obj["id"], path + ".id"),
+        _list_of(obj["prefix"], path + ".prefix", _expect_int),
+        _list_of(obj["recurring"], path + ".recurring", _expect_int),
+    )
+
+
 def space_from_obj(obj: Any, path: str) -> TreeSpace:
     _expect_object(obj, path, ("nodes", "root"))
-    nodes = []
-    for idx, entry in enumerate(_expect_list(obj["nodes"], _sub(path, "nodes"))):
-        epath = "%s[%d]" % (_sub(path, "nodes"), idx)
-        _expect_object(entry, epath, ("id", "prefix", "recurring"))
-        ident = _expect_int(entry["id"], epath + ".id")
-        prefix = tuple(
-            _expect_int(c, "%s.prefix[%d]" % (epath, j))
-            for j, c in enumerate(_expect_list(entry["prefix"], epath + ".prefix"))
-        )
-        recurring = tuple(
-            _expect_int(c, "%s.recurring[%d]" % (epath, j))
-            for j, c in enumerate(
-                _expect_list(entry["recurring"], epath + ".recurring")
-            )
-        )
-        nodes.append(SpaceNode(ident, prefix, recurring))
+    nodes = _list_of(obj["nodes"], _sub(path, "nodes"), _node_from_obj)
     root = _expect_int(obj["root"], _sub(path, "root"))
     with _input_errors(path):
         return TreeSpace(nodes, root)
@@ -206,26 +200,21 @@ def point_to_json(point: PointRef) -> list:
     return out
 
 
+def _step_from_json(obj: Any, path: str) -> PrefixStep | RecurringStep:
+    raw = _expect_list(obj, path)
+    if not raw or raw[0] not in ("p", "r"):
+        raise _fail(path, 'step must start with "p" or "r"')
+    if raw[0] == "p":
+        if len(raw) != 2:
+            raise _fail(path, 'prefix step is ["p", child]')
+        return PrefixStep(_expect_int(raw[1], path))
+    if len(raw) != 3:
+        raise _fail(path, 'recurring step is ["r", pattern, copy]')
+    return RecurringStep(_expect_int(raw[1], path), _expect_int(raw[2], path))
+
+
 def point_from_json(obj: Any, path: str) -> PointRef:
-    steps = []
-    for idx, raw in enumerate(_expect_list(obj, path)):
-        spath = "%s[%d]" % (path, idx)
-        raw = _expect_list(raw, spath)
-        if not raw or raw[0] not in ("p", "r"):
-            raise _fail(spath, 'step must start with "p" or "r"')
-        if raw[0] == "p":
-            if len(raw) != 2:
-                raise _fail(spath, 'prefix step is ["p", child]')
-            steps.append(PrefixStep(_expect_int(raw[1], spath)))
-        else:
-            if len(raw) != 3:
-                raise _fail(spath, 'recurring step is ["r", pattern, copy]')
-            steps.append(
-                RecurringStep(
-                    _expect_int(raw[1], spath), _expect_int(raw[2], spath)
-                )
-            )
-    return PointRef(tuple(steps))
+    return PointRef(_list_of(obj, path, _step_from_json))
 
 
 # -- per-kind serialization ----------------------------------------------------
@@ -251,21 +240,21 @@ def _table_to_obj(table: CopyTable) -> dict:
     }
 
 
+def _copy_entry_from_obj(obj: Any, path: str) -> tuple[int, Scalar]:
+    pair = _expect_list(obj, path)
+    if len(pair) != 2:
+        raise _fail(path, 'expected ["k", value]')
+    key = _expect_str(pair[0], path)
+    return _node_key(key, path, "copy index"), scalar_from_json(pair[1], path)
+
+
 def _table_from_obj(obj: Any, path: str) -> CopyTable:
     from .extraction import CopyTable
     _expect_object(obj, path, ("upto", "tail"))
-    entries = []
-    for idx, pair in enumerate(_expect_list(obj["upto"], path + ".upto")):
-        ppath = "%s.upto[%d]" % (path, idx)
-        pair = _expect_list(pair, ppath)
-        if len(pair) != 2:
-            raise _fail(ppath, 'expected ["k", value]')
-        key = _expect_str(pair[0], ppath)
-        index = _node_key(key, ppath, "copy index")
-        entries.append((index, scalar_from_json(pair[1], ppath)))
+    entries = _list_of(obj["upto"], path + ".upto", _copy_entry_from_obj)
     tail = scalar_from_json(obj["tail"], path + ".tail")
     with _input_errors(path):
-        return CopyTable(tuple(entries), tail)
+        return CopyTable(entries, tail)
 
 
 def _cifunction_doc(f: CIFunction) -> dict:
@@ -327,21 +316,8 @@ def _witness_doc(w: WitnessBundle) -> dict:
     }
 
 
-# (module, class, kind, serializer).  A document's class lives in a module
-# that is already imported, so dispatch only tests kinds whose module is in
-# sys.modules and never imports one itself.
-_SERIALIZERS = (
-    ("space", "TreeSpace", "space", _space_doc),
-    ("func", "QFunction", "qfunction", _qfunction_doc),
-    ("extraction", "CIFunction", "cifunction", _cifunction_doc),
-    ("extraction", "FunctionSeq", "sequence", _sequence_doc),
-    ("seqlab", "PolyBasis", "basis", _basis_doc),
-    ("extraction", "WitnessBundle", "witness", _witness_doc),
-)
-
-
 def _serializer(doc: Document):
-    for module, cls, kind, ser in _SERIALIZERS:
+    for kind, (module, cls, ser, _) in _KINDS.items():
         mod = sys.modules.get("%s.%s" % (__package__, module))
         if mod is not None and isinstance(doc, getattr(mod, cls)):
             return kind, ser
@@ -369,10 +345,15 @@ def _parse_space(obj: dict) -> TreeSpace:
     return space_from_obj({"nodes": obj["nodes"], "root": obj["root"]}, "")
 
 
+def _valid_space(obj: Any) -> TreeSpace:
+    space = space_from_obj(obj, "space")
+    space.require_valid()
+    return space
+
+
 def _parse_qfunction(obj: dict) -> QFunction:
     _expect_object(obj, "", ("kind", "space", "values"))
-    space = space_from_obj(obj["space"], "space")
-    space.require_valid()
+    space = _valid_space(obj["space"])
     values = values_from_obj(obj["values"], space, "values")
     return QFunction(space, values)
 
@@ -380,8 +361,7 @@ def _parse_qfunction(obj: dict) -> QFunction:
 def _parse_cifunction(obj: dict) -> CIFunction:
     from .extraction import CIFunction
     _expect_object(obj, "", ("kind", "space", "tables"))
-    space = space_from_obj(obj["space"], "space")
-    space.require_valid()
+    space = _valid_space(obj["space"])
     raw = obj["tables"]
     if not isinstance(raw, dict):
         raise _fail("tables", "expected an object keyed by node id")
@@ -395,8 +375,7 @@ def _parse_cifunction(obj: dict) -> CIFunction:
 def _parse_sequence(obj: dict) -> FunctionSeq:
     from .extraction import EventuallyLimit, FunctionSeq, MovingStep
     _expect_object(obj, "", ("kind", "space", "limit", "generator"))
-    space = space_from_obj(obj["space"], "space")
-    space.require_valid()
+    space = _valid_space(obj["space"])
     limit = QFunction(space, values_from_obj(obj["limit"], space, "limit"))
     gobj = obj["generator"]
     if not isinstance(gobj, dict) or "type" not in gobj:
@@ -409,28 +388,15 @@ def _parse_sequence(obj: dict) -> FunctionSeq:
             gen = MovingStep(None)
         else:
             gen = MovingStep(
-                frozenset(
-                    _expect_int(p, "generator.moving[%d]" % j)
-                    for j, p in enumerate(
-                        _expect_list(moving, "generator.moving")
-                    )
-                )
+                frozenset(_list_of(moving, "generator.moving", _expect_int))
             )
     elif gtype == "eventually-limit":
         _expect_object(gobj, "generator", ("type", "prefix"))
-        terms = []
-        for j, vobj in enumerate(
-            _expect_list(gobj["prefix"], "generator.prefix")
-        ):
-            terms.append(
-                QFunction(
-                    space,
-                    values_from_obj(
-                        vobj, space, "generator.prefix[%d]" % j
-                    ),
-                )
-            )
-        gen = EventuallyLimit(tuple(terms))
+
+        def term(vobj: Any, path: str) -> QFunction:
+            return QFunction(space, values_from_obj(vobj, space, path))
+
+        gen = EventuallyLimit(_list_of(gobj["prefix"], "generator.prefix", term))
     else:
         raise _fail("generator.type", "unknown generator type %r" % gtype)
     return FunctionSeq(limit, gen)
@@ -444,22 +410,16 @@ def _parse_basis(obj: dict) -> PolyBasis:
         kind = NormKind(norm)
     except ValueError:
         raise _fail("norm", "unknown norm %r" % norm) from None
-    rows = _expect_list(obj["vectors"], "vectors")
-    if not rows:
+    vectors = _list_of(
+        obj["vectors"], "vectors",
+        lambda row, path: _list_of(row, path, rational_from_json),
+    )
+    if not vectors:
         raise _fail("vectors", "a basis needs at least one vector")
-    vectors = []
-    for i, row in enumerate(rows):
-        row = _expect_list(row, "vectors[%d]" % i)
-        vectors.append(
-            tuple(
-                rational_from_json(c, "vectors[%d][%d]" % (i, j))
-                for j, c in enumerate(row)
-            )
-        )
     dims = {len(v) for v in vectors}
     if len(dims) != 1:
         raise _fail("vectors", "vectors must share one length")
-    return PolyBasis(PolySpace(dims.pop(), kind), tuple(vectors))
+    return PolyBasis(PolySpace(dims.pop(), kind), vectors)
 
 
 def _parse_witness(obj: dict) -> WitnessBundle:
@@ -470,27 +430,15 @@ def _parse_witness(obj: dict) -> WitnessBundle:
         ("kind", "indices", "m", "k", "t", "eta", "lam", "points", "deltas"),
     )
     iobj = _expect_object(obj["indices"], "indices", ("prefix", "offset"))
-    prefix = tuple(
-        _expect_int(v, "indices.prefix[%d]" % j)
-        for j, v in enumerate(_expect_list(iobj["prefix"], "indices.prefix"))
-    )
+    prefix = _list_of(iobj["prefix"], "indices.prefix", _expect_int)
     indices = IndexSeq(prefix, _expect_int(iobj["offset"], "indices.offset"))
-    m = tuple(
-        _expect_int(v, "m[%d]" % j)
-        for j, v in enumerate(_expect_list(obj["m"], "m"))
-    )
+    m = _list_of(obj["m"], "m", _expect_int)
     k = _expect_int(obj["k"], "k")
     t = point_from_json(obj["t"], "t")
     eta = rational_from_json(obj["eta"], "eta")
     lam = rational_from_json(obj["lam"], "lam")
-    points = tuple(
-        point_from_json(p, "points[%d]" % j)
-        for j, p in enumerate(_expect_list(obj["points"], "points"))
-    )
-    deltas = tuple(
-        rational_from_json(d, "deltas[%d]" % j)
-        for j, d in enumerate(_expect_list(obj["deltas"], "deltas"))
-    )
+    points = _list_of(obj["points"], "points", point_from_json)
+    deltas = _list_of(obj["deltas"], "deltas", rational_from_json)
     return WitnessBundle(
         indices=indices,
         m=m,
@@ -503,14 +451,18 @@ def _parse_witness(obj: dict) -> WitnessBundle:
     )
 
 
-_PARSERS = {
-    "space": _parse_space,
-    "qfunction": _parse_qfunction,
-    "cifunction": _parse_cifunction,
-    "sequence": _parse_sequence,
-    "basis": _parse_basis,
-    "witness": _parse_witness,
+# kind -> (module, class, serializer, parser).  A document's class lives in
+# a module that is already imported, so _serializer only tests kinds whose
+# module is in sys.modules and never imports one itself.
+_KINDS = {
+    "space": ("space", "TreeSpace", _space_doc, _parse_space),
+    "qfunction": ("func", "QFunction", _qfunction_doc, _parse_qfunction),
+    "cifunction": ("extraction", "CIFunction", _cifunction_doc, _parse_cifunction),
+    "sequence": ("extraction", "FunctionSeq", _sequence_doc, _parse_sequence),
+    "basis": ("seqlab", "PolyBasis", _basis_doc, _parse_basis),
+    "witness": ("extraction", "WitnessBundle", _witness_doc, _parse_witness),
 }
+KINDS = tuple(_KINDS)
 
 
 def loads(text: str) -> Document:
@@ -531,4 +483,4 @@ def loads(text: str) -> Document:
             % (kind, ", ".join(KINDS))
         )
     with _input_errors("%s document" % kind):
-        return _PARSERS[kind](obj)
+        return _KINDS[kind][3](obj)

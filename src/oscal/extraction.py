@@ -357,19 +357,6 @@ class IndexSeq:
             return self.prefix[i - 1]
         return i + self.offset
 
-    def values_upto(self, s: int) -> list[int]:
-        return [self.value(i) for i in range(1, s + 1)]
-
-    def compose(self, inner: "IndexSeq") -> "IndexSeq":
-        """(self o inner)(i) = self(inner(i)), again an IndexSeq."""
-        cut = max(len(inner.prefix), len(self.prefix) - inner.offset, 0)
-        prefix = tuple(self.value(inner.value(i)) for i in range(1, cut + 1))
-        return IndexSeq(prefix, self.offset + inner.offset)
-
-    @staticmethod
-    def identity() -> "IndexSeq":
-        return IndexSeq((), 0)
-
 
 @dataclass(frozen=True)
 class ExtractionPlan:
@@ -384,15 +371,6 @@ class ExtractionPlan:
     indices: IndexSeq
     count: int
     _witness: Callable[[int], PointRef] = field(repr=False)
-
-    @property
-    def index_list(self) -> list[int]:
-        return self.indices.values_upto(self.count)
-
-    def tail_indices(self, s: int) -> IndexSeq:
-        """The infinite index set left after the first s picks: the
-        arithmetic tail {n_s + 1, n_s + 2, ...}."""
-        return IndexSeq((), self.indices.value(s))
 
     def witness(self, m: int) -> PointRef:
         """A point x2 in the level set, realized below x1, satisfying the

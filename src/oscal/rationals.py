@@ -29,29 +29,36 @@ def rat(value) -> Fraction:
     return Fraction(value)
 
 
+def parse_int(text: str, signs: str = "") -> int | None:
+    """int(text) for ASCII digits, optionally after one sign from ``signs``,
+    else None.  This is the package's one digit rule: no whitespace, no
+    underscores, no non-ASCII digits such as "\u0664" or "\u00b2", and
+    nothing past int()'s digit limit."""
+    digits = text[1:] if text and text[0] in signs else text
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # past int's digit limit
+        return None
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse 'p' or 'p/q' (q > 0 after normalization) into a Fraction.
 
-    This is intentionally stricter than Fraction's own parser: no decimal
-    points, no exponents, no surrounding whitespace.
+    This is intentionally stricter than Fraction's own parser: ASCII
+    digits only, no decimal points, no exponents, no whitespace.
     """
     if not isinstance(text, str):
         raise ValueError(f"rational must be a string, got {type(text).__name__}")
-    s = text
-    if not s or s != s.strip():
+    num, slash, den = text.partition("/")
+    p = parse_int(num, signs="+-")
+    q = parse_int(den) if slash else 1
+    if p is None or q is None:
         raise ValueError(f"malformed rational {text!r}")
-    if "." in s or "e" in s or "E" in s or " " in s:
-        raise ValueError(f"malformed rational {text!r}")
-    body = s[1:] if s[0] in "+-" else s
-    if "/" in body:
-        num, _, den = body.partition("/")
-        if not (num.isdigit() and den.isdigit()):
-            raise ValueError(f"malformed rational {text!r}")
-        if int(den) == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-    elif not body.isdigit():
-        raise ValueError(f"malformed rational {text!r}")
-    return Fraction(s)
+    if q == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(p, q)
 
 
 def format_rational(value: Fraction) -> str:

@@ -228,11 +228,13 @@ class PolyBasis:
         cs = _vec(coeffs)
         if len(cs) != self.size:
             raise PreconditionError("coefficient length mismatch")
-        out = _zero(self.space.dim)
+        out = [Fraction(0)] * self.space.dim
         for c, b in zip(cs, self.vectors):
             if c:
-                out = _add(out, _scale(c, b))
-        return out
+                for i, x in enumerate(b):
+                    if x:
+                        out[i] += c * x
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -568,10 +570,10 @@ def convex_block(
     out_vecs = []
     out_rho = []
     for idx, ws in zip(blocks, wrows):
-        u = _zero(basis.space.dim)
+        coeffs = [Fraction(0)] * n
         for j, lam in zip(idx, ws):
-            if lam:
-                u = _add(u, _scale(lam, basis.vectors[j - 1]))
+            coeffs[j - 1] = lam
+        u = basis.combine(coeffs)
         # rho_k = sum of weights at positions >= k: 1 up to the block's
         # start, sliding tail across it, 0 beyond.
         rho = []

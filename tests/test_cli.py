@@ -95,6 +95,143 @@ def paths(tmp_path_factory, k1, k2, k3, f2, g_seq, h_seq):
     return out
 
 
+# -- every subcommand's output, pinned byte for byte ---------------------------
+
+
+def _json_text(obj):
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def _f2_with(values):
+    """qfunction_f2.json with its values replaced, as the CLI prints it."""
+    obj = json.loads((GOLDEN / "qfunction_f2.json").read_text())
+    return _json_text(dict(obj, values=values))
+
+
+def _conditions(sum_window):
+    names = ("delta_positive", "jump_1", "jump_2", "sum_window",
+             "block_1", "block_2", "block_3", "tail")
+    conditions = {n: "true" for n in names}
+    conditions["sum_window"] = sum_window
+    return {"conditions": conditions, "verdict": sum_window}
+
+
+_IDENTITIES_SUP = {
+    "checks": {
+        "difference_biorthogonal_rows": True,
+        "block_projection_recursion": True,
+        "projection_recovery": True,
+        "biorthogonal_differences": True,
+        "coefficient_functional_bound": True,
+        "block_projection_bound": True,
+    },
+    "lambda": "2",
+    "summing_norm": "1",
+    "coefficient_norms": ["1", "1", "1", "1"],
+    "block_projection_norms": ["1", "1", "1", "1"],
+    "sup_basis_norm": "1",
+    "all_pass": True,
+}
+
+# (argv, JSON-mode stdout, --quiet stdout, exit code); "{out}" is an -o
+# file, which holds the JSON-mode text in both modes whenever the command
+# succeeds, and is not written when it fails
+PINNED = {
+    "space-validate": (
+        ["space", "validate", "{k3}"], "golden:space_k3.json", "ok\n", 0),
+    "fn-envelope-upper": (
+        ["fn", "envelope", "{f2}", "--kind", "upper"],
+        _f2_with({"0": "1", "1": "1", "2": "0"}), "", 0),
+    "fn-envelope-lower": (
+        ["fn", "envelope", "{f2}", "--kind", "lower"],
+        _f2_with({"0": "0", "1": "0", "2": "0"}), "", 0),
+    "fn-osc-stabilize": (
+        ["fn", "osc", "{f2}", "--stabilize"],
+        _f2_with({"0": "2", "1": "1", "2": "0"}), "", 0),
+    "fn-osc-alpha": (
+        ["fn", "osc", "{f2}", "--alpha", "1"],
+        _f2_with({"0": "1", "1": "1", "2": "0"}), "", 0),
+    "fn-osc-capped": (["fn", "osc", "{f2}", "--cap", "1"], "", "", 1),
+    "fn-index": (["fn", "index", "{f2}"], _json_text({"i_D": "2"}), "2\n", 0),
+    "fn-index-capped": (["fn", "index", "{f2}", "--cap", "1"], "", "", 1),
+    "fn-dnorm": (["fn", "dnorm", "{f2}"], _json_text({"d_norm": "2"}), "2\n", 0),
+    "fn-dnorm-unroll": (
+        ["fn", "dnorm", "{f2}", "--unroll", "2"],
+        _json_text({"d_norm": "2"}), "2\n", 0),
+    "fn-dnorm-oracle": (
+        ["fn", "dnorm", "{f2}", "--oracle"],
+        "golden:cli_dnorm_oracle.txt", "true\n", 0),
+    "fn-decompose": (
+        ["fn", "decompose", "{f2}", "-o", "{out}"],
+        "golden:cli_decompose.txt", "", 0),
+    "seq-identities": (
+        ["seq", "identities", "{basis}"], _json_text(_IDENTITIES_SUP), "true\n", 0),
+    "seq-basis-constant": (
+        ["seq", "basis-constant", "{basis}"],
+        _json_text({"basis_constant": "2"}), "2\n", 0),
+    "seq-wuc": (["seq", "wuc", "{basis}"], _json_text({"wuc": "4"}), "4\n", 0),
+    "seq-duc": (["seq", "duc", "{basis}"], _json_text({"duc": "1"}), "1\n", 0),
+    "seq-eps-cc": (
+        ["seq", "eps-cc", "{se_basis}", "--zeros", "1,3", "--j0", "4"],
+        "golden:cli_epscc.txt", "2\n", 0),
+    "extract-run": (
+        ["extract", "run", "{h}", "--alpha", "2", "--x", "0", "--eta", "1/2",
+         "-o", "{out}"],
+        "golden:witness_k3.json", "", 0),
+    "extract-run-precondition": (
+        ["extract", "run", "{g}", "--alpha", "2", "--x", "0", "--eta", "1/2",
+         "-o", "{out}"],
+        "", "", 1),
+    "extract-check": (
+        ["extract", "check", "{h}", "{witness}"],
+        _json_text(_conditions("true")), "true\n", 0),
+    "extract-check-false": (
+        ["extract", "check", "{h}", "{bad_witness}"],
+        _json_text(_conditions("false")), "false\n", 1),
+    "extract-check-difference": (
+        ["extract", "check", "{h}", "{diff_witness}"],
+        _json_text({"verdict": "true"}), "true\n", 0),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_files(paths):
+    tmp = paths["tmp"]
+    witness = json.loads((GOLDEN / "witness_k3.json").read_text())
+    bad = dict(witness, lam="5")
+    diff = dict(witness, points=[], deltas=[], eta="1/10")
+    (tmp / "bad_witness.json").write_text(json.dumps(bad) + "\n")
+    (tmp / "diff_witness.json").write_text(json.dumps(diff) + "\n")
+    return {
+        "f2": GOLDEN / "qfunction_f2.json",
+        "k3": GOLDEN / "space_k3.json",
+        "basis": GOLDEN / "basis_sup.json",
+        "witness": GOLDEN / "witness_k3.json",
+        "bad_witness": tmp / "bad_witness.json",
+        "diff_witness": tmp / "diff_witness.json",
+        "h": paths["h"],
+        "g": paths["g"],
+        "se_basis": paths["se_basis"],
+    }
+
+
+@pytest.mark.parametrize("quiet", [False, True], ids=["json", "quiet"])
+@pytest.mark.parametrize("command", sorted(PINNED))
+def test_pinned_output(command, quiet, pinned_files, tmp_path, capsys):
+    argv, want_json, want_quiet, want_code = PINNED[command]
+    if want_json.startswith("golden:"):
+        want_json = (GOLDEN / want_json[len("golden:"):]).read_text()
+    out = tmp_path / "out.json"
+    argv = [a.format(out=out, **pinned_files) for a in argv]
+    code = oscal.cli.main(argv + ["--quiet"] * quiet)
+    assert (code, capsys.readouterr().out) == (
+        want_code, want_quiet if quiet else want_json)
+    if "{out}" in PINNED[command][0]:
+        assert out.exists() == (want_code == 0)
+        if want_code == 0:
+            assert out.read_text() == want_json
+
+
 def test_index(paths):
     r = run_cli(["fn", "index", paths["f2"]])
     assert r.returncode == 0
@@ -359,6 +496,37 @@ def test_eps_cc_zeros_take_ascii_digits_only(paths):
         assert "--zeros expects comma-separated positions" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["seq", "eps-cc", "{se_basis}", "--zeros", "1,3", "--j0", "\u0664"],
+        ["seq", "eps-cc", "{se_basis}", "--zeros", "1,3", "--j0", " 4"],
+        ["seq", "eps-cc", "{se_basis}", "--zeros", "1,3", "--j0", "+4"],
+        ["fn", "dnorm", "{f2}", "--unroll", "1_0"],
+        ["fn", "index", "{f2}", "--cap", " 3"],
+        ["fn", "index", "{f2}", "--cap", "0"],
+        ["extract", "run", "{h}", "--alpha", "2", "--x", "\u0660",
+         "--eta", "1/2", "-o", "{out}"],
+        ["extract", "run", "{h}", "--alpha", "2", "--x", "+0",
+         "--eta", "1/2", "-o", "{out}"],
+    ],
+    ids=["j0-arabic-indic", "j0-space", "j0-plus", "unroll-underscore",
+         "cap-space", "cap-zero", "x-arabic-indic", "x-plus"],
+)
+def test_integer_options_take_ascii_digits_only(argv, paths, tmp_path, capsys):
+    # int() reads every one of these; an option is ASCII digits (and, for
+    # the node id --x, an optional minus sign)
+    out = tmp_path / "out.json"
+    argv = [a.format(out=out, **paths) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        oscal.cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "integer, got" in captured.err
+    assert not out.exists()
+
+
 def test_extract_run_and_check(paths, h_seq):
     out = paths["tmp"] / "wit.json"
     r = run_cli(
@@ -482,14 +650,18 @@ def test_extract_run_above_stage_two(tmp_path):
 
 def test_extract_eta_must_parse(paths):
     out = paths["tmp"] / "wit7.json"
-    for bad in ("0.5", "\u00b2", "1/0", ""):
+    # "\u0664/\u0669" is four ninths in Arabic-Indic digits, which
+    # Fraction reads; a rational takes ASCII digits only
+    for bad in ("0.5", "\u00b2", "\u0664/\u0669", "1/0", ""):
+        why = "zero denominator" if bad == "1/0" else "malformed rational"
         r = run_cli(
             ["extract", "run", paths["h"], "--alpha", "2", "--x", "0",
              "--eta", bad, "-o", out]
         )
         assert r.returncode == 2, bad
-        assert "--eta" in r.stderr
+        assert "--eta: %s" % why in r.stderr, bad
         assert "Traceback" not in r.stderr
+        assert not out.exists()
 
 
 def test_wrong_document_kind_exits_two(paths):

@@ -139,6 +139,17 @@ def test_rejects_float_values(f1):
         documents.loads(text)
 
 
+def test_rejects_non_ascii_digits(f2):
+    # "\u0664" is an Arabic-Indic four and "\u00b2" a superscript two:
+    # neither is a digit of a rational
+    for value in ("\u0664", "\u00b2", "1/\u0662"):
+        obj = json.loads(documents.dumps(f2))
+        obj["values"]["1"] = value
+        with pytest.raises(DocumentError) as exc:
+            documents.loads(json.dumps(obj))
+        assert str(exc.value) == "values.1: malformed rational %r" % value
+
+
 def test_rejects_nested_complex_parts_at_the_outer_value(k1):
     value = '"1"'
     for _ in range(900):

@@ -3,8 +3,6 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import helpers
 from oscal.errors import PreconditionError
@@ -29,7 +27,7 @@ from oscal.sampling import build_corpus
 from oscal.space import PointRef, RecurringStep, chain_space, point_at
 from reference_extraction import tail_bound
 
-IDENT = IndexSeq.identity()
+IDENT = IndexSeq()
 ROOT = PointRef(())
 
 
@@ -83,14 +81,7 @@ def test_eval_on_alternating_chain(h_seq):
 def test_index_seq_values():
     n = IndexSeq((2, 5), 7)
     assert [n.value(i) for i in (1, 2, 3, 4)] == [2, 5, 10, 11]
-    assert n.values_upto(3) == [2, 5, 10]
     assert IDENT.value(9) == 9
-
-
-def test_index_seq_compose():
-    n = IndexSeq((2, 5), 7)
-    assert [n.compose(IndexSeq((), 1)).value(i) for i in (1, 2, 3)] == [5, 10, 11]
-    assert [IndexSeq((), 1).compose(n).value(i) for i in (1, 2, 3)] == [3, 6, 11]
 
 
 def test_index_seq_must_increase():
@@ -98,37 +89,13 @@ def test_index_seq_must_increase():
         IndexSeq((3, 2), 0)
 
 
-index_seqs = st.builds(
-    lambda pre, extra: IndexSeq(
-        tuple(sorted(pre)), max(pre, default=0) + extra
-    ),
-    st.lists(st.integers(1, 30), unique=True, max_size=5),
-    st.integers(0, 10),
-)
-
-
-@settings(max_examples=50)
-@given(outer=index_seqs, inner=index_seqs, i=st.integers(1, 40))
-def test_compose_is_pointwise_substitution(outer, inner, i):
-    assert outer.compose(inner).value(i) == outer.value(inner.value(i))
-
-
-@settings(max_examples=30)
-@given(a=index_seqs, b=index_seqs, c=index_seqs, i=st.integers(1, 25))
-def test_compose_is_associative(a, b, c, i):
-    left = a.compose(b).compose(c)
-    right = a.compose(b.compose(c))
-    assert left.value(i) == right.value(i)
-
-
 # --- the extraction pass ---
 
 
 def test_extract_example_plan(g_seq):
     plan = extract_subsequence(g_seq, ROOT, frozenset({1}), F(1), F(1, 2), 3)
-    assert plan.index_list == [1, 2, 3]
+    assert [plan.indices.value(i) for i in (1, 2, 3)] == [1, 2, 3]
     assert plan.witness(4) == leaf(3)
-    assert plan.tail_indices(2).value(1) == 3
 
 
 def test_jump_witness_goldens(g_seq):

@@ -11,6 +11,7 @@ from oscal.rationals import (
     Verdict,
     as_gaussian,
     format_rational,
+    parse_int,
     parse_rational,
     rat,
     rational_abs,
@@ -43,6 +44,30 @@ def test_parse_accepts_plain_forms():
 def test_parse_rejects_malformed(text):
     with pytest.raises(ValueError):
         parse_rational(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["\u0664", "\u00b2", "1/\u0662", "\u0664/\u0669", "1_0", "+\u0661"]
+)
+def test_parse_takes_ascii_digits_only(text):
+    # Fraction would read the Arabic-Indic four as 4 and fail on its own
+    # terms on the superscript two; both are malformed rationals here
+    with pytest.raises(ValueError, match="malformed rational"):
+        parse_rational(text)
+
+
+def test_parse_int_is_the_one_digit_rule():
+    assert parse_int("42") == 42
+    assert parse_int("007") == 7
+    assert parse_int("-3", signs="-") == -3
+    assert parse_int("+3", signs="+-") == 3
+    for text in ("", "-", "-3", "+3", " 3", "3 ", "1_0", "\u0664", "\u00b2",
+                 "\u0663", "3.0", "0x1"):
+        assert parse_int(text) is None, text
+    assert parse_int("+3", signs="-") is None
+    assert parse_int("--3", signs="-") is None
+    # past int's digit limit is no number either, not an exception
+    assert parse_int("1" * 5000) is None
 
 
 def test_rat_rejects_floats_and_bools():
