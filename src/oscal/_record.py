@@ -1,0 +1,177 @@
+"""Record classes: the package's small value types, built without exec.
+
+``@record`` reads a class's annotated names as its fields, in order, and
+gives it ``__init__``, ``__repr__``, ``__eq__`` and ``__hash__``:
+
+- ``__init__`` takes the fields positionally or by keyword, fills the
+  defaults (a class attribute, or ``field(default_factory=...)`` for a
+  new container per instance), then calls ``self.__post_init__()`` when
+  the class defines one.  The call is looked up on the instance, so a
+  ``__post_init__`` replaced on the class later is the one that runs.
+- ``repr`` is ``Name(a=..., b=...)``, leaving out ``field(repr=False)``.
+- ``==`` holds only between instances of the same class, comparing the
+  field tuples.
+- A frozen record (the default) refuses assignment and deletion with
+  ``FrozenInstanceError`` and hashes its field tuple; the class body may
+  still set fields through ``object.__setattr__`` in ``__post_init__``,
+  and ``functools.cached_property`` works, as instances keep a
+  ``__dict__``.  ``record(frozen=False)`` makes a mutable, unhashable
+  record.
+
+The methods are closures over the field names, so defining a record
+generates and compiles no code, and ``oscal`` start-up imports neither
+the standard library's code-generating record decorator nor ``inspect``.
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter
+
+
+class FrozenInstanceError(AttributeError):
+    """Assignment to, or deletion of, a field of a frozen record."""
+
+
+_MISSING = object()
+_setattr = object.__setattr__
+
+
+class _Field:
+    __slots__ = ("default_factory", "repr")
+
+    def __init__(self, default_factory, repr):
+        self.default_factory = default_factory
+        self.repr = repr
+
+
+def field(*, default_factory=None, repr: bool = True) -> _Field:
+    """A field whose default is ``default_factory()`` (called once per
+    instance), or one that ``repr`` leaves out."""
+    return _Field(default_factory, repr)
+
+
+def field_names(rec) -> tuple[str, ...]:
+    """The field names of a record class or instance, in order."""
+    return rec.__record_fields__
+
+
+def replace(rec, **changes):
+    """A new record like ``rec`` with ``changes``; ``__post_init__`` runs."""
+    names = rec.__record_fields__
+    unknown = set(changes).difference(names)
+    if unknown:
+        raise TypeError("%s has no field %r" % (type(rec).__qualname__, min(unknown)))
+    return type(rec)(*[changes[n] if n in changes else getattr(rec, n) for n in names])
+
+
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError("cannot assign to field %r" % name)
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError("cannot delete field %r" % name)
+
+
+def _bind(cls, names, defaults, args, kwargs) -> list:
+    """The field values of a call that is not one positional per field."""
+    if len(args) > len(names):
+        raise TypeError(
+            "%s.__init__() takes %d positional arguments but %d were given"
+            % (cls.__qualname__, len(names) + 1, len(args) + 1)
+        )
+    values = list(args)
+    for name in names[len(args):]:
+        if name in kwargs:
+            values.append(kwargs.pop(name))
+        elif name in defaults:
+            values.append(defaults[name]())
+        else:
+            raise TypeError(
+                "%s.__init__() missing required argument: %r" % (cls.__qualname__, name)
+            )
+    if kwargs:
+        name = next(iter(kwargs))
+        raise TypeError(
+            "%s.__init__() got %s %r" % (
+                cls.__qualname__,
+                "multiple values for argument" if name in names
+                else "an unexpected keyword argument",
+                name,
+            )
+        )
+    return values
+
+
+def _constant(value):
+    return lambda: value
+
+
+def record(cls=None, *, frozen: bool = True):
+    """Make ``cls`` a record (see the module docstring)."""
+    if cls is None:
+        return lambda c: _make(c, frozen)
+    return _make(cls, frozen)
+
+
+def _make(cls, frozen: bool):
+    names = tuple(cls.__annotations__)
+    defaults, shown = {}, []
+    for name in names:
+        spec = cls.__dict__.get(name, _MISSING)
+        if isinstance(spec, _Field):
+            delattr(cls, name)
+            if spec.default_factory is not None:
+                defaults[name] = spec.default_factory
+            if spec.repr:
+                shown.append(name)
+        else:
+            if spec is not _MISSING:
+                defaults[name] = _constant(spec)
+            shown.append(name)
+    n = len(names)
+    post = hasattr(cls, "__post_init__")
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != n:
+            args = _bind(type(self), names, defaults, args, kwargs)
+        # one object.__setattr__ per field: filling self.__dict__ directly
+        # makes CPython 3.11+ keep the fields in a real dict, and every
+        # later read of them about three times slower
+        for name, value in zip(names, args):
+            _setattr(self, name, value)
+        if post:
+            self.__post_init__()
+
+    # the field tuple; attrgetter returns a bare value for a single name
+    if n == 1:
+        get = attrgetter(names[0])
+
+        def key(self):
+            return (get(self),)
+    else:
+        key = attrgetter(*names)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    template = ", ".join(name + "=%r" for name in shown)
+
+    def __repr__(self):
+        return "%s(%s)" % (
+            self.__class__.__qualname__,
+            template % tuple([getattr(self, name) for name in shown]),
+        )
+
+    cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
+    if frozen:
+        cls.__hash__ = __hash__
+        cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
+    else:
+        cls.__hash__ = None
+    cls.__record_fields__ = names
+    return cls

@@ -21,7 +21,10 @@ reported where it is read, so a stray ``ValueError`` is such a bug too.
 Each subcommand imports only the layers it runs, so start-up cost
 follows the command: ``space validate`` loads no LP or extraction code,
 and only ``fn dnorm --oracle`` loads the simplex kernel for an ``fn``
-command.
+command.  The package's records come from its own ``_record`` helper,
+which builds their methods as closures: no command imports the standard
+library's code-generating record decorator or ``inspect``, and none
+compiles code per record class.
 """
 
 from __future__ import annotations

@@ -37,8 +37,17 @@ if TYPE_CHECKING:
         TreeSpace, QFunction, CIFunction, FunctionSeq, PolyBasis, WitnessBundle
     ]
 
+
+# the longest error text repeated in full: a document may hold a number of
+# any length, and the error about it should still fit on one line
+_ERROR_CHARS = 200
+
+
 def _fail(path: str, message: str) -> DocumentError:
-    return DocumentError("%s: %s" % (path, message) if path else message)
+    text = "%s: %s" % (path, message) if path else message
+    if len(text) > _ERROR_CHARS:
+        text = "%s... (%d characters)" % (text[:_ERROR_CHARS], len(text))
+    return DocumentError(text)
 
 
 @contextmanager
@@ -478,9 +487,7 @@ def loads(text: str) -> Document:
         raise DocumentError("a document is a JSON object")
     kind = obj.get("kind")
     if kind not in KINDS:
-        raise DocumentError(
-            "unknown document kind %r (expected one of %s)"
-            % (kind, ", ".join(KINDS))
-        )
+        raise _fail("", "unknown document kind %r (expected one of %s)"
+                    % (kind, ", ".join(KINDS)))
     with _input_errors("%s document" % kind):
         return _KINDS[kind][3](obj)

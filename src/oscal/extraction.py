@@ -25,11 +25,11 @@ index, as one loop over the stages: the paper's induction on the stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
+from ._record import field, record
 from .errors import InternalCheckError, PreconditionError
 from .func import QFunction, Scalar, is_continuous
 from .rationals import (
@@ -95,7 +95,7 @@ def _abs_sum(
 # -- copy-indexed functions ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class CopyTable:
     """Finitely many copy-indexed values, then a constant tail."""
 
@@ -122,7 +122,7 @@ class CopyTable:
         return all(v == self.tail for _, v in self.entries)
 
 
-@dataclass(frozen=True)
+@record
 class CIFunction:
     """Node function whose value may depend on the copy index of the last
     recurring step of the path (the nearest recurring ancestor); paths with
@@ -168,14 +168,14 @@ class CIFunction:
 # -- convergent sequences of continuous functions -----------------------------
 
 
-@dataclass(frozen=True)
+@record
 class EventuallyLimit:
     """f_1 .. f_J explicit, f_j = limit for j > J."""
 
     prefix: tuple[QFunction, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class MovingStep:
     """f_j(x) = limit(cut of x before its first moving copy >= j).
 
@@ -194,7 +194,7 @@ class MovingStep:
 Generator = Union[EventuallyLimit, MovingStep]
 
 
-@dataclass(frozen=True)
+@record
 class FunctionSeq:
     """Pointwise-convergent sequence with exact tail bounds."""
 
@@ -334,7 +334,7 @@ class FunctionSeq:
 # -- subsequence bookkeeping --------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class IndexSeq:
     """Strictly increasing index map i -> n_i: an explicit prefix followed
     by the arithmetic tail n_i = i + offset."""
@@ -358,7 +358,7 @@ class IndexSeq:
         return i + self.offset
 
 
-@dataclass(frozen=True)
+@record
 class ExtractionPlan:
     """Output of extract_subsequence: indices, the tail descriptor, and a
     witness search bound to the extraction data."""
@@ -369,7 +369,6 @@ class ExtractionPlan:
     delta: Fraction
     eta: Fraction
     indices: IndexSeq
-    count: int
     _witness: Callable[[int], PointRef] = field(repr=False)
 
     def witness(self, m: int) -> PointRef:
@@ -399,9 +398,8 @@ def extract_subsequence(
     level_set,
     delta,
     eta,
-    s: int,
 ) -> ExtractionPlan:
-    """Pick indices n_1 < ... < n_s and a witness search for points below x1.
+    """Pick indices n_1 < n_2 < ... and a witness search for points below x1.
 
     The index choice makes the tail sum at x1 small: n_1 starts the first
     arithmetic tail {a, a+1, ...} whose exact tail sum at x1 is below
@@ -432,8 +430,6 @@ def extract_subsequence(
     eta = rat(eta)
     if not 0 < eta < 1:
         raise PreconditionError("eta must lie strictly between 0 and 1")
-    if s < 1:
-        raise PreconditionError("need at least one index")
     sp = seq.space
     x1_node = resolve(sp, x1)
     if sp.is_leaf(x1_node):
@@ -486,7 +482,6 @@ def extract_subsequence(
         delta=delta,
         eta=eta,
         indices=indices,
-        count=s,
         _witness=witness,
     )
 
@@ -525,7 +520,7 @@ def check_jump_witness(
     ])
 
 
-@dataclass(frozen=True)
+@record
 class WitnessBundle:
     """Everything a checker needs.  Jump-chain form: points x_1..x_{2k}
     with t = x_{2k} and jumps delta_1..delta_k.  Difference form (after
@@ -566,7 +561,7 @@ class WitnessBundle:
             raise PreconditionError("the first block starts at position 1")
 
 
-@dataclass(frozen=True)
+@record
 class JumpChainReport:
     """Named verdicts, one per condition of the jump-chain checker."""
 
@@ -781,7 +776,7 @@ def build_jump_chain(
             level, delta, run_eta = frozenset(sp.node_ids()), beta, eta
         if not points:
             plan = extract_subsequence(
-                seq, point_at(sp, start), level, delta, run_eta, s=2 * alpha
+                seq, point_at(sp, start), level, delta, run_eta
             )
             n = plan.indices
             points += [plan.x1, plan.witness(2)]

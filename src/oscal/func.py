@@ -16,10 +16,10 @@ in one children-first pass, and continuity is f(z) = f(p) on each edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Union
 
+from ._record import record
 from .errors import MismatchError, PreconditionError
 from .rationals import GaussianRational, rat, require_rational_abs
 from .space import PointRef, TreeSpace, resolve
@@ -33,7 +33,7 @@ def _coerce(value) -> Scalar:
     return rat(value)
 
 
-@dataclass(frozen=True)
+@record
 class QFunction:
     """A function given by one exact value per node class."""
 

@@ -47,10 +47,10 @@ the same values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from ._record import record
 from .errors import InternalCheckError, PreconditionError
 from .func import QFunction, is_lsc, lift_function
 from .simplex import LinearProgram, LPResult, solve
@@ -109,7 +109,7 @@ def oracle_lp(f: QFunction, cover: Optional[_Cover] = None) -> LinearProgram:
     return lp
 
 
-@dataclass(frozen=True)
+@record
 class OracleResult:
     """The optimum, an attaining decomposition, and the dual LP's result
     (its ``values`` are the y/z multipliers, its ``duals`` are t then w)."""
@@ -200,7 +200,7 @@ def oracle_dnorm(f: QFunction) -> OracleResult:
     return OracleResult(res.objective, u, v, res)
 
 
-@dataclass(frozen=True)
+@record
 class SymmetryReport:
     k: int
     quotient_optimum: Fraction

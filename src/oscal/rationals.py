@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
+from ._record import record
 from .errors import ExactnessError
 
 Rat = Union[Fraction, int]
@@ -67,7 +67,7 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
+@record
 class GaussianRational:
     """A complex number with rational real and imaginary parts."""
 

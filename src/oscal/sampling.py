@@ -10,10 +10,10 @@ numerators and denominators so LP pivots stay fast.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from ._record import record
 from .errors import PreconditionError
 from .func import QFunction
 from .seqlab import NormKind, PolyBasis, PolySpace
@@ -103,7 +103,7 @@ def random_qfunction(
     )
 
 
-@dataclass(frozen=True)
+@record
 class Corpus:
     """Spaces with functions spread round-robin across them."""
 

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from ._record import record
 from .errors import (
     InternalCheckError,
     PreconditionError,
@@ -81,7 +81,7 @@ def _unit(n: int, j: int) -> Vector:
     return tuple(Fraction(1 if i == j else 0) for i in range(1, n + 1))
 
 
-@dataclass(frozen=True)
+@record
 class PolySpace:
     """Q^dim with one of the three polyhedral norms."""
 
@@ -189,7 +189,7 @@ def _solve(a: Sequence[Sequence[Fraction]], rhs: Sequence[Sequence]) -> Matrix:
     return tuple(tuple(row[n:]) for row in red[:n])
 
 
-@dataclass(frozen=True)
+@record
 class PolyBasis:
     """Linearly independent b_1..b_n in a PolySpace, n <= dim."""
 
@@ -237,7 +237,7 @@ class PolyBasis:
         return tuple(out)
 
 
-@dataclass(frozen=True)
+@record
 class SpanFunctional:
     """Functional on span(b_j), acting by sum c_j b_j -> sum gamma_j c_j."""
 
@@ -403,7 +403,7 @@ def duc_norm(space: PolySpace, vectors: Sequence[Sequence]) -> Fraction:
 # --- identity and bound report ---
 
 
-@dataclass(frozen=True)
+@record
 class IdentityReport:
     checks: dict[str, bool]
     lambda_: Fraction
@@ -516,7 +516,7 @@ def check_identities(basis: PolyBasis) -> IdentityReport:
 # --- convex blocks ---
 
 
-@dataclass(frozen=True)
+@record
 class ConvexBlocks:
     vectors: tuple[Vector, ...]
     rho: tuple[Vector, ...]  # difference-coordinate rows, full length

@@ -35,10 +35,10 @@ tableau, reported per row in the order the rows were added.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from ._record import field, record
 from .errors import PreconditionError
 from .rationals import rat
 
@@ -48,7 +48,7 @@ def _exact(c):
     return c if type(c) is int else rat(c)
 
 
-@dataclass
+@record(frozen=False)
 class LinearProgram:
     """maximize c·x subject to rows Σ a·x ≤ b with b ≥ 0; variables are
     named, nonnegative unless made free."""
@@ -92,7 +92,7 @@ class LinearProgram:
         return list(self._rows)
 
 
-@dataclass(frozen=True)
+@record
 class LPResult:
     status: str  # "optimal" | "unbounded"
     objective: Optional[Fraction]

@@ -32,15 +32,15 @@ a quantity over acc sets in one linear pass along cover edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
+from ._record import record
 from .errors import ResourceCapError, SpaceError
 
 UNROLL_NODE_CAP = 10_000
 
 
-@dataclass(frozen=True)
+@record
 class SpaceNode:
     """One node of the presentation tree.
 
@@ -268,12 +268,12 @@ class TreeSpace:
 # -- point references --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class PrefixStep:
     child: int  # position in the prefix tuple
 
 
-@dataclass(frozen=True)
+@record
 class RecurringStep:
     pattern: int  # position in the recurring tuple
     copy: int  # copy index, >= 1
@@ -282,7 +282,7 @@ class RecurringStep:
 Step = Union[PrefixStep, RecurringStep]
 
 
-@dataclass(frozen=True)
+@record
 class PointRef:
     """A point of the realized space: a finite path of steps from the root."""
 

@@ -21,10 +21,10 @@ index) has one, and reports hitting it as :class:`CapExceeded`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from ._record import record
 from .errors import InternalCheckError, PreconditionError
 from .func import (
     QFunction,
@@ -39,7 +39,7 @@ from .func import (
 DEFAULT_CAP = 64
 
 
-@dataclass(frozen=True)
+@record
 class CapExceeded:
     """Returned when iteration hit the stage cap before stabilizing."""
 
@@ -83,7 +83,7 @@ def v_step(f: QFunction, w: QFunction) -> QFunction:
 _STEPS = {"osc": osc_step, "v": v_step}
 
 
-@dataclass(frozen=True)
+@record
 class OscTrace:
     """Stages [s_0, s_1, ...] of the iteration together with where (and
     whether) they stabilized.  When ``stabilized_at`` is τ the trace holds
@@ -157,7 +157,7 @@ def d_norm(f: QFunction) -> Fraction:
     return (f.abs() + final_stage(f)).sup_abs()
 
 
-@dataclass(frozen=True)
+@record
 class Decomposition:
     u: QFunction
     v: QFunction
@@ -209,7 +209,7 @@ def fixpoint_criterion(f: QFunction, alpha: int) -> bool:
 # -- level-set witness ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class LevelSetWitness:
     """Data located below a strict growth v_α(x) < v_{α+1}(x) = β.
 

@@ -155,7 +155,7 @@ def build_jump_chain(
         x1 = point_at(sp, x1_node)
         delta = lam  # attained maximum; sits strictly inside the window
         plan = extract_subsequence(
-            seq, x1, frozenset(sp.node_ids()), delta, eta, s=2
+            seq, x1, frozenset(sp.node_ids()), delta, eta
         )
         x2 = scan_witness(plan, 2)
         bundle = WitnessBundle(
@@ -189,7 +189,7 @@ def build_jump_chain(
     lw = level_set_witness(trace, 1, x, run_eta)
     x1 = point_at(sp, lw.x1)
     plan = extract_subsequence(
-        seq, x1, lw.level_set, lw.delta, lw.eta, s=4
+        seq, x1, lw.level_set, lw.delta, lw.eta
     )
     n = plan.indices
     m = (1, 2, 3, 4)

@@ -1,7 +1,6 @@
 """End-to-end command line coverage, through subprocesses except where a
 test must patch the library under the command."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -15,6 +14,7 @@ import oscal.cli
 import oscal.oracle
 import oscal.transfinite
 from oscal import documents
+from oscal._record import replace
 from oscal.extraction import (
     CIFunction,
     CopyTable,
@@ -321,7 +321,7 @@ def test_internal_fault_exits_three(paths, monkeypatch, capsys):
 
     def wrong_optimum(lp):
         res = real_solve(lp)
-        return dataclasses.replace(res, objective=res.objective + 1)
+        return replace(res, objective=res.objective + 1)
 
     monkeypatch.setattr(oscal.oracle, "solve", wrong_optimum)
     code = oscal.cli.main(["fn", "dnorm", str(paths["f2"]), "--oracle"])
@@ -382,6 +382,22 @@ def test_number_past_the_digit_limit_is_malformed_input(tmp_path):
         r = run_cli(["fn", "dnorm", bad])
         assert r.returncode == 2, (name, r.stderr)
         assert "Traceback" not in r.stderr
+
+
+def test_error_quotes_at_most_a_line_of_the_input(tmp_path, capsys):
+    big = "1" * 5000 + "x"
+    sp = '{"nodes": [{"id": 0, "prefix": [], "recurring": []}], "root": 0}'
+    cases = {
+        "value": ('{"0": "%s"}' % big, "values.0: malformed rational"),
+        "node_key": ('{"%s": "1"}' % big, "values: non-numeric node key"),
+    }
+    for name, (values, message) in cases.items():
+        bad = tmp_path / ("%s.json" % name)
+        bad.write_text('{"kind": "qfunction", "space": %s, "values": %s}' % (sp, values))
+        assert oscal.cli.main(["fn", "dnorm", str(bad)]) == 2
+        full = "%s '%s'" % (message, big)
+        assert capsys.readouterr().err == "oscal: %s... (%d characters)\n" % (
+            full[:200], len(full)), name
 
 
 def test_dnorm_malformed_input(paths):
@@ -790,3 +806,5 @@ def test_command_imports_only_its_layers(command, import_cases):
     loaded = set(json.loads(r.stderr.splitlines()[-1]))
     assert "oscal.cli" in loaded
     assert not loaded & {"oscal." + m for m in absent}
+    # records are built without code generation at start-up
+    assert not loaded & {"dataclasses", "inspect"}

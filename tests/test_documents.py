@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from oscal import documents
@@ -231,6 +231,12 @@ def _locations(obj, where=()):
     elif isinstance(obj, list):
         for idx, value in enumerate(obj):
             yield from _locations(value, where + (idx,))
+
+
+def test_json_strategy_nests():
+    # the fuzz tests reach nested documents only if JSON draws them
+    find(JSON, lambda v: isinstance(v, dict) and any(isinstance(x, list) for x in v.values()))
+    find(JSON, lambda v: isinstance(v, list) and any(isinstance(x, dict) for x in v))
 
 
 @settings(max_examples=150)

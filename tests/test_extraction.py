@@ -93,7 +93,7 @@ def test_index_seq_must_increase():
 
 
 def test_extract_example_plan(g_seq):
-    plan = extract_subsequence(g_seq, ROOT, frozenset({1}), F(1), F(1, 2), 3)
+    plan = extract_subsequence(g_seq, ROOT, frozenset({1}), F(1), F(1, 2))
     assert [plan.indices.value(i) for i in (1, 2, 3)] == [1, 2, 3]
     assert plan.witness(4) == leaf(3)
 
@@ -107,14 +107,14 @@ def test_jump_witness_goldens(g_seq):
 
 def test_extraction_preconditions(g_seq):
     with pytest.raises(PreconditionError):
-        extract_subsequence(g_seq, ROOT, frozenset({1}), F(2), F(1, 2), 3)
+        extract_subsequence(g_seq, ROOT, frozenset({1}), F(2), F(1, 2))
     with pytest.raises(PreconditionError):
-        extract_subsequence(g_seq, leaf(1), frozenset({1}), F(1), F(1, 2), 3)
+        extract_subsequence(g_seq, leaf(1), frozenset({1}), F(1), F(1, 2))
     flat = FunctionSeq(
         QFunction(chain_space(1), {0: F(0), 1: F(0)}), MovingStep(None)
     )
     with pytest.raises(PreconditionError):
-        extract_subsequence(flat, ROOT, frozenset({1}), F(0), F(1, 2), 2)
+        extract_subsequence(flat, ROOT, frozenset({1}), F(0), F(1, 2))
 
 
 def step_seq():
@@ -126,7 +126,7 @@ def step_seq():
 def plan_at(seq, x1, eta):
     node = seq.space.node_ids()[len(x1.steps)]
     delta = max(seq.phi(y) - seq.phi(node) for y in seq.space.acc(node))
-    return extract_subsequence(seq, x1, seq.space.node_ids(), delta, eta, 1)
+    return extract_subsequence(seq, x1, seq.space.node_ids(), delta, eta)
 
 
 @pytest.mark.parametrize("eta", [F(1, 10), F(1, 2), F(9, 10)])

@@ -3,7 +3,6 @@ branches it replaced (``reference_extraction``) at stages 1 and 2, and
 against both checkers at every stage up to the index; the closed-form
 copies of the extracted points against the copy scans they replaced."""
 
-import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +13,7 @@ import oscal.extraction
 import oscal.transfinite
 import reference_extraction
 from helpers import staged_function
+from oscal._record import replace
 from oscal.errors import OscalError
 from oscal.extraction import (
     FunctionSeq,
@@ -203,7 +203,7 @@ def assert_proven_copies(seq, bundle):
 
     def conditions_at(copy):
         t = _realize(seq, points[-2], target, copy)
-        moved = dataclasses.replace(bundle, t=t, points=points[:-1] + (t,))
+        moved = replace(bundle, t=t, points=points[:-1] + (t,))
         return check_jump_chain(seq, moved).conditions
 
     assert conditions_at(n.value(2 * k))["tail"] is Verdict.FALSE
@@ -238,7 +238,7 @@ def test_witness_matches_the_scanning_oracle():
             for copy in range(1, 5):
                 plan = extract_subsequence(
                     seq, point_at(sp, node, copy), sp.node_ids(), delta,
-                    F(1, 2), 6,
+                    F(1, 2),
                 )
                 for m in range(1, 6):
                     past = max(

@@ -1,6 +1,5 @@
 """LP oracle: independent norm computation and symmetry probes."""
 
-import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 
 import helpers
 import oscal.oracle
+from oscal._record import replace
 from oscal.errors import InternalCheckError, PreconditionError
 from oscal.func import QFunction, is_lsc
 from oscal.oracle import lift_function, oracle_dnorm, oracle_lp, symmetry_check
@@ -187,7 +187,7 @@ def test_lowered_w_fails_reverification(f2, monkeypatch):
         k = max(range(1, len(duals)), key=duals.__getitem__)
         assert duals[k] > 0
         duals[k] -= min(duals[k], F(1, 2))
-        return dataclasses.replace(res, duals=duals)
+        return replace(res, duals=duals)
 
     monkeypatch.setattr(oscal.oracle, "solve", lowered)
     with pytest.raises(InternalCheckError) as err:
@@ -203,7 +203,7 @@ def test_infeasible_multipliers_fail_reverification(f2, monkeypatch):
         res = real_solve(lp)
         values = dict(res.values)
         values["y%d" % f2.space.root] += 1  # breaks the row of column t
-        return dataclasses.replace(res, values=values)
+        return replace(res, values=values)
 
     monkeypatch.setattr(oscal.oracle, "solve", overweight)
     with pytest.raises(InternalCheckError) as err:
@@ -217,7 +217,7 @@ def test_suboptimal_multipliers_fail_reverification(f2, monkeypatch):
     def zero_multipliers(lp):
         # feasible for every dual row, but their objective 0 proves nothing
         res = real_solve(lp)
-        return dataclasses.replace(res, values=dict.fromkeys(res.values, F(0)))
+        return replace(res, values=dict.fromkeys(res.values, F(0)))
 
     monkeypatch.setattr(oscal.oracle, "solve", zero_multipliers)
     with pytest.raises(InternalCheckError) as err:
@@ -322,7 +322,7 @@ def test_patched_solve_still_fails_inside_symmetry_check(f2, monkeypatch):
 
     def zero_multipliers(lp):
         res = real_solve(lp)
-        return dataclasses.replace(res, values=dict.fromkeys(res.values, F(0)))
+        return replace(res, values=dict.fromkeys(res.values, F(0)))
 
     f = fresh(f2)
     symmetry_check(f, 1)  # the quotient is kept; the unrolled program is not

@@ -1,6 +1,5 @@
 """Finite-stage basis algebra: norms, identities, blockings, ceilings."""
 
-import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -9,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oscal.seqlab
+from oscal._record import field_names
 from oscal.errors import PreconditionError
 from oscal.sampling import random_basis, random_blocking
 from oscal.seqlab import (
@@ -315,8 +315,7 @@ def test_square_closed_form_matches_dual_vertex_path(kind, seed):
         tuple(v + (F(0),) for v in basis.vectors),
     )
     square, lp = check_identities(basis), check_identities(padded)
-    for field in dataclasses.fields(IdentityReport):
-        name = field.name
+    for name in field_names(IdentityReport):
         assert getattr(square, name) == getattr(lp, name), name
 
 
