@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import documents
@@ -83,21 +82,13 @@ def _read_text(path: str) -> str:
         raise DocumentError("%s is not UTF-8 text: %s" % (path, exc.reason)) from None
 
 
-def _load(path: str, *expected: str) -> documents.Document:
+def _load(path: str, expected: str) -> documents.Document:
     doc = documents.loads(_read_text(path))
     kind = documents.document_kind(doc)
-    if kind not in expected:
+    if kind != expected:
         raise DocumentError(
-            "%s: expected a %s document, got %s"
-            % (path, " or ".join(expected), kind)
+            "%s: expected a %s document, got %s" % (path, expected, kind)
         )
-    return doc
-
-
-def _load_function(path: str):
-    doc = _load(path, "qfunction", "cifunction")
-    if documents.document_kind(doc) == "cifunction":
-        return doc.as_qfunction()
     return doc
 
 
@@ -124,17 +115,7 @@ def _integer(text: str) -> int:
 
 def _cap(args) -> int:
     from .transfinite import DEFAULT_CAP
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get("OSCAL_CAP")
-    if env is None:
-        return DEFAULT_CAP
-    value = parse_int(env)
-    if not value:
-        raise PreconditionError(
-            "OSCAL_CAP must be a positive integer, got %r" % env
-        )
-    return value
+    return DEFAULT_CAP if args.cap is None else args.cap
 
 
 # -- commands ------------------------------------------------------------------
@@ -153,7 +134,7 @@ def cmd_space_validate(args) -> int:
 
 def cmd_fn_envelope(args) -> int:
     from .func import lsc_envelope, usc_envelope
-    f = _load_function(args.file)
+    f = _load(args.file, "qfunction")
     out = usc_envelope(f) if args.kind == "upper" else lsc_envelope(f)
     _emit_text(args, documents.dumps(out))
     return 0
@@ -161,7 +142,7 @@ def cmd_fn_envelope(args) -> int:
 
 def cmd_fn_osc(args) -> int:
     from .transfinite import iterate
-    f = _load_function(args.file)
+    f = _load(args.file, "qfunction")
     kind = "v" if args.positive else "osc"
     trace = iterate(f, kind, _cap(args))
     if args.alpha is not None:
@@ -186,7 +167,7 @@ def cmd_fn_osc(args) -> int:
 
 def cmd_fn_index(args) -> int:
     from .transfinite import CapExceeded, d_index
-    f = _load_function(args.file)
+    f = _load(args.file, "qfunction")
     res = d_index(f, _cap(args))
     if isinstance(res, CapExceeded):
         _diag("chain did not stabilize within cap %d" % res.cap)
@@ -197,7 +178,7 @@ def cmd_fn_index(args) -> int:
 
 def cmd_fn_dnorm(args) -> int:
     from .transfinite import d_norm
-    f = _load_function(args.file)
+    f = _load(args.file, "qfunction")
     if args.unroll is not None:
         from .func import lift_function
         from .space import unroll
@@ -222,7 +203,7 @@ def cmd_fn_dnorm(args) -> int:
 
 def cmd_fn_decompose(args) -> int:
     from .transfinite import decompose
-    dec = decompose(_load_function(args.file))
+    dec = decompose(_load(args.file, "qfunction"))
     obj = {
         "norm": format_rational(dec.norm),
         "u": documents.document_obj(dec.u),
@@ -344,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     capper = argparse.ArgumentParser(add_help=False)
     capper.add_argument(
         "--cap", type=_positive_int, default=None,
-        help="stage cap of fn osc and fn index (default OSCAL_CAP or 64)",
+        help="stage cap of fn osc and fn index (default 64)",
     )
     sub = parser.add_subparsers(dest="command")
 

@@ -3,11 +3,11 @@
 Every quantity is exact: rationals travel as strings "p/q" (or "p"),
 complex values as {"re": ..., "im": ...}, and nothing is ever a float.
 Serialization is canonical — fixed field order per document kind, node
-and copy keys in ascending numeric order, two-space indentation, one
-trailing newline — so documents diff cleanly and parsing then
-serializing reproduces a canonical file byte for byte.  Unknown fields
-are rejected everywhere rather than ignored: a typo in a key should be
-a loud error, not a silently dropped constraint.
+keys in ascending numeric order, two-space indentation, one trailing
+newline — so documents diff cleanly and parsing then serializing
+reproduces a canonical file byte for byte.  Unknown fields are rejected
+everywhere rather than ignored: a typo in a key should be a loud error,
+not a silently dropped constraint.
 """
 
 from __future__ import annotations
@@ -30,12 +30,10 @@ from .space import (
 )
 
 if TYPE_CHECKING:
-    from .extraction import CIFunction, CopyTable, FunctionSeq, IndexSeq, WitnessBundle
+    from .extraction import FunctionSeq, IndexSeq, WitnessBundle
     from .seqlab import PolyBasis
 
-    Document = Union[
-        TreeSpace, QFunction, CIFunction, FunctionSeq, PolyBasis, WitnessBundle
-    ]
+    Document = Union[TreeSpace, QFunction, FunctionSeq, PolyBasis, WitnessBundle]
 
 
 # the longest error text repeated in full: a document may hold a number of
@@ -60,13 +58,6 @@ def _input_errors(path: str):
         raise
     except OscalError as exc:
         raise _fail(path, str(exc)) from None
-
-
-def _node_key(key: str, path: str, what: str = "node key") -> int:
-    value = parse_int(key, signs="-")
-    if value is None:
-        raise _fail(path, "non-numeric %s %r" % (what, key))
-    return value
 
 
 def _sub(path: str, name: str) -> str:
@@ -190,7 +181,10 @@ def values_from_obj(obj: Any, space: TreeSpace, path: str) -> dict[int, Scalar]:
         raise _fail(path, "expected an object keyed by node id")
     out = {}
     for key, raw in obj.items():
-        out[_node_key(key, path)] = scalar_from_json(raw, "%s.%s" % (path, key))
+        node = parse_int(key, signs="-")
+        if node is None:
+            raise _fail(path, "non-numeric node key %r" % key)
+        out[node] = scalar_from_json(raw, "%s.%s" % (path, key))
     if set(out) != set(space.node_ids()):
         raise _fail(path, "value keys must cover the space's nodes exactly")
     return out
@@ -239,40 +233,6 @@ def _qfunction_doc(f: QFunction) -> dict:
         "kind": "qfunction",
         "space": space_to_obj(f.space),
         "values": values_to_obj(f.values),
-    }
-
-
-def _table_to_obj(table: CopyTable) -> dict:
-    return {
-        "upto": [[str(k), scalar_to_json(v)] for k, v in table.entries],
-        "tail": scalar_to_json(table.tail),
-    }
-
-
-def _copy_entry_from_obj(obj: Any, path: str) -> tuple[int, Scalar]:
-    pair = _expect_list(obj, path)
-    if len(pair) != 2:
-        raise _fail(path, 'expected ["k", value]')
-    key = _expect_str(pair[0], path)
-    return _node_key(key, path, "copy index"), scalar_from_json(pair[1], path)
-
-
-def _table_from_obj(obj: Any, path: str) -> CopyTable:
-    from .extraction import CopyTable
-    _expect_object(obj, path, ("upto", "tail"))
-    entries = _list_of(obj["upto"], path + ".upto", _copy_entry_from_obj)
-    tail = scalar_from_json(obj["tail"], path + ".tail")
-    with _input_errors(path):
-        return CopyTable(entries, tail)
-
-
-def _cifunction_doc(f: CIFunction) -> dict:
-    return {
-        "kind": "cifunction",
-        "space": space_to_obj(f.space),
-        "tables": {
-            str(i): _table_to_obj(f.tables[i]) for i in sorted(f.tables)
-        },
     }
 
 
@@ -367,20 +327,6 @@ def _parse_qfunction(obj: dict) -> QFunction:
     return QFunction(space, values)
 
 
-def _parse_cifunction(obj: dict) -> CIFunction:
-    from .extraction import CIFunction
-    _expect_object(obj, "", ("kind", "space", "tables"))
-    space = _valid_space(obj["space"])
-    raw = obj["tables"]
-    if not isinstance(raw, dict):
-        raise _fail("tables", "expected an object keyed by node id")
-    tables = {}
-    for key, tobj in raw.items():
-        tables[_node_key(key, "tables")] = _table_from_obj(tobj, "tables.%s" % key)
-    with _input_errors("tables"):
-        return CIFunction(space, tables)
-
-
 def _parse_sequence(obj: dict) -> FunctionSeq:
     from .extraction import EventuallyLimit, FunctionSeq, MovingStep
     _expect_object(obj, "", ("kind", "space", "limit", "generator"))
@@ -466,7 +412,6 @@ def _parse_witness(obj: dict) -> WitnessBundle:
 _KINDS = {
     "space": ("space", "TreeSpace", _space_doc, _parse_space),
     "qfunction": ("func", "QFunction", _qfunction_doc, _parse_qfunction),
-    "cifunction": ("extraction", "CIFunction", _cifunction_doc, _parse_cifunction),
     "sequence": ("extraction", "FunctionSeq", _sequence_doc, _parse_sequence),
     "basis": ("seqlab", "PolyBasis", _basis_doc, _parse_basis),
     "witness": ("extraction", "WitnessBundle", _witness_doc, _parse_witness),

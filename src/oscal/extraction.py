@@ -92,79 +92,6 @@ def _abs_sum(
     return acc
 
 
-# -- copy-indexed functions ---------------------------------------------------
-
-
-@record
-class CopyTable:
-    """Finitely many copy-indexed values, then a constant tail."""
-
-    entries: tuple[tuple[int, Scalar], ...]
-    tail: Scalar
-
-    def __post_init__(self) -> None:
-        ks = [k for k, _ in self.entries]
-        if any(k < 1 for k in ks):
-            raise PreconditionError("copy indices start at 1")
-        if len(set(ks)) != len(ks):
-            raise PreconditionError("duplicate copy index in table")
-        object.__setattr__(
-            self, "entries", tuple(sorted(self.entries, key=lambda e: e[0]))
-        )
-
-    def lookup(self, k: int) -> Scalar:
-        for key, v in self.entries:
-            if key == k:
-                return v
-        return self.tail
-
-    def is_constant(self) -> bool:
-        return all(v == self.tail for _, v in self.entries)
-
-
-@record
-class CIFunction:
-    """Node function whose value may depend on the copy index of the last
-    recurring step of the path (the nearest recurring ancestor); paths with
-    no recurring step take the tail value.  Eventually constant in every
-    copy index by construction."""
-
-    space: TreeSpace
-    tables: dict
-
-    def __post_init__(self) -> None:
-        self.space.require_valid()
-        fixed = {}
-        for i, t in self.tables.items():
-            if not isinstance(t, CopyTable):
-                raise PreconditionError("node %r: expected a CopyTable" % i)
-            fixed[int(i)] = t
-        if set(fixed) != set(self.space.node_ids()):
-            raise PreconditionError("tables must cover the nodes exactly")
-        object.__setattr__(self, "tables", fixed)
-
-    def at_point(self, point: PointRef) -> Scalar:
-        node = resolve(self.space, point)
-        copy = 0
-        for s in point.steps:
-            if isinstance(s, RecurringStep):
-                copy = s.copy
-        table = self.tables[node]
-        return table.tail if copy == 0 else table.lookup(copy)
-
-    def is_constant(self) -> bool:
-        return all(t.is_constant() for t in self.tables.values())
-
-    def as_qfunction(self) -> QFunction:
-        if not self.is_constant():
-            raise PreconditionError(
-                "copy-indexed function does not reduce to a node function"
-            )
-        return QFunction(
-            self.space, {i: t.tail for i, t in self.tables.items()}
-        )
-
-
 # -- convergent sequences of continuous functions -----------------------------
 
 

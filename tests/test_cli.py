@@ -16,8 +16,6 @@ import oscal.transfinite
 from oscal import documents
 from oscal._record import replace
 from oscal.extraction import (
-    CIFunction,
-    CopyTable,
     FunctionSeq,
     MovingStep,
     build_jump_chain,
@@ -48,7 +46,7 @@ def run_cli(argv, stdin=None, env_extra=None):
 
 
 @pytest.fixture(scope="module")
-def paths(tmp_path_factory, k1, k2, k3, f2, g_seq, h_seq):
+def paths(tmp_path_factory, k3, f2, g_seq, h_seq):
     tmp = tmp_path_factory.mktemp("cli")
 
     def save(name, doc):
@@ -70,17 +68,6 @@ def paths(tmp_path_factory, k1, k2, k3, f2, g_seq, h_seq):
             for i in range(1, 7)
         ),
     )
-    ci_const = CIFunction(
-        k2,
-        {
-            0: CopyTable((), F(0)),
-            1: CopyTable((), F(1)),
-            2: CopyTable((), F(0)),
-        },
-    )
-    ci_var = CIFunction(
-        k1, {0: CopyTable((), F(-1)), 1: CopyTable(((1, F(5)),), F(0))}
-    )
     out = {
         "tmp": tmp,
         "f2": save("f2.json", f2),
@@ -89,8 +76,6 @@ def paths(tmp_path_factory, k1, k2, k3, f2, g_seq, h_seq):
         "h": save("h.json", h_seq),
         "basis": save("basis.json", basis),
         "se_basis": save("se_basis.json", se_basis),
-        "ci_const": save("ci_const.json", ci_const),
-        "ci_var": save("ci_var.json", ci_var),
     }
     return out
 
@@ -232,6 +217,30 @@ def test_pinned_output(command, quiet, pinned_files, tmp_path, capsys):
             assert out.read_text() == want_json
 
 
+# every command level's --help, at 80 columns
+HELP_ARGV = [
+    [],
+    ["space"], ["space", "validate"],
+    ["fn"], ["fn", "envelope"], ["fn", "osc"], ["fn", "index"],
+    ["fn", "dnorm"], ["fn", "decompose"],
+    ["seq"], ["seq", "identities"], ["seq", "basis-constant"], ["seq", "wuc"],
+    ["seq", "duc"], ["seq", "eps-cc"],
+    ["extract"], ["extract", "run"], ["extract", "check"],
+]
+
+
+def test_help_is_pinned(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    text = []
+    for argv in HELP_ARGV:
+        with pytest.raises(SystemExit) as exc:
+            oscal.cli.main(argv + ["--help"])
+        assert exc.value.code == 0, argv
+        text.append("$ oscal %s\n" % " ".join(argv + ["--help"]))
+        text.append(capsys.readouterr().out)
+    assert "".join(text) == (GOLDEN / "cli_help.txt").read_text()
+
+
 def test_index(paths):
     r = run_cli(["fn", "index", paths["f2"]])
     assert r.returncode == 0
@@ -260,22 +269,6 @@ def test_index_cap_exhaustion(paths):
     r = run_cli(["fn", "index", paths["f2"], "--cap", "1"])
     assert r.returncode == 1
     assert "cap" in r.stderr
-
-
-def test_index_cap_from_environment(paths):
-    r = run_cli(["fn", "index", paths["f2"]], env_extra={"OSCAL_CAP": "1"})
-    assert r.returncode == 1
-    # only ASCII digits: a superscript two or an Arabic-Indic three is no cap
-    for bad in ("potato", "\u00b2", "\u0663"):
-        r = run_cli(["fn", "index", paths["f2"]], env_extra={"OSCAL_CAP": bad})
-        assert r.returncode == 2, bad
-        assert "OSCAL_CAP must be a positive integer" in r.stderr
-    # the norm reads the final stage in one pass: no cap applies to it
-    r = run_cli(
-        ["fn", "dnorm", paths["f2"], "--oracle"], env_extra={"OSCAL_CAP": "1"}
-    )
-    assert r.returncode == 0
-    assert r.stdout == (GOLDEN / "cli_dnorm_oracle.txt").read_text()
 
 
 @pytest.fixture(scope="module")
@@ -373,8 +366,6 @@ def test_number_past_the_digit_limit_is_malformed_input(tmp_path):
         "number": '{"kind": "space", "root": %s, "nodes": []}' % big,
         "node_key": '{"kind": "qfunction", "space": %s, "values": {"%s": "1"}}'
         % (sp, big),
-        "copy_index": '{"kind": "cifunction", "space": %s, "tables": {"0": '
-        '{"upto": [["%s", "1"]], "tail": "0"}}}' % (sp, big),
     }
     for name, text in docs.items():
         bad = tmp_path / ("%s.json" % name)
@@ -691,12 +682,17 @@ def test_wrong_document_kind_exits_two(paths):
     assert r.returncode == 2
 
 
-def test_copy_indexed_inputs(paths):
-    r = run_cli(["fn", "index", paths["ci_const"]])
-    assert r.returncode == 0
-    assert json.loads(r.stdout) == {"i_D": "2"}
-    r = run_cli(["fn", "index", paths["ci_var"]])
-    assert r.returncode == 2
+def test_copy_indexed_document_is_rejected(tmp_path, capsys):
+    # a cifunction with constant copy tables: a qfunction in another format,
+    # and no longer a document kind
+    sp = '{"nodes": [{"id": 0, "prefix": [], "recurring": []}], "root": 0}'
+    doc = tmp_path / "ci_const.json"
+    doc.write_text('{"kind": "cifunction", "space": %s, "tables": {"0": '
+                   '{"upto": [], "tail": "1"}}}' % sp)
+    assert oscal.cli.main(["fn", "index", str(doc)]) == 2
+    assert capsys.readouterr().err == (
+        "oscal: unknown document kind 'cifunction' (expected one of space, "
+        "qfunction, sequence, basis, witness)\n")
 
 
 # -- each command imports only the layers it runs ------------------------------

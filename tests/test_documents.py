@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from oscal import documents
 from oscal.errors import DocumentError, InternalCheckError
 from oscal.extraction import (
-    CIFunction,
-    CopyTable,
     EventuallyLimit,
     FunctionSeq,
     MovingStep,
@@ -33,9 +31,6 @@ def sample_documents(k1, k2, k3, f2, h_seq):
         QFunction(k2, {0: F(1), 1: F(1), 2: F(1)}),
         EventuallyLimit((QFunction(k2, {0: F(0), 1: F(0), 2: F(0)}),)),
     )
-    ci = CIFunction(
-        k1, {0: CopyTable((), F(-1)), 1: CopyTable(((1, F(5)),), F(0))}
-    )
     basis = PolyBasis(
         PolySpace(4, NormKind.SUP),
         tuple(
@@ -50,7 +45,6 @@ def sample_documents(k1, k2, k3, f2, h_seq):
         "qfunction_complex": fc,
         "sequence_moving": g,
         "sequence_eventually": el,
-        "cifunction": ci,
         "basis_sup": basis,
         "witness_k3": bundle,
     }
@@ -69,7 +63,6 @@ def docs(k1, k2, k3, f2, h_seq):
         "qfunction_complex",
         "sequence_moving",
         "sequence_eventually",
-        "cifunction",
         "basis_sup",
         "witness_k3",
     ],
@@ -89,7 +82,6 @@ def test_round_trip_is_canonical(docs, name):
         "qfunction_complex",
         "sequence_moving",
         "sequence_eventually",
-        "cifunction",
         "basis_sup",
         "witness_k3",
     ],

@@ -7,8 +7,6 @@ import pytest
 import helpers
 from oscal.errors import PreconditionError
 from oscal.extraction import (
-    CIFunction,
-    CopyTable,
     EventuallyLimit,
     FunctionSeq,
     IndexSeq,
@@ -389,36 +387,3 @@ def test_eventually_limit_terms_are_continuous(k2):
     el = FunctionSeq(lim, EventuallyLimit((pre,)))
     for j in (1, 2, 3):
         assert is_continuous(helpers.induced_node_function(el, j, 3))
-
-
-# --- copy-indexed functions ---
-
-
-def test_copy_indexed_lookup(k1):
-    ci = CIFunction(
-        k1,
-        {
-            0: CopyTable((), F(-1)),
-            1: CopyTable(((1, F(5)), (2, F(5))), F(0)),
-        },
-    )
-    assert ci.at_point(leaf(1)) == F(5)
-    assert ci.at_point(leaf(3)) == F(0)
-    assert ci.at_point(ROOT) == F(-1)
-    assert not ci.is_constant()
-    with pytest.raises(PreconditionError):
-        ci.as_qfunction()
-
-
-def test_copy_indexed_reduction(k1):
-    ci = CIFunction(
-        k1, {0: CopyTable((), F(2)), 1: CopyTable(((3, F(4)),), F(4))}
-    )
-    assert ci.is_constant()
-    q = ci.as_qfunction()
-    assert q(0) == F(2) and q(1) == F(4)
-
-
-def test_copy_table_guard():
-    with pytest.raises(PreconditionError):
-        CopyTable(((0, F(1)),), F(0))

@@ -196,6 +196,24 @@ def test_lowered_w_fails_reverification(f2, monkeypatch):
     assert "monotonicity" in str(err.value) or "objective" in str(err.value)
 
 
+def test_raised_w_at_a_limit_node_fails_monotonicity(f2, monkeypatch):
+    # u and v rise at the limit node 1 above the leaf 2 in acc(1): neither
+    # is lower semicontinuous, and the monotonicity check must name the node
+    real_solve = oscal.oracle.solve
+    nodes = f2.space.node_ids()
+
+    def raised(lp):
+        res = real_solve(lp)
+        duals = list(res.duals)
+        duals[1 + nodes.index(1)] += 1
+        return replace(res, duals=duals)
+
+    monkeypatch.setattr(oscal.oracle, "solve", raised)
+    with pytest.raises(InternalCheckError) as err:
+        oracle_dnorm(f2)
+    assert "monotonicity at 1" in str(err.value)
+
+
 def test_infeasible_multipliers_fail_reverification(f2, monkeypatch):
     real_solve = oscal.oracle.solve
 
