@@ -50,11 +50,6 @@ def field(*, default_factory=None, repr: bool = True) -> _Field:
     return _Field(default_factory, repr)
 
 
-def field_names(rec) -> tuple[str, ...]:
-    """The field names of a record class or instance, in order."""
-    return rec.__record_fields__
-
-
 def replace(rec, **changes):
     """A new record like ``rec`` with ``changes``; ``__post_init__`` runs."""
     names = rec.__record_fields__

@@ -3,19 +3,18 @@
 Reads documents, runs one computation or verification, writes a JSON
 result (documents for document-valued outputs, small result objects
 otherwise) to standard output.  ``--quiet`` prints only the bare verdict
-("true", "false", "undecided"), the bare value, or ``ok`` for a valid
-space, and nothing for a computed document; ``-o`` files are written
-either way.  Integer options take ASCII digits only
-(``rationals.parse_int``).
+("true" or "false"), the bare value, or ``ok`` for a valid space, and
+nothing for a computed document; ``-o`` files are written either way.
+Integer options take ASCII digits only (``rationals.parse_int``).
 
 Exit code 0 means success or a verified true; 1 means a verified false,
-an undecided comparison, the stage cap of ``fn osc`` or ``fn index`` (the
-only commands with one), or an extraction whose preconditions fail on
-valid input; 2 means the input itself was unusable (malformed document,
-wrong kind, invalid arguments); 3 means an internal self-check failed or
-an exception no handler expects escaped (its traceback goes to standard
-error), a bug rather than an answer; input that does not parse is
-reported where it is read, so a stray ``ValueError`` is such a bug too.
+the stage cap of ``fn osc`` or ``fn index`` (the only commands with
+one), or an extraction whose preconditions fail on valid input; 2 means
+the input itself was unusable (malformed document, wrong kind, invalid
+arguments); 3 means an internal self-check failed or an exception no
+handler expects escaped (its traceback goes to standard error), a bug
+rather than an answer; input that does not parse is reported where it
+is read, so a stray ``ValueError`` is such a bug too.
 ``extract run --alpha`` takes any stage from 1; above the index it exits 1.
 
 Each subcommand imports only the layers it runs, so start-up cost

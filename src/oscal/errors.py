@@ -18,8 +18,9 @@ class MismatchError(OscalError):
 class ExactnessError(OscalError):
     """An exact rational value was required but does not exist.
 
-    Raised e.g. when the modulus of a Gaussian rational is irrational and
-    the caller asked for the exact value rather than a bracket.
+    Raised when a computation needs the modulus of a Gaussian rational as
+    a rational and it is irrational, as in the stage layer on a complex
+    function whose gaps have irrational moduli.
     """
 
 

@@ -32,15 +32,7 @@ from typing import Callable, Optional, Sequence, Union
 from ._record import field, record
 from .errors import InternalCheckError, PreconditionError
 from .func import QFunction, Scalar, is_continuous
-from .rationals import (
-    GaussianRational,
-    IntervalSum,
-    Verdict,
-    rat,
-    rational_abs,
-    sqrt_bracket,
-    verdict_all,
-)
+from .rationals import GaussianRational, IntervalSum, Verdict, rat, verdict, verdict_all
 from .space import (
     PointRef,
     PrefixStep,
@@ -54,21 +46,6 @@ from .space import (
 from .transfinite import iterate, level_set_witness, v_pre_step
 
 
-def _abs_upper(z: Scalar) -> Fraction:
-    """Rational upper bound on |z|, exact whenever |z| is rational."""
-    if isinstance(z, GaussianRational):
-        a = rational_abs(z)
-        return a if a is not None else sqrt_bracket(z.abs_squared())[1]
-    return abs(z)
-
-
-def _add_abs(acc: IntervalSum, z: Scalar) -> None:
-    if isinstance(z, GaussianRational):
-        acc.add_abs(z)
-    else:
-        acc.add_rational(abs(z))
-
-
 def _abs_sum(
     seq: FunctionSeq,
     indices: IndexSeq,
@@ -77,7 +54,7 @@ def _abs_sum(
     lo: int,
     hi: Optional[int],
 ) -> IntervalSum:
-    """Exact bracket of sum_{lo <= i < hi} |f_{n_i}(pt) - ref|.  With hi
+    """Exact sum_{lo <= i < hi} |f_{n_i}(pt) - ref|.  With hi
     None the range is open: it runs while n_i is within the support
     threshold of pt, past which f_{n_i}(pt) = f(pt), so callers summing
     to infinity pass ref = f(pt)."""
@@ -88,7 +65,7 @@ def _abs_sum(
             hi += 1
     acc = IntervalSum()
     for i in range(lo, hi):
-        _add_abs(acc, seq.eval(indices.value(i), pt) - ref)
+        acc.add_abs(seq.eval(indices.value(i), pt) - ref)
     return acc
 
 
@@ -249,14 +226,6 @@ class FunctionSeq:
                 out.append((j, d))
         return out
 
-    def uniform_bound(self) -> Fraction:
-        """Rational bound on |f_j| over all j and all points."""
-        vals = list(self.limit.values.values())
-        if isinstance(self.generator, EventuallyLimit):
-            for g in self.generator.prefix:
-                vals.extend(g.values.values())
-        return max(_abs_upper(v) for v in vals)
-
 
 # -- subsequence bookkeeping --------------------------------------------------
 
@@ -380,10 +349,10 @@ def extract_subsequence(
     # below eta*delta; S only grows as a falls, so walk the terms down once
     bound = eta * delta
     a = 1
-    tail = Fraction(0)
+    tail = IntervalSum()
     for j, d in reversed(seq.tail_terms(x1, 1)):
-        tail += _abs_upper(d)
-        if tail >= bound:
+        tail.add_abs(d)
+        if tail.less_than(bound) is Verdict.FALSE:
             a = j + 1
             break
     indices = IndexSeq((), a - 1)
@@ -426,8 +395,7 @@ def check_jump_witness(
     eta,
 ) -> Verdict:
     """The three conditions a single jump witness must satisfy, verified
-    exactly against the sequence; three-valued only when complex moduli
-    are genuinely irrational and the bracket straddles the bound."""
+    exactly against the sequence, irrational complex moduli included."""
     delta = rat(delta)
     eta = rat(eta)
     if not 0 < eta < 1:
@@ -440,11 +408,7 @@ def check_jump_witness(
     bound = eta * delta
     head = _abs_sum(seq, indices, x2, f.at_point(x1), 1, m)
     tail = _abs_sum(seq, indices, x2, f.at_point(x2), m, None)
-    return verdict_all([
-        Verdict.TRUE if jump else Verdict.FALSE,
-        head.less_than(bound),
-        tail.less_than(bound),
-    ])
+    return verdict_all([verdict(jump), head.less_than(bound), tail.less_than(bound)])
 
 
 @record
@@ -517,17 +481,15 @@ def check_jump_chain(seq: FunctionSeq, bundle: WitnessBundle) -> JumpChainReport
     f = seq.limit
     eta = bundle.eta
     conditions: dict = {}
-    conditions["delta_positive"] = (
-        Verdict.TRUE if all(d > 0 for d in bundle.deltas) else Verdict.FALSE
-    )
+    conditions["delta_positive"] = verdict(all(d > 0 for d in bundle.deltas))
     for j in range(1, k + 1):
         hi = phi.at_point(bundle.points[2 * j - 1])
         lo = phi.at_point(bundle.points[2 * j - 2])
         ok = hi - lo > (1 - eta) * bundle.deltas[j - 1]
-        conditions["jump_%d" % j] = Verdict.TRUE if ok else Verdict.FALSE
+        conditions["jump_%d" % j] = verdict(ok)
     total = sum(bundle.deltas, Fraction(0))
     ok = (1 - eta) * bundle.lam < total < (1 + eta) * bundle.lam
-    conditions["sum_window"] = Verdict.TRUE if ok else Verdict.FALSE
+    conditions["sum_window"] = verdict(ok)
     n, t = bundle.indices, bundle.t
     for j in range(1, 2 * k):
         fxj = f.at_point(bundle.points[j - 1])
@@ -582,13 +544,8 @@ def check_difference_witness(
         return z.re if isinstance(z, GaussianRational) else z
 
     marked = set(m[: 2 * k])
-    verdicts = []
     main = sum((re(e(m[2 * j - 1])) for j in range(1, k + 1)), Fraction(0))
-    verdicts.append(
-        Verdict.TRUE if main > (1 - eta) * lam else Verdict.FALSE
-    )
     positive = all(re(e(m[2 * j - 1])) > 0 for j in range(1, k + 1))
-    verdicts.append(Verdict.TRUE if positive else Verdict.FALSE)
     off = IntervalSum()
     top = seq.support_threshold(t)
     i = 1
@@ -597,10 +554,11 @@ def check_difference_witness(
         if past_support and i > m[2 * k - 1]:
             break
         if i not in marked:
-            _add_abs(off, e(i))
+            off.add_abs(e(i))
         i += 1
-    verdicts.append(off.less_than(eta * lam))
-    return verdict_all(verdicts)
+    return verdict_all(
+        [verdict(main > (1 - eta) * lam), verdict(positive), off.less_than(eta * lam)]
+    )
 
 
 def difference_witness_from_chain(

@@ -92,10 +92,6 @@ class QFunction:
         t = _coerce(t)
         return self.map(lambda v: t * v)
 
-    def shift(self, c) -> "QFunction":
-        c = _coerce(c)
-        return self.map(lambda v: v + c)
-
     def abs(self) -> "QFunction":
         """Pointwise |f|; exact, so complex values must have rational modulus."""
         out = {}

@@ -1,5 +1,5 @@
 """Exact scalar layer: rational parsing/formatting, Gaussian rationals,
-integer-square-root brackets, and three-valued comparison verdicts.
+integer-square-root brackets, and decided comparison verdicts.
 
 Everything downstream of this module computes with `fractions.Fraction`
 (or `GaussianRational` for complex values) — no floats anywhere.
@@ -103,9 +103,6 @@ class GaussianRational:
     def __neg__(self) -> "GaussianRational":
         return GaussianRational(-self.re, -self.im)
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def abs_squared(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
@@ -150,8 +147,8 @@ def require_rational_abs(z: GaussianRational, context: str = "") -> Fraction:
     return r
 
 
-def sqrt_bracket(q: Fraction, precision: int = 30) -> tuple[Fraction, Fraction]:
-    """Rational bracket [lo, hi] around sqrt(q) with hi - lo <= 2^-precision.
+def sqrt_bracket(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+    """Rational bracket [lo, hi] around sqrt(q) with hi - lo <= 2^-bits.
 
     Exact roots collapse to a zero-width bracket. Uses integer square roots
     on scaled numerators, so there is never any floating point involved.
@@ -164,74 +161,70 @@ def sqrt_bracket(q: Fraction, precision: int = 30) -> tuple[Fraction, Fraction]:
         return (exact, exact)
     # sqrt(n/d) = sqrt(n*d)/d; bracket sqrt(m) with m = n*d via scaled isqrt.
     m = q.numerator * q.denominator
-    scale = 1 << (2 * precision)
-    root = math.isqrt(m * scale)
-    lo = Fraction(root, (1 << precision) * q.denominator)
-    hi = Fraction(root + 1, (1 << precision) * q.denominator)
+    root = math.isqrt(m << (2 * bits))
+    lo = Fraction(root, q.denominator << bits)
+    hi = Fraction(root + 1, q.denominator << bits)
     return (lo, hi)
 
 
 class Verdict(enum.Enum):
-    """Three-valued result of a comparison that may be undecidable exactly.
-
-    UNDECIDED only ever arises from irrational moduli squeezed by brackets;
-    purely rational data always yields TRUE or FALSE.
-    """
+    """A decided comparison, printed as its value; truth tests are refused
+    so that a verdict is always compared with ``is``."""
 
     TRUE = "true"
     FALSE = "false"
-    UNDECIDED = "undecided"
 
     def __bool__(self) -> bool:  # pragma: no cover - guard against misuse
-        raise TypeError("Verdict is three-valued; compare explicitly")
+        raise TypeError("compare a Verdict explicitly")
+
+
+def verdict(ok: bool) -> Verdict:
+    return Verdict.TRUE if ok else Verdict.FALSE
 
 
 def verdict_all(verdicts: Iterable[Verdict]) -> Verdict:
-    """Conjunction: FALSE dominates, then UNDECIDED, else TRUE."""
-    out = Verdict.TRUE
-    for v in verdicts:
-        if v is Verdict.FALSE:
-            return Verdict.FALSE
-        if v is Verdict.UNDECIDED:
-            out = Verdict.UNDECIDED
-    return out
+    """Conjunction: TRUE when every verdict is TRUE."""
+    return verdict(all(v is Verdict.TRUE for v in verdicts))
 
 
 class IntervalSum:
-    """Accumulates a sum of nonnegative square roots as an exact bracket.
+    """A sum of moduli |z| of rationals and Gaussian rationals, kept exactly:
+    a rational part, plus the squares q of the irrational moduli sqrt(q).
 
-    Rational terms tighten nothing; irrational moduli widen the bracket by
-    at most 2^-precision each. Comparisons against rational bounds return
-    a Verdict — UNDECIDED when the bracket straddles the bound.
+    ``less_than`` brackets every sqrt(q) with ``sqrt_bracket`` and doubles
+    the bits until the bracket of the sum lies wholly below the bound or
+    wholly at or above it.  That loop ends.  Write each irrational term
+    as r sqrt(s), r > 0 rational and s > 1 a squarefree integer.  Square
+    roots of distinct squarefree integers are linearly independent over Q
+    (Besicovitch, J. London Math. Soc. 15, 1940), and the coefficients
+    gathered on each s are positive, so a sum with an irrational term is
+    irrational and never equals the bound.  The brackets close on the
+    sum, so one of them clears the bound.
     """
 
-    def __init__(self, precision: int = 30):
-        self.precision = precision
-        self.lo = Fraction(0)
-        self.hi = Fraction(0)
+    def __init__(self):
+        self.rational = Fraction(0)
+        self.squares: list[Fraction] = []
 
-    def add_rational(self, value: Fraction) -> None:
-        value = rat(value)
-        self.lo += value
-        self.hi += value
+    def add_abs(self, z) -> None:
+        if not isinstance(z, GaussianRational):
+            self.rational += abs(rat(z))
+        elif (root := _sqrt_exact(z.abs_squared())) is not None:
+            self.rational += root
+        else:
+            self.squares.append(z.abs_squared())
 
-    def add_sqrt(self, square: Fraction) -> None:
-        lo, hi = sqrt_bracket(square, self.precision)
-        self.lo += lo
-        self.hi += hi
+    def bracket(self, bits: int) -> tuple[Fraction, Fraction]:
+        """[lo, hi] around the sum, each irrational term at most 2^-bits wide."""
+        lo = hi = self.rational
+        for a, b in (sqrt_bracket(q, bits) for q in self.squares):
+            lo, hi = lo + a, hi + b
+        return lo, hi
 
-    def add_abs(self, z: GaussianRational) -> None:
-        self.add_sqrt(z.abs_squared())
-
-    def less_than(self, bound: Fraction) -> Verdict:
-        bound = rat(bound)
-        if self.hi < bound:
-            return Verdict.TRUE
-        if self.lo >= bound:
-            return Verdict.FALSE
-        return Verdict.UNDECIDED
-
-    def exact(self) -> Fraction:
-        if self.lo != self.hi:
-            raise ExactnessError("interval sum is not exact")
-        return self.lo
+    def less_than(self, bound) -> Verdict:
+        bound, bits = rat(bound), 32
+        lo, hi = self.bracket(bits)
+        while lo < bound <= hi:
+            bits *= 2
+            lo, hi = self.bracket(bits)
+        return verdict(hi < bound)

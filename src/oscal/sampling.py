@@ -110,9 +110,6 @@ class Corpus:
     spaces: tuple[TreeSpace, ...]
     functions: tuple[QFunction, ...]
 
-    def by_space(self, space: TreeSpace) -> list[QFunction]:
-        return [f for f in self.functions if f.space is space]
-
 
 def build_corpus(
     seed: int = DEFAULT_SEED, n_functions: int = 200

@@ -250,9 +250,6 @@ class SpanFunctional:
         if len(g) != self.basis.size:
             raise PreconditionError("coefficient row length mismatch")
 
-    def on_coefficients(self, coeffs: Sequence) -> Fraction:
-        return _dot(self.gamma, _vec(coeffs))
-
 
 def _norm_rows(space: PolySpace, combo: dict[str, Vector], lp: LinearProgram,
                tag: str) -> None:
@@ -312,11 +309,6 @@ def functional_norm(f: SpanFunctional) -> Fraction:
 
 def summing_functional(basis: PolyBasis) -> SpanFunctional:
     return SpanFunctional(basis, (Fraction(1),) * basis.size)
-
-
-def biorthogonal(basis: PolyBasis) -> list[SpanFunctional]:
-    n = basis.size
-    return [SpanFunctional(basis, _unit(n, j)) for j in range(1, n + 1)]
 
 
 def difference_sequence(basis: PolyBasis) -> PolyBasis:

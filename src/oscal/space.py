@@ -294,14 +294,6 @@ class PointRef:
     def truncated(self, length: int) -> "PointRef":
         return PointRef(self.steps[:length])
 
-    def max_copy(self) -> int:
-        """Largest copy index on the path (0 if none)."""
-        m = 0
-        for s in self.steps:
-            if isinstance(s, RecurringStep) and s.copy > m:
-                m = s.copy
-        return m
-
 
 def resolve(space: TreeSpace, point: PointRef) -> int:
     """Node id reached by following the path; raises on malformed paths."""
@@ -326,21 +318,6 @@ def resolve(space: TreeSpace, point: PointRef) -> int:
                 raise SpaceError("step %d: copy index must be >= 1" % i)
             cur = n.recurring[s.pattern]
     return cur
-
-
-def node_path(space: TreeSpace, point: PointRef) -> list[int]:
-    """Node ids visited along the path, including start and end."""
-    resolve(space, point)  # validity check
-    out = [space.root]
-    cur = space.root
-    for s in point.steps:
-        n = space.node(cur)
-        if isinstance(s, PrefixStep):
-            cur = n.prefix[s.child]
-        else:
-            cur = n.recurring[s.pattern]
-        out.append(cur)
-    return out
 
 
 def truncate_point(

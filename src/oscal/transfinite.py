@@ -17,6 +17,10 @@ The final stage is the least fixed point of the step: :func:`final_stage`
 computes it in one linear pass along acc cover edges, so :func:`d_norm`
 and :func:`decompose` have no cap.  :func:`iterate` (single stages, the
 index) has one, and reports hitting it as :class:`CapExceeded`.
+
+Stage values are exact rationals, so a complex f must have rational
+moduli |f(y) − f(x)| on its gaps, and |f(x)| for the norm; otherwise
+``ExactnessError`` reports that exact arithmetic cannot continue.
 """
 
 from __future__ import annotations

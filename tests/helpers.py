@@ -1,4 +1,5 @@
-"""Shared constructors for the test suite."""
+"""Shared constructors for the test suite, and small accessors that only
+the tests use."""
 
 import functools
 import random
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from oscal.func import QFunction
 from oscal.rationals import GaussianRational
 from oscal.sampling import DEFAULT_SEED, build_corpus, random_space
+from oscal.seqlab import PolyBasis, SpanFunctional
 from oscal.transfinite import iterate
 from oscal.space import (
     PointRef,
@@ -17,6 +19,7 @@ from oscal.space import (
     SpaceNode,
     TreeSpace,
     point_at,
+    resolve,
     unroll,
 )
 
@@ -39,6 +42,60 @@ def leq(f: QFunction, g: QFunction) -> bool:
     return all(f(i) <= g(i) for i in f.space.node_ids())
 
 
+def shift(f: QFunction, c) -> QFunction:
+    """Pointwise f + c."""
+    c = Fraction(c)
+    return f.map(lambda v: v + c)
+
+
+def conjugate(z: GaussianRational) -> GaussianRational:
+    return GaussianRational(z.re, -z.im)
+
+
+def field_names(rec) -> tuple:
+    """The field names of a record class or instance, in order."""
+    return rec.__record_fields__
+
+
+def max_copy(point: PointRef) -> int:
+    """Largest copy index on the path (0 if none)."""
+    return max(
+        (s.copy for s in point.steps if isinstance(s, RecurringStep)), default=0
+    )
+
+
+def node_path(space: TreeSpace, point: PointRef) -> list:
+    """Node ids visited along the path, including start and end."""
+    resolve(space, point)  # validity check
+    out = [space.root]
+    for s in point.steps:
+        n = space.node(out[-1])
+        if isinstance(s, PrefixStep):
+            out.append(n.prefix[s.child])
+        else:
+            out.append(n.recurring[s.pattern])
+    return out
+
+
+def biorthogonal(basis: PolyBasis) -> list:
+    """The coordinate functionals b_j* of a basis."""
+    n = basis.size
+    return [
+        SpanFunctional(basis, tuple(Fraction(int(i == j)) for i in range(n)))
+        for j in range(n)
+    ]
+
+
+def on_coefficients(f: SpanFunctional, coeffs) -> Fraction:
+    """f(sum c_j b_j) = sum gamma_j c_j."""
+    return sum((g * Fraction(c) for g, c in zip(f.gamma, coeffs)), Fraction(0))
+
+
+def by_space(corpus, space: TreeSpace) -> list:
+    """The corpus functions on ``space``, in corpus order."""
+    return [f for f in corpus.functions if f.space is space]
+
+
 @functools.lru_cache(maxsize=1)
 def corpus():
     return build_corpus(DEFAULT_SEED)
@@ -49,7 +106,7 @@ def corpus_pairs():
     out = []
     c = corpus()
     for sp in c.spaces:
-        fns = c.by_space(sp)
+        fns = by_space(c, sp)
         out.extend(zip(fns, fns[1:]))
     return out
 

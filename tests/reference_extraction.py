@@ -13,6 +13,8 @@ copy; ``scan_witness`` is the search that the closed form of
 ``tail_bound`` is the tail sum ``FunctionSeq`` used to offer, summed term
 by term from ``eval``: the tests check ``tail_terms`` against it and use it
 for the n_1 scan that ``extract_subsequence`` replaced with one suffix sum.
+It and ``uniform_bound`` round an irrational modulus up with ``_abs_upper``,
+the 30-bit rounding that n_1 was once chosen with.
 """
 
 from __future__ import annotations
@@ -22,18 +24,24 @@ from typing import Callable
 
 from oscal.errors import InternalCheckError, PreconditionError
 from oscal.extraction import (
+    EventuallyLimit,
     ExtractionPlan,
     FunctionSeq,
     WitnessBundle,
     _abs_sum,
-    _abs_upper,
     _jump_target,
     check_jump_chain,
     check_jump_witness,
     extract_subsequence,
 )
-from oscal.func import QFunction
-from oscal.rationals import Verdict, rat
+from oscal.func import QFunction, Scalar
+from oscal.rationals import (
+    GaussianRational,
+    Verdict,
+    rat,
+    rational_abs,
+    sqrt_bracket,
+)
 from oscal.space import (
     PointRef,
     PrefixStep,
@@ -49,6 +57,23 @@ from oscal.transfinite import iterate, level_set_witness, v_pre_step
 # into the witness tail, so a scan that gets past it has seen every copy
 # that could pass; the tests assert that theirs do.
 WITNESS_SCAN_COPIES = range(1, 17)
+
+
+def _abs_upper(z: Scalar) -> Fraction:
+    """Rational upper bound on |z|, exact whenever |z| is rational."""
+    if isinstance(z, GaussianRational):
+        a = rational_abs(z)
+        return a if a is not None else sqrt_bracket(z.abs_squared(), 30)[1]
+    return abs(z)
+
+
+def uniform_bound(seq: FunctionSeq) -> Fraction:
+    """Rational bound on |f_j| over all j and all points."""
+    vals = list(seq.limit.values.values())
+    if isinstance(seq.generator, EventuallyLimit):
+        for g in seq.generator.prefix:
+            vals.extend(g.values.values())
+    return max(_abs_upper(v) for v in vals)
 
 
 def tail_bound(seq: FunctionSeq, x: PointRef, m: int) -> Fraction:

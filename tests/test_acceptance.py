@@ -40,7 +40,6 @@ from oscal.seqlab import (
     PolyBasis,
     PolySpace,
     basis_constant,
-    biorthogonal,
     check_identities,
     convex_block,
     difference_sequence,
@@ -199,7 +198,7 @@ def test_criterion_05_difference_and_sandwich():
     pairs = []
     c = helpers.corpus()
     for sp in c.spaces:
-        fns = [f for f in c.by_space(sp) if not f.is_complex()]
+        fns = [f for f in helpers.by_space(c, sp) if not f.is_complex()]
         pairs.extend(itertools.combinations(fns, 2))
     assert len(pairs) >= 200
     for a, b in pairs:
@@ -298,7 +297,7 @@ def test_criterion_08_canonical_seqlab():
             ),
         )
         assert basis_constant(units) == 1
-        norms = [functional_norm(f) for f in biorthogonal(units)]
+        norms = [functional_norm(f) for f in helpers.biorthogonal(units)]
         assert norms[0] == 1 and all(x == 2 for x in norms[1:])
 
     for dim in (4, 5, 6):

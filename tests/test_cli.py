@@ -17,14 +17,17 @@ from oscal import documents
 from oscal._record import replace
 from oscal.extraction import (
     FunctionSeq,
+    IndexSeq,
     MovingStep,
+    WitnessBundle,
     build_jump_chain,
     check_jump_chain,
 )
 from oscal.func import QFunction, lift_function, usc_envelope
+from oscal.rationals import GaussianRational
 from oscal.rationals import format_rational as fmt
 from oscal.seqlab import NormKind, PolyBasis, PolySpace, check_identities
-from oscal.space import chain_space, unroll
+from oscal.space import PointRef, RecurringStep, chain_space, unroll
 from oscal.transfinite import d_index, d_norm, iterate
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -584,6 +587,28 @@ def test_extract_check_difference_form(paths):
     r = run_cli(["extract", "check", paths["h"], p])
     assert r.returncode == 0
     assert json.loads(r.stdout) == {"verdict": "true"}
+
+
+@pytest.mark.parametrize(
+    "lam, expected",
+    [(F(103361, 20801), (0, "true\n")), (F(4392040, 883881), (1, "false\n"))],
+)
+def test_extract_check_decides_an_irrational_sum(lam, expected, tmp_path):
+    # the off-block sum at t is 2 sqrt 5, and eta * lam lies within 2^-30
+    # of it, so a 30-bit bracket of the sum straddles the bound
+    sp = chain_space(3)
+    values = [GaussianRational(F(0), F(-2)), GaussianRational(F(-2), F(-1)),
+              GaussianRational(F(1), F(-1)), GaussianRational(F(0), F(1))]
+    seq = FunctionSeq(
+        QFunction(sp, dict(zip(sp.node_ids(), values))), MovingStep(None)
+    )
+    t = PointRef(tuple(RecurringStep(0, c) for c in (3, 4, 5)))
+    witness = WitnessBundle(IndexSeq(), (1, 5), 1, t, F(9, 10), lam)
+    seq_path, witness_path = tmp_path / "seq.json", tmp_path / "witness.json"
+    seq_path.write_text(documents.dumps(seq))
+    witness_path.write_text(documents.dumps(witness))
+    r = run_cli(["extract", "check", seq_path, witness_path, "--quiet"])
+    assert (r.returncode, r.stdout) == expected
 
 
 def test_extract_precondition_exits_one(paths):

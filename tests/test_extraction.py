@@ -23,7 +23,7 @@ from oscal.func import QFunction, is_continuous
 from oscal.rationals import Verdict
 from oscal.sampling import build_corpus
 from oscal.space import PointRef, RecurringStep, chain_space, point_at
-from reference_extraction import tail_bound
+from reference_extraction import tail_bound, uniform_bound
 
 IDENT = IndexSeq()
 ROOT = PointRef(())
@@ -49,7 +49,7 @@ def test_eval_against_copy_age(g_seq):
 def test_tail_bounds(g_seq):
     assert tail_bound(g_seq, leaf(5), 2) == F(4)
     assert tail_bound(g_seq, leaf(5), 6) == F(0)
-    assert g_seq.uniform_bound() == F(1)
+    assert uniform_bound(g_seq) == F(1)
     assert g_seq.support_threshold(leaf(5)) == 5
 
 

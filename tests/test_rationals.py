@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import conjugate
 from oscal.errors import ExactnessError
 from oscal.rationals import (
     GaussianRational,
@@ -91,7 +93,7 @@ def test_gaussian_arithmetic():
     assert a - b == GaussianRational(Fraction(-3, 2), Fraction(4))
     assert a * b == GaussianRational(Fraction(4), Fraction(11, 2))
     assert (-a).im == Fraction(-3)
-    assert a.conjugate().im == Fraction(-3)
+    assert conjugate(a).im == Fraction(-3)
     assert as_gaussian(5) == GaussianRational(Fraction(5), Fraction(0))
     assert 1 + b == GaussianRational(Fraction(3), Fraction(-1))
 
@@ -108,36 +110,35 @@ def test_rational_abs():
 
 @given(st.fractions(min_value=0, max_value=500, max_denominator=50))
 def test_sqrt_bracket_contains_root(q):
-    lo, hi = sqrt_bracket(q)
+    lo, hi = sqrt_bracket(q, bits=30)
     assert lo * lo <= q <= hi * hi
     assert hi - lo <= Fraction(1, 2**30)
     assert lo >= 0
 
 
 def test_sqrt_bracket_exact_square_collapses():
-    assert sqrt_bracket(Fraction(9, 4)) == (Fraction(3, 2), Fraction(3, 2))
+    assert sqrt_bracket(Fraction(9, 4), bits=30) == (Fraction(3, 2), Fraction(3, 2))
     with pytest.raises(ValueError):
-        sqrt_bracket(Fraction(-1))
+        sqrt_bracket(Fraction(-1), bits=30)
 
 
-def test_verdict_is_three_valued():
+def test_verdict_is_two_valued():
+    assert [v.value for v in Verdict] == ["true", "false"]
     assert verdict_all([]) is Verdict.TRUE
     assert verdict_all([Verdict.TRUE, Verdict.TRUE]) is Verdict.TRUE
-    assert (
-        verdict_all([Verdict.TRUE, Verdict.UNDECIDED]) is Verdict.UNDECIDED
-    )
-    assert (
-        verdict_all([Verdict.UNDECIDED, Verdict.FALSE]) is Verdict.FALSE
-    )
+    assert verdict_all([Verdict.TRUE, Verdict.FALSE]) is Verdict.FALSE
+    assert verdict_all([Verdict.FALSE, Verdict.TRUE]) is Verdict.FALSE
     with pytest.raises(TypeError):
         bool(Verdict.TRUE)
 
 
 def test_interval_sum_rational_terms_stay_exact():
     acc = IntervalSum()
-    acc.add_rational(Fraction(1, 3))
-    acc.add_rational(Fraction(1, 6))
-    assert acc.lo == acc.hi == Fraction(1, 2)
+    acc.add_abs(Fraction(1, 3))
+    acc.add_abs(Fraction(-1, 6))
+    acc.add_abs(GaussianRational(Fraction(0), Fraction(0)))
+    assert acc.squares == []
+    assert acc.bracket(1) == (Fraction(1, 2), Fraction(1, 2))
     assert acc.less_than(Fraction(2, 3)) is Verdict.TRUE
     assert acc.less_than(Fraction(1, 2)) is Verdict.FALSE
 
@@ -145,9 +146,44 @@ def test_interval_sum_rational_terms_stay_exact():
 def test_interval_sum_brackets_irrationals():
     acc = IntervalSum()
     acc.add_abs(GaussianRational(Fraction(1), Fraction(1)))  # sqrt 2
-    assert acc.lo < acc.hi
-    assert acc.less_than(Fraction(2)) is Verdict.TRUE
-    assert acc.less_than(Fraction(1)) is Verdict.FALSE
-    # a bound inside the bracket cannot be decided
-    mid = (acc.lo + acc.hi) / 2
-    assert acc.less_than(mid) is Verdict.UNDECIDED
+    acc.add_abs(GaussianRational(Fraction(3), Fraction(4)))  # 5, exact
+    lo, hi = acc.bracket(30)
+    assert lo < hi
+    assert acc.less_than(Fraction(7)) is Verdict.TRUE
+    assert acc.less_than(Fraction(6)) is Verdict.FALSE
+    # a bound inside the 30-bit bracket is decided by refining it
+    mid = (lo + hi) / 2
+    assert acc.less_than(mid) is (
+        Verdict.TRUE if 2 < (mid - 5) ** 2 else Verdict.FALSE
+    )
+
+
+def adversarial_sums(seed: int, count: int):
+    """Sums of 1-6 moduli |a + bi| / c, each with a bound at the midpoint
+    of a 200-bit bracket of the sum, far inside any coarse bracket."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        acc = IntervalSum()
+        for _ in range(rng.randint(1, 6)):
+            c = rng.randint(1, 9)
+            acc.add_abs(
+                GaussianRational(
+                    Fraction(rng.randint(-40, 40), c),
+                    Fraction(rng.randint(-40, 40), c),
+                )
+            )
+        lo, hi = acc.bracket(200)
+        yield acc, (lo + hi) / 2
+
+
+def test_interval_sum_decides_adversarial_bounds():
+    straddled = 0
+    for acc, bound in adversarial_sums(2201, 3000):
+        lo, hi = acc.bracket(2000)
+        assert hi < bound or lo >= bound  # 2000 bits decide every one
+        assert acc.less_than(bound) is (
+            Verdict.TRUE if hi < bound else Verdict.FALSE
+        )
+        lo, hi = acc.bracket(32)
+        straddled += lo < bound <= hi
+    assert straddled > 2900  # the first bracket rarely decides

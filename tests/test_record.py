@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oscal._record import FrozenInstanceError, field, field_names, record, replace
+from helpers import field_names
+from oscal._record import FrozenInstanceError, field, record, replace
 
 
 @record

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import biorthogonal, field_names, on_coefficients
 import oscal.seqlab
-from oscal._record import field_names
 from oscal.errors import PreconditionError
 from oscal.sampling import random_basis, random_blocking
 from oscal.seqlab import (
@@ -19,7 +19,6 @@ from oscal.seqlab import (
     PolyBasis,
     PolySpace,
     basis_constant,
-    biorthogonal,
     check_identities,
     convex_block,
     difference_sequence,
@@ -128,9 +127,9 @@ def test_biorthogonal_pairing():
     basis = partial_sums(sp)
     for j, f in enumerate(biorthogonal(basis), start=1):
         coeffs = [F(1 if i == j else 0) for i in range(1, 4)]
-        assert f.on_coefficients(coeffs) == 1
+        assert on_coefficients(f, coeffs) == 1
         coeffs[j - 1] = F(0)
-        assert f.on_coefficients(coeffs) == 0
+        assert on_coefficients(f, coeffs) == 0
 
 
 def test_zero_functional_has_zero_norm():
