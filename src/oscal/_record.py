@@ -4,19 +4,17 @@
 gives it ``__init__``, ``__repr__``, ``__eq__`` and ``__hash__``:
 
 - ``__init__`` takes the fields positionally or by keyword, fills the
-  defaults (a class attribute, or ``field(default_factory=...)`` for a
-  new container per instance), then calls ``self.__post_init__()`` when
+  defaults (class attributes), then calls ``self.__post_init__()`` when
   the class defines one.  The call is looked up on the instance, so a
   ``__post_init__`` replaced on the class later is the one that runs.
-- ``repr`` is ``Name(a=..., b=...)``, leaving out ``field(repr=False)``.
+- ``repr`` is ``Name(a=..., b=...)``.
 - ``==`` holds only between instances of the same class, comparing the
   field tuples.
-- A frozen record (the default) refuses assignment and deletion with
+- A record is frozen: it refuses assignment and deletion with
   ``FrozenInstanceError`` and hashes its field tuple; the class body may
   still set fields through ``object.__setattr__`` in ``__post_init__``,
   and ``functools.cached_property`` works, as instances keep a
-  ``__dict__``.  ``record(frozen=False)`` makes a mutable, unhashable
-  record.
+  ``__dict__``.
 
 The methods are closures over the field names, so defining a record
 generates and compiles no code, and ``oscal`` start-up imports neither
@@ -32,31 +30,7 @@ class FrozenInstanceError(AttributeError):
     """Assignment to, or deletion of, a field of a frozen record."""
 
 
-_MISSING = object()
 _setattr = object.__setattr__
-
-
-class _Field:
-    __slots__ = ("default_factory", "repr")
-
-    def __init__(self, default_factory, repr):
-        self.default_factory = default_factory
-        self.repr = repr
-
-
-def field(*, default_factory=None, repr: bool = True) -> _Field:
-    """A field whose default is ``default_factory()`` (called once per
-    instance), or one that ``repr`` leaves out."""
-    return _Field(default_factory, repr)
-
-
-def replace(rec, **changes):
-    """A new record like ``rec`` with ``changes``; ``__post_init__`` runs."""
-    names = rec.__record_fields__
-    unknown = set(changes).difference(names)
-    if unknown:
-        raise TypeError("%s has no field %r" % (type(rec).__qualname__, min(unknown)))
-    return type(rec)(*[changes[n] if n in changes else getattr(rec, n) for n in names])
 
 
 def _frozen_setattr(self, name, value):
@@ -79,7 +53,7 @@ def _bind(cls, names, defaults, args, kwargs) -> list:
         if name in kwargs:
             values.append(kwargs.pop(name))
         elif name in defaults:
-            values.append(defaults[name]())
+            values.append(defaults[name])
         else:
             raise TypeError(
                 "%s.__init__() missing required argument: %r" % (cls.__qualname__, name)
@@ -97,32 +71,10 @@ def _bind(cls, names, defaults, args, kwargs) -> list:
     return values
 
 
-def _constant(value):
-    return lambda: value
-
-
-def record(cls=None, *, frozen: bool = True):
+def record(cls):
     """Make ``cls`` a record (see the module docstring)."""
-    if cls is None:
-        return lambda c: _make(c, frozen)
-    return _make(cls, frozen)
-
-
-def _make(cls, frozen: bool):
     names = tuple(cls.__annotations__)
-    defaults, shown = {}, []
-    for name in names:
-        spec = cls.__dict__.get(name, _MISSING)
-        if isinstance(spec, _Field):
-            delattr(cls, name)
-            if spec.default_factory is not None:
-                defaults[name] = spec.default_factory
-            if spec.repr:
-                shown.append(name)
-        else:
-            if spec is not _MISSING:
-                defaults[name] = _constant(spec)
-            shown.append(name)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     n = len(names)
     post = hasattr(cls, "__post_init__")
 
@@ -154,19 +106,13 @@ def _make(cls, frozen: bool):
     def __hash__(self):
         return hash(key(self))
 
-    template = ", ".join(name + "=%r" for name in shown)
+    template = ", ".join(name + "=%r" for name in names)
 
     def __repr__(self):
-        return "%s(%s)" % (
-            self.__class__.__qualname__,
-            template % tuple([getattr(self, name) for name in shown]),
-        )
+        return "%s(%s)" % (self.__class__.__qualname__, template % key(self))
 
     cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
-    if frozen:
-        cls.__hash__ = __hash__
-        cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
-    else:
-        cls.__hash__ = None
+    cls.__hash__ = __hash__
+    cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
     cls.__record_fields__ = names
     return cls

@@ -8,8 +8,8 @@ nothing for a computed document; ``-o`` files are written either way.
 Integer options take ASCII digits only (``rationals.parse_int``).
 
 Exit code 0 means success or a verified true; 1 means a verified false,
-the stage cap of ``fn osc`` or ``fn index`` (the only commands with
-one), or an extraction whose preconditions fail on valid input; 2 means
+the stage cap of ``fn index`` (the only command with one), or an
+extraction whose preconditions fail on valid input; 2 means
 the input itself was unusable (malformed document, wrong kind, invalid
 arguments); 3 means an internal self-check failed or an exception no
 handler expects escaped (its traceback goes to standard error), a bug
@@ -112,11 +112,6 @@ def _integer(text: str) -> int:
     return value
 
 
-def _cap(args) -> int:
-    from .transfinite import DEFAULT_CAP
-    return DEFAULT_CAP if args.cap is None else args.cap
-
-
 # -- commands ------------------------------------------------------------------
 
 
@@ -140,34 +135,21 @@ def cmd_fn_envelope(args) -> int:
 
 
 def cmd_fn_osc(args) -> int:
-    from .transfinite import iterate
+    from .transfinite import final_stage, iterate
     f = _load(args.file, "qfunction")
     kind = "v" if args.positive else "osc"
-    trace = iterate(f, kind, _cap(args))
-    if args.alpha is not None:
-        if args.alpha < len(trace.stages):
-            out = trace.stages[args.alpha]
-        elif trace.stabilized_at is not None:
-            out = trace.stages[-1]
-        else:
-            _diag(
-                "stage %d not reached within cap %d and the chain has not "
-                "stabilized" % (args.alpha, trace.cap)
-            )
-            return 1
+    if args.alpha is None:
+        out = final_stage(f, kind)
     else:
-        if trace.stabilized_at is None:
-            _diag("chain did not stabilize within cap %d" % trace.cap)
-            return 1
-        out = trace.stages[trace.stabilized_at]
+        out = iterate(f, kind, args.alpha).stage(args.alpha)
     _emit_text(args, documents.dumps(out))
     return 0
 
 
 def cmd_fn_index(args) -> int:
-    from .transfinite import CapExceeded, d_index
+    from .transfinite import DEFAULT_CAP, CapExceeded, d_index
     f = _load(args.file, "qfunction")
-    res = d_index(f, _cap(args))
+    res = d_index(f, DEFAULT_CAP if args.cap is None else args.cap)
     if isinstance(res, CapExceeded):
         _diag("chain did not stabilize within cap %d" % res.cap)
         return 1
@@ -321,11 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--quiet", action="store_true", help="print only the verdict"
     )
-    capper = argparse.ArgumentParser(add_help=False)
-    capper.add_argument(
-        "--cap", type=_positive_int, default=None,
-        help="stage cap of fn osc and fn index (default 64)",
-    )
     sub = parser.add_subparsers(dest="command")
 
     p_space = sub.add_parser("space", help="space documents")
@@ -342,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("upper", "lower"), required=True)
     p.set_defaults(handler=cmd_fn_envelope)
 
-    p = fn_sub.add_parser("osc", parents=[common, capper])
+    p = fn_sub.add_parser("osc", parents=[common])
     p.add_argument("file")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--alpha", type=_nonnegative_int, default=None)
@@ -350,8 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--positive", action="store_true")
     p.set_defaults(handler=cmd_fn_osc)
 
-    p = fn_sub.add_parser("index", parents=[common, capper])
+    p = fn_sub.add_parser("index", parents=[common])
     p.add_argument("file")
+    p.add_argument(
+        "--cap", type=_positive_int, default=None,
+        help="stage cap of fn index (default 64)",
+    )
     p.set_defaults(handler=cmd_fn_index)
 
     p = fn_sub.add_parser("dnorm", parents=[common])

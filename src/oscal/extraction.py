@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
-from ._record import field, record
+from ._record import record
 from .errors import InternalCheckError, PreconditionError
 from .func import QFunction, Scalar, is_continuous
 from .rationals import GaussianRational, IntervalSum, Verdict, rat, verdict, verdict_all
@@ -256,8 +256,8 @@ class IndexSeq:
 
 @record
 class ExtractionPlan:
-    """Output of extract_subsequence: indices, the tail descriptor, and a
-    witness search bound to the extraction data."""
+    """Output of extract_subsequence: indices, the tail descriptor, and
+    the jump target node that ``witness`` realizes below x1."""
 
     seq: FunctionSeq
     x1: PointRef
@@ -265,12 +265,27 @@ class ExtractionPlan:
     delta: Fraction
     eta: Fraction
     indices: IndexSeq
-    _witness: Callable[[int], PointRef] = field(repr=False)
+    target: int
 
     def witness(self, m: int) -> PointRef:
         """A point x2 in the level set, realized below x1, satisfying the
-        three jump-witness conditions for this m."""
-        return self._witness(m)
+        three jump-witness conditions for this m (see
+        ``extract_subsequence``)."""
+        if m < 1:
+            raise PreconditionError("positions start at 1")
+        seq, x1 = self.seq, self.x1
+        last = self.indices.value(m - 1) if m > 1 else 1
+        x2 = _realize(
+            seq, x1, self.target, 1 if seq.support_threshold(x1) >= last else last
+        )
+        if check_jump_witness(
+            seq, self.indices, x1, x2, m, self.delta, self.eta
+        ) is not Verdict.TRUE:
+            raise PreconditionError(
+                "no realization of node %d below x1 is a jump witness at "
+                "position %d" % (self.target, m)
+            )
+        return x2
 
 
 def _jump_target(phi: QFunction, start: int, pool: list[int]) -> tuple:
@@ -355,30 +370,14 @@ def extract_subsequence(
         if tail.less_than(bound) is Verdict.FALSE:
             a = j + 1
             break
-    indices = IndexSeq((), a - 1)
-
-    def witness(m: int) -> PointRef:
-        if m < 1:
-            raise PreconditionError("positions start at 1")
-        last = indices.value(m - 1) if m > 1 else 1
-        x2 = _realize(
-            seq, x1, target, 1 if seq.support_threshold(x1) >= last else last
-        )
-        if check_jump_witness(seq, indices, x1, x2, m, delta, eta) is not Verdict.TRUE:
-            raise PreconditionError(
-                "no realization of node %d below x1 is a jump witness at "
-                "position %d" % (target, m)
-            )
-        return x2
-
     return ExtractionPlan(
         seq=seq,
         x1=x1,
         level_set=level,
         delta=delta,
         eta=eta,
-        indices=indices,
-        _witness=witness,
+        indices=IndexSeq((), a - 1),
+        target=target,
     )
 
 
@@ -639,7 +638,7 @@ def build_jump_chain(
     sp = seq.space
     sp.node(x)  # an unknown node is malformed input, a SpaceError
     phi = seq.phi
-    trace = iterate(phi, "v", cap=alpha)
+    trace = iterate(phi, "v", steps=alpha)
     pre1 = v_pre_step(phi, trace.stage(0))
     points: list[PointRef] = []
     deltas: list[Fraction] = []

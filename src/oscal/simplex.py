@@ -38,7 +38,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from ._record import field, record
+from ._record import record
 from .errors import PreconditionError
 from .rationals import rat
 
@@ -48,15 +48,15 @@ def _exact(c):
     return c if type(c) is int else rat(c)
 
 
-@record(frozen=False)
 class LinearProgram:
     """maximize c·x subject to rows Σ a·x ≤ b with b ≥ 0; variables are
     named, nonnegative unless made free."""
 
-    _objective: dict = field(default_factory=dict)
-    _rows: list = field(default_factory=list)
-    _vars: list = field(default_factory=list)
-    _free: set = field(default_factory=set)
+    def __init__(self) -> None:
+        self._objective: dict = {}
+        self._rows: list = []
+        self._vars: list = []
+        self._free: set = set()
 
     def _register(self, names) -> None:
         for name in names:

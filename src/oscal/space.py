@@ -228,18 +228,19 @@ class TreeSpace:
         return frozenset(self._order[self._pos[n.recurring[0]]:self._end[ident]])
 
     def rank(self, ident: Optional[int] = None) -> int:
-        """Accumulation rank: 0 at leaves, else 1 + max rank over acc."""
+        """Accumulation rank: 0 at leaves, else 1 + max rank over acc.
+
+        Rank falls strictly along acc, and acc(x) is the union of
+        {z} ∪ acc(z) over the cover, so the max over acc is one over the
+        cover."""
         if ident is None:
             ident = self.root
         self.require_valid()
         self.node(ident)
         if not self._rank:
-            top: dict[int, int] = {}  # highest rank in each subtree
-            for i in reversed(self._order):
-                n = self.nodes[i]
-                r = 1 + max(top[t] for t in n.recurring) if n.recurring else 0
-                self._rank[i] = r
-                top[i] = max([r] + [top[c] for c in n.prefix])
+            self._rank.update(self.fold_cover(
+                lambda x, cover, r: 1 + max(r[z] for z in cover) if cover else 0
+            ))
         return self._rank[ident]
 
     def acc_cover(self, ident: int) -> frozenset[int]:

@@ -13,10 +13,12 @@ consecutive stages agree is the index of f; the norm of f is the sup of
 |f| + final stage.  The signed variant ("v") drops the absolute value and
 measures upward jumps only.
 
-The final stage is the least fixed point of the step: :func:`final_stage`
-computes it in one linear pass along acc cover edges, so :func:`d_norm`
-and :func:`decompose` have no cap.  :func:`iterate` (single stages, the
-index) has one, and reports hitting it as :class:`CapExceeded`.
+The final stage of either kind is the least fixed point of its step:
+:func:`final_stage` computes it in one linear pass along acc cover edges,
+so :func:`d_norm`, :func:`decompose` and ``fn osc`` have no cap.
+:func:`iterate` computes single stages until two agree, or as many as
+asked; only :func:`d_index` caps it, and reports hitting the cap as
+:class:`CapExceeded`.
 
 Stage values are exact rationals, so a complex f must have rational
 moduli |f(y) − f(x)| on its gaps, and |f(x)| for the norm; otherwise
@@ -26,6 +28,7 @@ moduli |f(y) − f(x)| on its gaps, and |f(x)| for the norm; otherwise
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from typing import Optional, Union
 
 from ._record import record
@@ -34,7 +37,6 @@ from .func import (
     QFunction,
     constant_function,
     is_lsc,
-    is_usc,
     usc_envelope,
     zero_function,
     _gap,
@@ -45,27 +47,36 @@ DEFAULT_CAP = 64
 
 @record
 class CapExceeded:
-    """Returned when iteration hit the stage cap before stabilizing."""
+    """Returned when ``d_index`` hit its stage cap before stabilizing."""
 
     cap: int
 
 
-def _relax(sp, x: int, w, jump) -> Fraction:
-    """max(w(x), max over y in acc(x) of jump(y, x) + w(y)); leaves keep w(x)."""
-    if sp.is_leaf(x):
-        return w(x)
-    return max([w(x)] + [jump(y, x) + w(y) for y in sp.acc(x)])
+def _jump(f: QFunction, kind: str):
+    """jump(y, x) of one step of ``kind``: |f(y) − f(x)| for "osc", and
+    f(y) − f(x) for the signed "v", whose f must be real."""
+    if kind == "osc":
+        return lambda y, x: _gap(f(y), f(x), "oscillation step at node %d" % x)
+    if kind == "v":
+        f.require_real("signed oscillation")
+        return lambda y, x: f(y) - f(x)
+    raise PreconditionError("unknown iteration kind %r" % kind)
 
 
-def _osc_jump(f: QFunction):
-    return lambda y, x: _gap(f(y), f(x), "oscillation step at node %d" % x)
+def _pre_step(f: QFunction, w: QFunction, jump) -> QFunction:
+    """x ↦ max(w(x), max over y in acc(x) of jump(y, x) + w(y)); leaves keep w."""
+    w.require_real("stage weight")
+    sp = f.space
+    return QFunction(sp, {
+        x: w(x) if sp.is_leaf(x)
+        else max([w(x)] + [jump(y, x) + w(y) for y in sp.acc(x)])
+        for x in sp.node_ids()
+    })
 
 
 def osc_pre_step(f: QFunction, w: QFunction) -> QFunction:
     """One oscillation step before taking the upper envelope."""
-    w.require_real("stage weight")
-    sp, jump = f.space, _osc_jump(f)
-    return QFunction(sp, {i: _relax(sp, i, w, jump) for i in sp.node_ids()})
+    return _pre_step(f, w, _jump(f, "osc"))
 
 
 def osc_step(f: QFunction, w: QFunction) -> QFunction:
@@ -74,30 +85,24 @@ def osc_step(f: QFunction, w: QFunction) -> QFunction:
 
 def v_pre_step(f: QFunction, w: QFunction) -> QFunction:
     """Signed (upward-jump) step before the upper envelope; f must be real."""
-    f.require_real("signed oscillation")
-    w.require_real("stage weight")
-    sp, jump = f.space, (lambda y, x: f(y) - f(x))
-    return QFunction(sp, {i: _relax(sp, i, w, jump) for i in sp.node_ids()})
+    return _pre_step(f, w, _jump(f, "v"))
 
 
 def v_step(f: QFunction, w: QFunction) -> QFunction:
     return usc_envelope(v_pre_step(f, w))
 
 
-_STEPS = {"osc": osc_step, "v": v_step}
-
-
 @record
 class OscTrace:
     """Stages [s_0, s_1, ...] of the iteration together with where (and
     whether) they stabilized.  When ``stabilized_at`` is τ the trace holds
-    s_0 .. s_{τ+1} with s_{τ+1} == s_τ; otherwise it holds s_0 .. s_cap."""
+    s_0 .. s_{τ+1} with s_{τ+1} == s_τ, the value of every later stage;
+    otherwise it holds s_0 .. s_n for the n steps it was asked for."""
 
     base: QFunction
     kind: str
     stages: tuple[QFunction, ...]
     stabilized_at: Optional[int]
-    cap: int
 
     def stage(self, alpha: int) -> QFunction:
         if alpha < 0:
@@ -107,51 +112,57 @@ class OscTrace:
         if self.stabilized_at is not None:
             return self.stages[-1]
         raise PreconditionError(
-            "stage %d not computed (cap %d, not stabilized)" % (alpha, self.cap)
+            "stage %d not computed (%d steps, not stabilized)"
+            % (alpha, len(self.stages) - 1)
         )
 
 
-def iterate(f: QFunction, kind: str = "osc", cap: int = DEFAULT_CAP) -> OscTrace:
-    if kind not in _STEPS:
-        raise PreconditionError("unknown iteration kind %r" % kind)
-    if cap < 1:
-        raise PreconditionError("cap must be positive")
-    step = _STEPS[kind]
+def iterate(f: QFunction, kind: str = "osc", steps: Optional[int] = None) -> OscTrace:
+    """The stages of ``kind`` from 0, for at most ``steps`` steps (no limit
+    when None), stopping once two consecutive stages agree."""
+    jump = _jump(f, kind)
+    if steps is not None and steps < 0:
+        raise PreconditionError("steps must be nonnegative")
     stages = [zero_function(f.space)]
-    stabilized: Optional[int] = None
-    for n in range(cap):
-        nxt = step(f, stages[-1])
-        same = nxt.values == stages[-1].values
-        stages.append(nxt)
-        if same:
-            stabilized = n
-            break
-    return OscTrace(f, kind, tuple(stages), stabilized, cap)
+    for n in count() if steps is None else range(steps):
+        stages.append(usc_envelope(_pre_step(f, stages[-1], jump)))
+        if stages[-1].values == stages[-2].values:
+            return OscTrace(f, kind, tuple(stages), n)
+    return OscTrace(f, kind, tuple(stages), None)
 
 
 def d_index(f: QFunction, cap: int = DEFAULT_CAP) -> Union[int, CapExceeded]:
-    """Stage index at which the oscillation chain stabilizes."""
+    """Stage index at which the oscillation chain stabilizes, or
+    ``CapExceeded`` when ``cap`` steps do not show it."""
     tr = iterate(f, "osc", cap)
     if tr.stabilized_at is None:
         return CapExceeded(cap)
     return tr.stabilized_at
 
 
-def final_stage(f: QFunction) -> QFunction:
-    """The final oscillation stage C, one children-first pass along cover
-    edges: C(x) = max(0, max over z in acc_cover(x) of |f(z) − f(x)| + C(z)).
+def final_stage(f: QFunction, kind: str = "osc") -> QFunction:
+    """The final stage W of ``kind``, one children-first pass along cover
+    edges:
 
-    That is the max over all y in acc(x): any other y lies in acc(z) for a
-    cover node z, where C(z) ≥ |f(y) − f(z)| + C(y), so by the triangle
-    inequality |f(y) − f(x)| + C(y) ≤ |f(z) − f(x)| + C(z).  Jumps are ≥ 0,
-    so C(x) ≥ C(y) on acc(x): C is usc and needs no envelope, so C is a
-    fixed point of the step.  Every fixed point w ≥ 0 lies above C, by
-    induction on rank.  The stages climb from 0 and stay below C, so where
-    they stabilize is C."""
-    jump = _osc_jump(f)
+        W(x) = max(0, max over z in acc_cover(x) of max(0, jump(z, x)) + W(z)).
 
-    def visit(x, cover, c):
-        return max([Fraction(0)] + [jump(z, x) + c[z] for z in cover])
+    The clip at 0 changes nothing for "osc", whose jumps are ≥ 0.  Take
+    y ∈ acc(x) outside the cover: it lies in acc(z) for a cover node z,
+    where W(z) ≥ jump(y, z) + W(y) by induction.  For "v",
+    f(y) − f(x) + W(y) ≤ f(z) − f(x) + W(z); for "osc" the triangle
+    inequality gives |f(y) − f(x)| + W(y) ≤ |f(z) − f(x)| + W(z).  So
+    W(x) ≥ jump(y, x) + W(y) on all of acc(x), and the step sends W to
+    itself before the envelope.  The clip gives W(x) ≥ W(z) on the cover,
+    so W(x) ≥ W(y) on acc(x): W is usc, the envelope keeps it, and W is a
+    fixed point.  A fixed point w ≥ 0 is usc and satisfies the step, so
+    w(x) ≥ max(0, jump(z, x)) + w(z) on the cover, and w ≥ W by induction
+    on rank.  The stages climb from 0 and stay below W, so where they
+    stabilize is W."""
+    jump = _jump(f, kind)
+    zero = Fraction(0)
+
+    def visit(x, cover, w):
+        return max([zero] + [max(zero, jump(z, x)) + w[z] for z in cover])
 
     return QFunction(f.space, f.space.fold_cover(visit))
 
@@ -192,22 +203,6 @@ def decompose(f: QFunction) -> Decomposition:
             "decomposition violated %s for the final stage" % ", ".join(bad)
         )
     return Decomposition(u, v, lam, checks)
-
-
-def fixpoint_criterion(f: QFunction, alpha: int) -> bool:
-    """Whether the chain has stopped moving at stage alpha, decided through
-    the semicontinuity characterization (stage + f and stage − f both upper
-    semicontinuous) and cross-checked against literal stage equality."""
-    f.require_real("fixpoint criterion")
-    tr = iterate(f, "osc", alpha + 1)
-    w = tr.stage(alpha)
-    by_usc = is_usc(w + f) and is_usc(w - f)
-    by_stage = tr.stage(alpha + 1).values == w.values
-    if by_usc != by_stage:
-        raise InternalCheckError(
-            "semicontinuity criterion disagrees with stage equality at %d" % alpha
-        )
-    return by_usc
 
 
 # -- level-set witness ---------------------------------------------------------

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from oscal.func import QFunction
+from oscal.errors import InternalCheckError
+from oscal.func import QFunction, is_usc
 from oscal.rationals import GaussianRational
 from oscal.sampling import DEFAULT_SEED, build_corpus, random_space
 from oscal.seqlab import PolyBasis, SpanFunctional
@@ -55,6 +56,15 @@ def conjugate(z: GaussianRational) -> GaussianRational:
 def field_names(rec) -> tuple:
     """The field names of a record class or instance, in order."""
     return rec.__record_fields__
+
+
+def replace(rec, **changes):
+    """A new record like ``rec`` with ``changes``; ``__post_init__`` runs."""
+    names = rec.__record_fields__
+    unknown = set(changes).difference(names)
+    if unknown:
+        raise TypeError("%s has no field %r" % (type(rec).__qualname__, min(unknown)))
+    return type(rec)(*[changes[n] if n in changes else getattr(rec, n) for n in names])
 
 
 def max_copy(point: PointRef) -> int:
@@ -180,10 +190,32 @@ def staged_function(seed: int, depth: int = 4) -> QFunction:
     return QFunction(TreeSpace(nodes, root), values)
 
 
-def iterated_final_stage(f):
-    tr = iterate(f, "osc")
+def iterated_final_stage(f, kind="osc"):
+    tr = iterate(f, kind)
     assert tr.stabilized_at is not None
     return tr.stage(tr.stabilized_at)
+
+
+def semicontinuity_criterion(f, w) -> bool:
+    """The paper's test that a stage w of real f is final: w + f and
+    w − f are both upper semicontinuous."""
+    return is_usc(w + f) and is_usc(w - f)
+
+
+def fixpoint_criterion(f: QFunction, alpha: int) -> bool:
+    """Whether the chain has stopped moving at stage alpha, decided through
+    the semicontinuity characterization and cross-checked against literal
+    stage equality."""
+    f.require_real("fixpoint criterion")
+    tr = iterate(f, "osc", alpha + 1)
+    w = tr.stage(alpha)
+    by_usc = semicontinuity_criterion(f, w)
+    by_stage = tr.stage(alpha + 1).values == w.values
+    if by_usc != by_stage:
+        raise InternalCheckError(
+            "semicontinuity criterion disagrees with stage equality at %d" % alpha
+        )
+    return by_usc
 
 
 def original_point(space, unrolled, node_map, k, upoint):

@@ -166,7 +166,7 @@ def build_jump_chain(
     if x not in sp.nodes:
         raise PreconditionError("unknown node %r" % x)
     phi = seq.phi
-    trace = iterate(phi, "v", cap=8)
+    trace = iterate(phi, "v", steps=8)
     v1 = trace.stage(1)
 
     if alpha == 1:

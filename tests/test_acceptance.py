@@ -54,7 +54,6 @@ from oscal.transfinite import (
     d_index,
     d_norm,
     decompose,
-    fixpoint_criterion,
     iterate,
     osc_step,
 )
@@ -155,7 +154,7 @@ def test_criterion_03_canonical_values():
 def test_criterion_04_stage_laws():
     fns = real_corpus()
     for f in fns:
-        tr = iterate(f, "osc", cap=8)
+        tr = iterate(f, "osc", steps=8)
         assert tr.stabilized_at is not None
         for a, b in zip(tr.stages, tr.stages[1:]):
             assert helpers.leq(a, b)
@@ -163,7 +162,7 @@ def test_criterion_04_stage_laws():
             assert is_usc(stage)
         # |t|-homogeneity
         for t in (F(2), F(-3), F(1, 2)):
-            ts = iterate(f.scale(t), "osc", cap=8)
+            ts = iterate(f.scale(t), "osc", steps=8)
             want = abs(t)
             for n in range(min(len(tr.stages), len(ts.stages))):
                 assert ts.stage(n).values == {
@@ -177,17 +176,17 @@ def test_criterion_04_stage_laws():
         # stage-equality criterion agrees with the semicontinuity one
         # (the call itself cross-checks both routes)
         tau = tr.stabilized_at
-        assert fixpoint_criterion(f, tau)
+        assert helpers.fixpoint_criterion(f, tau)
         if tau > 0:
-            assert not fixpoint_criterion(f, tau - 1)
+            assert not helpers.fixpoint_criterion(f, tau - 1)
     # subadditivity needs same-space pairs
     for f, g in helpers.corpus_pairs():
         if f.is_complex() or g.is_complex():
             continue
         ta, tb, tc = (
-            iterate(f + g, "osc", cap=5),
-            iterate(f, "osc", cap=5),
-            iterate(g, "osc", cap=5),
+            iterate(f + g, "osc", steps=5),
+            iterate(f, "osc", steps=5),
+            iterate(g, "osc", steps=5),
         )
         for n in range(5):
             assert helpers.leq(ta.stage(n), tb.stage(n) + tc.stage(n))
@@ -205,16 +204,16 @@ def test_criterion_05_difference_and_sandwich():
         u = lsc_envelope(a.abs())
         v = lsc_envelope(b.abs())
         bound = osc_step(u + v, zero_function(u.space))
-        tr = iterate(u - v, "osc", cap=5)
+        tr = iterate(u - v, "osc", steps=5)
         for stage in tr.stages:
             assert helpers.leq(stage, bound)
 
     fns = real_corpus()
     assert len(fns) >= 200
     for f in fns:
-        to = iterate(f, "osc", cap=5)
-        tp = iterate(f, "v", cap=5)
-        tm = iterate(-f, "v", cap=5)
+        to = iterate(f, "osc", steps=5)
+        tp = iterate(f, "v", steps=5)
+        tm = iterate(-f, "v", steps=5)
         for n in range(5):
             pos, neg, full = tp.stage(n), tm.stage(n), to.stage(n)
             assert helpers.leq(pos, full)

@@ -14,7 +14,7 @@ import oscal.cli
 import oscal.oracle
 import oscal.transfinite
 from oscal import documents
-from oscal._record import replace
+from helpers import replace
 from oscal.extraction import (
     FunctionSeq,
     IndexSeq,
@@ -139,7 +139,6 @@ PINNED = {
     "fn-osc-alpha": (
         ["fn", "osc", "{f2}", "--alpha", "1"],
         _f2_with({"0": "1", "1": "1", "2": "0"}), "", 0),
-    "fn-osc-capped": (["fn", "osc", "{f2}", "--cap", "1"], "", "", 1),
     "fn-index": (["fn", "index", "{f2}"], _json_text({"i_D": "2"}), "2\n", 0),
     "fn-index-capped": (["fn", "index", "{f2}", "--cap", "1"], "", "", 1),
     "fn-dnorm": (["fn", "dnorm", "{f2}"], _json_text({"d_norm": "2"}), "2\n", 0),
@@ -288,6 +287,32 @@ def test_dnorm_past_the_stage_cap(chain100):
     r = run_cli(["fn", "dnorm", chain100, "--quiet"])
     assert r.returncode == 0, r.stderr
     assert r.stdout == "100\n"
+
+
+def test_osc_past_the_stage_cap(chain100, capsys):
+    # on the depth-100 chain, node x sees d - x jumps of 1 below it
+    d = 100
+    for options, want in (
+        (["--stabilize"], lambda x: d - x),
+        (["--alpha", "70"], lambda x: min(70, d - x)),
+    ):
+        assert oscal.cli.main(["fn", "osc", str(chain100)] + options) == 0
+        got = documents.loads(capsys.readouterr().out).values
+        assert got == {x: F(want(x)) for x in range(d + 1)}, options
+    argv = ["fn", "osc", str(chain100), "--positive", "--stabilize"]
+    assert oscal.cli.main(argv) == 0
+    assert documents.loads(capsys.readouterr().out)(0) == d // 2
+
+
+def test_osc_without_alpha_does_not_iterate(paths, monkeypatch, capsys):
+    def no_iteration(*args, **kwargs):
+        raise AssertionError("iterate called")
+
+    monkeypatch.setattr(oscal.transfinite, "iterate", no_iteration)
+    for options in ([], ["--stabilize"], ["--positive"], ["--positive", "--stabilize"]):
+        assert oscal.cli.main(["fn", "osc", str(paths["f2"])] + options) == 0
+        assert documents.loads(capsys.readouterr().out).space == documents.loads(
+            paths["f2"].read_text()).space
 
 
 def test_decompose_past_the_stage_cap(chain100, tmp_path):
@@ -445,8 +470,6 @@ def test_osc_single_stage(paths):
 def test_osc_stabilized(paths):
     r = run_cli(["fn", "osc", paths["f2"], "--stabilize"])
     assert documents.loads(r.stdout).values == {0: F(2), 1: F(1), 2: F(0)}
-    r = run_cli(["fn", "osc", paths["f2"], "--stabilize", "--cap", "1"])
-    assert r.returncode == 1
 
 
 def test_decompose_writes_file_and_stdout(paths):

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 import oscal.extraction
 import oscal.transfinite
 import reference_extraction
-from helpers import staged_function
-from oscal._record import replace
+from helpers import replace, staged_function
 from oscal.errors import OscalError
 from oscal.extraction import (
     FunctionSeq,

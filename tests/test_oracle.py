@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import helpers
 import oscal.oracle
-from oscal._record import replace
+from helpers import replace
 from oscal.errors import InternalCheckError, PreconditionError
 from oscal.func import QFunction, is_lsc
 from oscal.oracle import lift_function, oracle_dnorm, oracle_lp, symmetry_check

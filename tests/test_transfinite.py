@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 import helpers
 import oscal.transfinite
-from helpers import drawn_functions, iterated_final_stage, leq, qf
+from helpers import (
+    drawn_functions,
+    fixpoint_criterion,
+    iterated_final_stage,
+    leq,
+    qf,
+    semicontinuity_criterion,
+)
 from oscal.errors import PreconditionError
 from oscal.func import (
     QFunction,
@@ -25,7 +32,6 @@ from oscal.transfinite import (
     d_norm,
     decompose,
     final_stage,
-    fixpoint_criterion,
     iterate,
     level_set_witness,
     osc_step,
@@ -92,10 +98,19 @@ def test_canonical_traces(f1, f2):
 
 
 def test_unstabilized_trace_refuses_deep_stages(f2):
-    tr = iterate(f2, "osc", cap=1)
+    tr = iterate(f2, "osc", steps=1)
     assert tr.stabilized_at is None
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"stage 5 not computed \(1 steps"):
         tr.stage(5)
+
+
+def test_iterate_takes_at_most_the_steps_asked_for(f2):
+    assert [len(iterate(f2, "osc", n).stages) for n in range(5)] == [1, 2, 3, 4, 4]
+    assert iterate(f2, "osc", 0).stage(0).values == zero_function(f2.space).values
+    with pytest.raises(PreconditionError, match="steps must be nonnegative"):
+        iterate(f2, "osc", -1)
+    with pytest.raises(PreconditionError, match="unknown iteration kind"):
+        iterate(f2, "w")
 
 
 def test_d_index_canonical(k2, f1, f2):
@@ -150,7 +165,7 @@ def test_fixpoint_criterion_canonical(k2, f1, f2):
 
 @given(functions)
 def test_fixpoint_criterion_matches_stage_equality(f):
-    tr = iterate(f, "osc", cap=8)
+    tr = iterate(f, "osc", steps=8)
     last = (
         tr.stabilized_at
         if tr.stabilized_at is not None
@@ -166,7 +181,7 @@ def test_fixpoint_criterion_matches_stage_equality(f):
 
 @given(functions, st.sampled_from(["osc", "v"]))
 def test_stages_are_monotone_and_usc(f, kind):
-    tr = iterate(f, kind, cap=8)
+    tr = iterate(f, kind, steps=8)
     for lo, hi in zip(tr.stages, tr.stages[1:]):
         assert leq(lo, hi)
         assert is_usc(hi)
@@ -174,8 +189,8 @@ def test_stages_are_monotone_and_usc(f, kind):
 
 @given(functions, st.sampled_from([Fraction(2), Fraction(-3), Fraction(1, 2)]))
 def test_stages_are_absolutely_homogeneous(f, t):
-    tr = iterate(f, "osc", cap=5)
-    tr_scaled = iterate(f.scale(t), "osc", cap=5)
+    tr = iterate(f, "osc", steps=5)
+    tr_scaled = iterate(f.scale(t), "osc", steps=5)
     for n in range(min(len(tr.stages), len(tr_scaled.stages))):
         assert tr_scaled.stages[n].values == {
             i: abs(t) * v for i, v in tr.stages[n].values.items()
@@ -185,9 +200,9 @@ def test_stages_are_absolutely_homogeneous(f, t):
 @given(pairs)
 def test_stages_are_subadditive(pair):
     f, g = pair
-    tf = iterate(f, "osc", cap=5)
-    tg = iterate(g, "osc", cap=5)
-    tfg = iterate(f + g, "osc", cap=5)
+    tf = iterate(f, "osc", steps=5)
+    tg = iterate(g, "osc", steps=5)
+    tfg = iterate(f + g, "osc", steps=5)
     for n in range(5):
         assert leq(tfg.stage(n), tf.stage(n) + tg.stage(n))
 
@@ -206,7 +221,7 @@ def test_fixpoints_persist(f):
 @given(functions)
 def test_semicontinuous_functions_oscillate_in_one_step(f):
     for h in (usc_envelope(f), lsc_envelope(f)):
-        tr = iterate(h, "osc", cap=6)
+        tr = iterate(h, "osc", steps=6)
         target = osc_step(h, zero_function(h.space))
         for n in range(1, 6):
             assert tr.stage(n).values == target.values
@@ -220,16 +235,16 @@ def test_difference_oscillation_bound(pair):
     u = lsc_envelope(a.abs())
     v = lsc_envelope(b.abs())
     bound = osc_step(u + v, zero_function(u.space))
-    tr = iterate(u - v, "osc", cap=5)
+    tr = iterate(u - v, "osc", steps=5)
     for stage in tr.stages:
         assert leq(stage, bound)
 
 
 @given(functions)
 def test_positive_oscillation_sandwich(f):
-    to = iterate(f, "osc", cap=5)
-    tp = iterate(f, "v", cap=5)
-    tm = iterate(-f, "v", cap=5)
+    to = iterate(f, "osc", steps=5)
+    tp = iterate(f, "v", steps=5)
+    tm = iterate(-f, "v", steps=5)
     for n in range(5):
         pos, neg = tp.stage(n), tm.stage(n)
         full = to.stage(n)
@@ -242,9 +257,9 @@ def test_real_part_oscillates_no_faster(seed):
     rng = random.Random(seed)
     space = helpers.corpus().spaces[seed % 38]
     fc = helpers.complex_line_function(rng, space)
-    tc = iterate(fc, "osc", cap=4)
+    tc = iterate(fc, "osc", steps=4)
     for part in (fc.re(), fc.im()):
-        tr = iterate(part, "osc", cap=4)
+        tr = iterate(part, "osc", steps=4)
         for n in range(4):
             assert leq(tr.stage(n), tc.stage(n))
 
@@ -252,15 +267,32 @@ def test_real_part_oscillates_no_faster(seed):
 # -- the final stage in one pass, against the iteration as its oracle ----------
 
 
+def assert_final_stages_match_iteration(f):
+    assert final_stage(f).values == iterated_final_stage(f).values
+    if not f.is_complex():
+        for g in (f, -f):
+            assert final_stage(g, "v").values == iterated_final_stage(g, "v").values
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_final_stage_matches_iteration_on_corpus(seed):
     for f in build_corpus(seed).functions:
-        assert final_stage(f).values == iterated_final_stage(f).values
+        assert_final_stages_match_iteration(f)
+        # the paper's test of a final stage, independent of the iteration
+        assert semicontinuity_criterion(f, final_stage(f))
 
 
 @given(st.one_of(drawn_functions(), drawn_functions(complex_values=True)))
 def test_final_stage_matches_iteration_on_drawn_functions(f):
-    assert final_stage(f).values == iterated_final_stage(f).values
+    assert_final_stages_match_iteration(f)
+
+
+def test_signed_final_stage_needs_a_real_function():
+    fc = helpers.complex_line_function(random.Random(0), chain_space(3))
+    with pytest.raises(PreconditionError, match="signed oscillation"):
+        final_stage(fc, "v")
+    with pytest.raises(PreconditionError, match="unknown iteration kind"):
+        final_stage(fc, "w")
 
 
 def test_norm_and_decomposition_do_not_iterate(monkeypatch):
