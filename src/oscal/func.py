@@ -97,7 +97,7 @@ class QFunction:
         out = {}
         for i, v in self.values.items():
             if isinstance(v, GaussianRational):
-                out[i] = require_rational_abs(v, "abs at node %d" % i)
+                out[i] = require_rational_abs(v, "abs at node %d", i)
             else:
                 out[i] = abs(v)
         return QFunction(self.space, out)
@@ -176,8 +176,10 @@ def is_continuous(f: QFunction) -> bool:
     return all(f(z) == f(p) for p in sp.limit_nodes() for z in sp.acc_cover(p))
 
 
-def _gap(a: Scalar, b: Scalar, where: str) -> Fraction:
+def _gap(a: Scalar, b: Scalar, where: str, *args) -> Fraction:
+    """|a − b|; a complex difference must have a rational modulus, else the
+    error names ``where % args``."""
     d = a - b
     if isinstance(d, GaussianRational):
-        return require_rational_abs(d, where)
+        return require_rational_abs(d, where, *args)
     return abs(d)

@@ -26,15 +26,29 @@ shape:
              Σ y_i ≤ 1                                   (column t),
              −2·y_j + Σ_(p,j) z_pj − Σ_(j,y) z_jy ≤ 0    (column w_j).
 
-The node ids, the cover edges and their bounds c_py are computed once per
-:func:`oracle_dnorm` call and shared by the program and its certificate
-check.  :func:`oracle_dnorm` reads t and w from the kernel's duals and
-trusts neither the kernel nor the reductions: the decomposition is
-re-verified against the unreduced constraint system (every y in acc(p),
-not only the cover), and the kernel's y/z values are checked to be dual
-feasible with an objective equal to sup(u + v).  A feasible primal and a
-feasible dual with equal objectives are both optimal by weak duality, so
-the optimum is certified in exact arithmetic.
+Everything is computed on one integer scale.  D, the lcm of the
+denominators of f's values, the node ids, D·f and the cover edges with
+their bounds D·c_py are computed once per :func:`oracle_dnorm` call, as
+``int``s, and shared by the program and its certificate check.  The
+program is the dual above for D·f, so every coefficient the kernel sees is
+an ``int``.  Its constraints do not involve f and only its objective is
+scaled, by D > 0: every reduced cost keeps its sign, so Bland's entering
+choices and the ratio tests, hence the pivot path and the y/z multipliers,
+are those of the program for f, while its objective and its (t, w) duals
+are D times f's.
+
+:func:`oracle_dnorm` reads t and w from the kernel's duals and trusts
+neither the kernel nor the reductions: the decomposition is re-verified
+against the unreduced constraint system (every y in acc(p), not only the
+cover), and the kernel's y/z values are checked to be dual feasible with
+an objective equal to sup(u + v).  A feasible primal and a feasible dual
+with equal objectives are both optimal by weak duality, so the optimum is
+certified in exact arithmetic.  Both checks run on ``int``s: with L the
+lcm of the duals' denominators, u and v are checked as L·D·u and L·D·v,
+and the multipliers over the lcm of their own denominators.  Only what
+:class:`OracleResult` returns is built as fractions, in f's units: the
+optimum, u, v, and the kernel's result with its objective and duals
+divided by D.
 
 The LP here optimizes over node functions, i.e. decompositions constant on
 pattern copies.  :func:`symmetry_check` probes whether allowing copies to
@@ -47,6 +61,7 @@ the same values.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional
 
@@ -56,45 +71,57 @@ from .func import QFunction, lift_function
 from .simplex import LinearProgram, LPResult, solve
 from .space import unroll
 
-# node ids in order, and (p, y, c_py) for every cover edge
-_Cover = tuple[list[int], list[tuple[int, int, Fraction]]]
+# the scale D, the node ids in order, D·f, and (p, y, D·c_py) for every
+# cover edge, all ints
+_Cover = tuple[int, list[int], dict[int, int], list[tuple[int, int, int]]]
+
+
+def _on_lcm(xs: list) -> tuple[int, list[int]]:
+    """The lcm of the denominators of the rationals xs, and each x times it."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return den, [x.numerator * (den // x.denominator) for x in xs]
 
 
 def _cover(f: QFunction) -> _Cover:
-    """The node ids of a real f on a valid space, and every cover edge (p, y)
-    with c_py, the tighter of the u row's bound f⁺(y) − f⁺(p) and the v
+    """For a real f on a valid space: D, the lcm of the denominators of its
+    values; its node ids; D·f; and every cover edge (p, y) with D·c_py,
+    where c_py is the tighter of the u row's bound f⁺(y) − f⁺(p) and the v
     row's bound f⁻(y) − f⁻(p) on w_p − w_y."""
     f.require_real("norm oracle")
     sp = f.space
     sp.require_valid()
-    fv = f.values
+    nodes = sp.node_ids()
+    scale, scaled = _on_lcm([f.values[i] for i in nodes])
+    df = dict(zip(nodes, scaled))
     edges = []
     for p in sp.limit_nodes():
-        fp = fv[p]
+        fp = df[p]
         pos_p, neg_p = (fp, 0) if fp > 0 else (0, -fp)
         for y in sorted(sp.acc_cover(p)):
-            fy = fv[y]
+            fy = df[y]
             pos_y, neg_y = (fy, 0) if fy > 0 else (0, -fy)
             edges.append((p, y, min(pos_y - pos_p, neg_y - neg_p)))
-    return sp.node_ids(), edges
+    return scale, nodes, df, edges
 
 
 def oracle_lp(f: QFunction, cover: Optional[_Cover] = None) -> LinearProgram:
-    """Build the dual decomposition LP for a real node function.
+    """Build the dual decomposition LP for D·f, D the lcm of the
+    denominators of a real node function f, so that every coefficient and
+    right-hand side is an ``int``.
 
     Variables ``y<i>`` (one per node, the multiplier of its row
-    t − 2·w_i ≥ |f(i)|) and ``z<p>_<y>`` (one per cover edge, the
-    multiplier of its merged row w_p − w_y ≤ c_py), all nonnegative.  Row 0
-    is the column of t, row 1 + k the column of w for the k-th node in
-    ``node_ids()`` order, so the kernel's duals are (t, w) in that order.
-    The cover thinning is exact because acc sets are downward closed, and
-    oracle_dnorm re-verifies the reconstructed optimum against the original
-    constraint system.  ``cover`` is f's node ids and cover edges when the
-    caller has already computed them.
+    t − 2·w_i ≥ |D·f(i)|) and ``z<p>_<y>`` (one per cover edge, the
+    multiplier of its merged row w_p − w_y ≤ D·c_py), all nonnegative.
+    Row 0 is the column of t, row 1 + k the column of w for the k-th node
+    in ``node_ids()`` order, so the kernel's duals are (t, w) in that
+    order, D times those for f.  The cover thinning is exact because acc
+    sets are downward closed, and oracle_dnorm re-verifies the
+    reconstructed optimum against the original constraint system.
+    ``cover`` is what ``_cover(f)`` returns, when the caller has already
+    computed it.
     """
-    nodes, edges = _cover(f) if cover is None else cover
-    fv = f.values
-    objective = {"y%d" % i: abs(fv[i]) for i in nodes}
+    _, nodes, df, edges = _cover(f) if cover is None else cover
+    objective = {"y%d" % i: abs(df[i]) for i in nodes}
     rows = {j: {"y%d" % j: -2} for j in nodes}
     for p, y, c in edges:
         z = "z%d_%d" % (p, y)
@@ -112,7 +139,8 @@ def oracle_lp(f: QFunction, cover: Optional[_Cover] = None) -> LinearProgram:
 @record
 class OracleResult:
     """The optimum, an attaining decomposition, and the dual LP's result
-    (its ``values`` are the y/z multipliers, its ``duals`` are t then w)."""
+    (its ``values`` are the y/z multipliers, its ``duals`` are t then w),
+    all in f's units."""
 
     optimum: Fraction
     u: QFunction
@@ -135,29 +163,28 @@ def oracle_dnorm(f: QFunction) -> OracleResult:
             "decomposition LP came back %s" % res.status
         )
     sp = f.space
-    fv = f.values
-    nodes, edges = cover
-    t = res.duals[0]
+    scale, nodes, df, edges = cover
+    # u = f⁺ + w and v = f⁻ + w times L·D, with L the lcm of the
+    # denominators of the duals, which are D·t and D·w
+    big, tw = _on_lcm(res.duals)
+    t = tw[0]
     u_vals = {}
     v_vals = {}
-    for k, i in enumerate(nodes):
-        w = res.duals[1 + k]
-        fi = fv[i]
+    for i, w in zip(nodes, tw[1:]):
+        fi = big * df[i]
         if fi > 0:
             u_vals[i], v_vals[i] = w + fi, w
         else:
             u_vals[i], v_vals[i] = w, w - fi
-    u = QFunction(sp, u_vals)
-    v = QFunction(sp, v_vals)
 
     # independent re-verification against the unreduced constraint system,
-    # on the value dicts
+    # on the int value dicts
     problems = []
     if any(val < 0 for val in u_vals.values()) or any(
         val < 0 for val in v_vals.values()
     ):
         problems.append("negativity")
-    if any(u_vals[i] - v_vals[i] != fv[i] for i in nodes):
+    if any(u_vals[i] - v_vals[i] != big * df[i] for i in nodes):
         problems.append("difference")
     for p in sp.limit_nodes():
         up, vp = u_vals[p], v_vals[p]
@@ -167,40 +194,48 @@ def oracle_dnorm(f: QFunction) -> OracleResult:
     sup = max(u_vals[i] + v_vals[i] for i in nodes)
     if sup > t:
         problems.append("bound")
-    if sup != res.objective:
+    objective = res.objective  # D times f's
+    if sup * objective.denominator != objective.numerator * big:
         problems.append("objective")
     # the dual certificate: multipliers y, z >= 0 that satisfy every dual
     # row and whose objective equals sup(u + v) bound every decomposition
-    # from below (weak duality), so the one above is optimal
+    # from below (weak duality), so the one above is optimal.  The sums
+    # run over the nonzero multipliers, times the lcm of their denominators.
     mult = res.values
-    total = 0  # left-hand side of the row of t
+    ys = [(i, x) for i in nodes if (x := mult["y%d" % i])]
+    zs = [(p, y, c, x) for p, y, c in edges if (x := mult["z%d_%d" % (p, y)])]
+    den, scaled = _on_lcm([x for _, x in ys] + [x for *_, x in zs])
+    y_int, z_int = scaled[: len(ys)], scaled[len(ys):]
     load = dict.fromkeys(nodes, 0)  # left-hand sides, rows of w
-    bound = 0  # dual objective
-    for i in nodes:
-        y_i = mult["y%d" % i]
-        if y_i:
-            total += y_i
-            load[i] -= 2 * y_i
-            bound += abs(fv[i]) * y_i
-    for p, y, c in edges:
-        z = mult["z%d_%d" % (p, y)]
-        if z:
-            load[p] -= z
-            load[y] += z
-            bound -= c * z
+    bound = 0  # dual objective, times D and den
+    for (i, _), x in zip(ys, y_int):
+        load[i] -= 2 * x
+        bound += abs(df[i]) * x
+    for (p, y, c, _), x in zip(zs, z_int):
+        load[p] -= x
+        load[y] += x
+        bound -= c * x
     if (
-        any(val < 0 for val in mult.values())
-        or total > 1
+        any(x < 0 for x in scaled)
+        or sum(y_int) > den  # the row of t
         or any(val > 0 for val in load.values())
     ):
         problems.append("dual feasibility")
-    if bound != sup:
+    if bound * big != sup * den:
         problems.append("duality gap")
     if problems:
         raise InternalCheckError(
             "oracle solution failed re-verification: %s" % ", ".join(problems)
         )
-    return OracleResult(res.objective, u, v, res)
+    # fractions only for what the result holds, in f's units
+    units = big * scale
+    optimum = Fraction(sup, units)
+    u = QFunction(sp, {i: Fraction(x, units) for i, x in u_vals.items()})
+    v = QFunction(sp, {i: Fraction(x, units) for i, x in v_vals.items()})
+    duals = [Fraction(x, units) for x in tw]
+    return OracleResult(
+        optimum, u, v, LPResult(res.status, optimum, mult, duals, res.pivots)
+    )
 
 
 @record

@@ -137,10 +137,12 @@ def rational_abs(z: GaussianRational) -> Fraction | None:
     return _sqrt_exact(z.abs_squared())
 
 
-def require_rational_abs(z: GaussianRational, context: str = "") -> Fraction:
+def require_rational_abs(z: GaussianRational, context: str = "", *args) -> Fraction:
+    """|z|, or ``ExactnessError`` when it is irrational; the error names
+    ``context % args``, formatted only then."""
     r = rational_abs(z)
     if r is None:
-        where = f" ({context})" if context else ""
+        where = f" ({context % args})" if context else ""
         raise ExactnessError(
             f"|{z}| is irrational{where}; exact arithmetic cannot continue"
         )

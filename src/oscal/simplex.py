@@ -55,13 +55,11 @@ class LinearProgram:
     def __init__(self) -> None:
         self._objective: dict = {}
         self._rows: list = []
-        self._vars: list = []
+        self._vars: dict = {}  # insertion-ordered, values unused
         self._free: set = set()
 
     def _register(self, names) -> None:
-        for name in names:
-            if name not in self._vars:
-                self._vars.append(name)
+        self._vars.update(dict.fromkeys(names))
 
     def make_free(self, *names: str) -> None:
         self._register(names)
@@ -100,6 +98,8 @@ class LPResult:
     duals: Optional[list]
     pivots: int
 
+
+_ZERO = Fraction(0)
 
 # keys outside the column range (columns are >= 0): every row's
 # right-hand side, and the cost row's positive denominator
@@ -230,9 +230,9 @@ def solve(lp: LinearProgram) -> LPResult:
     }
     values = {}
     for n in names:
-        v = col_val.get(col_of[n], Fraction(0))
+        v = col_val.get(col_of[n], _ZERO)
         if n in neg_col_of:
-            v = v - col_val.get(neg_col_of[n], Fraction(0))
+            v = v - col_val.get(neg_col_of[n], _ZERO)
         values[n] = v
     den = cost[_DEN]
     objective = Fraction(cost.get(_RHS, 0), den)

@@ -193,7 +193,9 @@ class TreeSpace:
         return list(out)
 
     def require_valid(self) -> None:
-        bad = self.validate()
+        bad = self._violations
+        if bad is None:
+            bad = self.validate()
         if bad:
             raise SpaceError("invalid space: " + "; ".join(bad))
 

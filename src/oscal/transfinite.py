@@ -35,7 +35,6 @@ from ._record import record
 from .errors import InternalCheckError, PreconditionError
 from .func import (
     QFunction,
-    constant_function,
     is_lsc,
     usc_envelope,
     zero_function,
@@ -56,7 +55,7 @@ def _jump(f: QFunction, kind: str):
     """jump(y, x) of one step of ``kind``: |f(y) − f(x)| for "osc", and
     f(y) − f(x) for the signed "v", whose f must be real."""
     if kind == "osc":
-        return lambda y, x: _gap(f(y), f(x), "oscillation step at node %d" % x)
+        return lambda y, x: _gap(f(y), f(x), "oscillation step at node %d", x)
     if kind == "v":
         f.require_real("signed oscillation")
         return lambda y, x: f(y) - f(x)
@@ -169,7 +168,8 @@ def final_stage(f: QFunction, kind: str = "osc") -> QFunction:
 
 def d_norm(f: QFunction) -> Fraction:
     """max over nodes of |f| + final oscillation stage."""
-    return (f.abs() + final_stage(f)).sup_abs()
+    mod, final = f.abs().values, final_stage(f).values
+    return max(mod[i] + final[i] for i in mod)
 
 
 @record
@@ -184,18 +184,19 @@ def decompose(f: QFunction) -> Decomposition:
     """Split f = u − v with u, v nonnegative lower semicontinuous and
     max(u + v) equal to the norm; the witness that the norm is attained."""
     f.require_real("decomposition")
-    final = final_stage(f)
-    lam = (f.abs() + final).sup_abs()
+    fv = f.values
+    final = final_stage(f).values
+    lam = max(abs(x) + final[i] for i, x in fv.items())
     half = Fraction(1, 2)
-    lam_fn = constant_function(f.space, lam)
-    u = (lam_fn - final + f).scale(half)
-    v = (lam_fn - final - f).scale(half)
+    u_vals = {i: (lam - final[i] + x) * half for i, x in fv.items()}
+    v_vals = {i: (lam - final[i] - x) * half for i, x in fv.items()}
+    u, v = QFunction(f.space, u_vals), QFunction(f.space, v_vals)
     checks = {
-        "difference": (u - v).values == f.values,
-        "nonnegative": all(val >= 0 for val in u.values.values())
-        and all(val >= 0 for val in v.values.values()),
+        "difference": all(u_vals[i] - v_vals[i] == x for i, x in fv.items()),
+        "nonnegative": all(val >= 0 for val in u_vals.values())
+        and all(val >= 0 for val in v_vals.values()),
         "lower_semicontinuous": is_lsc(u) and is_lsc(v),
-        "sup_norm": (u + v).sup_abs() == lam,
+        "sup_norm": max(abs(u_vals[i] + v_vals[i]) for i in fv) == lam,
     }
     bad = [name for name, ok in checks.items() if not ok]
     if bad:

@@ -13,7 +13,9 @@ of it.
 ``oracle_lp`` and ``oracle_dnorm`` below are the package's dual oracle as
 it was before it computed its cover edges once per call and re-verified
 its certificate on plain value dicts, byte for byte; ``test_oracle``
-requires the package's results to equal theirs field by field.
+requires the package's results to equal theirs field by field, and its
+program to equal theirs with the objective scaled by D, the lcm of the
+denominators of f's values.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """LP oracle: independent norm computation and symmetry probes."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -15,8 +16,8 @@ from oscal.func import QFunction, is_lsc
 from oscal.oracle import lift_function, oracle_dnorm, oracle_lp, symmetry_check
 from oscal.sampling import build_corpus, random_space
 from oscal.simplex import solve
-from oscal.space import chain_space, unroll
-from oscal.transfinite import d_norm
+from oscal.space import SpaceNode, TreeSpace, chain_space, unroll
+from oscal.transfinite import d_norm, decompose
 import reference_oracle
 import reference_simplex
 from reference_oracle import primal_lp
@@ -246,13 +247,18 @@ def test_suboptimal_multipliers_fail_reverification(f2, monkeypatch):
 # -- the oracle before it shared its cover edges, as a differential oracle -------
 
 
+def scale(f):
+    """D, the lcm of the denominators of f's values: oracle_lp solves D·f."""
+    return math.lcm(*(v.denominator for v in f.values.values()))
+
+
 def assert_matches_reference(f):
     """Same program and same results, field by field, as the oracle that
     computed its cover edges twice and checked through QFunction algebra."""
     lp, ref_lp = oracle_lp(f), reference_oracle.oracle_lp(f)
     assert lp.variables == ref_lp.variables
     assert lp.constraints == ref_lp.constraints
-    assert lp._objective == ref_lp._objective
+    assert lp._objective == {n: scale(f) * c for n, c in ref_lp._objective.items()}
     res, ref = oracle_dnorm(f), reference_oracle.oracle_dnorm(f)
     assert res.optimum == ref.optimum
     assert res.u.values == ref.u.values
@@ -279,6 +285,98 @@ def test_oracle_matches_reference_on_corpus(seed):
 @given(f=drawn_functions())
 def test_oracle_matches_reference_on_drawn_functions(f):
     assert_matches_reference(f)
+
+
+# -- one integer scale: the kernel solves D·f ------------------------------------
+
+
+def largest_prime_at_most(n):
+    """The largest prime p ≤ n, for n ≥ 2."""
+    while any(n % d == 0 for d in range(2, math.isqrt(n) + 1)):
+        n -= 1
+    return n
+
+
+@st.composite
+def coprime_functions(draw):
+    """Values p/q with q drawn among the primes up to 10⁶, so D is large."""
+    space = random_space(random.Random(draw(st.integers(0, 10**6))), 2, 10)
+    values = [
+        F(draw(st.integers(-(10**6), 10**6)),
+          largest_prime_at_most(draw(st.integers(2, 10**6))))
+        for _ in space.node_ids()
+    ]
+    return QFunction(space, dict(zip(space.node_ids(), values)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=coprime_functions())
+def test_large_coprime_denominators(f):
+    assert oracle_dnorm(f).optimum == d_norm(f)
+    assert_matches_reference(f)
+
+
+@pytest.fixture(scope="module")
+def coprime3(k3):
+    return QFunction(k3, {0: F(1, 7), 1: F(-2, 11), 2: F(3, 13), 3: F(0)})
+
+
+def test_program_is_integer(coprime3, corpus0):
+    reals = [f for f in corpus0.functions if not f.is_complex()]
+    for f in [coprime3] + reals:
+        lp = oracle_lp(f)
+        assert all(type(c) is int for c in lp._objective.values())
+        for coeffs, rhs in lp.constraints:
+            assert type(rhs) is int
+            assert all(type(c) is int for c in coeffs.values())
+    assert scale(coprime3) == 7 * 11 * 13
+    assert oracle_lp(coprime3)._objective["y1"] == 2 * 7 * 13
+
+
+@pytest.mark.parametrize(
+    "factor, named",
+    [(F(1, 7 * 11 * 13), "bound"), (7 * 11 * 13, "objective")],
+    ids=["duals-of-f", "duals-times-D"],
+)
+def test_duals_on_the_wrong_scale_fail_reverification(
+    coprime3, monkeypatch, factor, named
+):
+    # the kernel's duals are D·t and D·w; read on any other scale they give
+    # a decomposition the certificate check refuses
+    real_solve = oscal.oracle.solve
+
+    def rescaled(lp):
+        res = real_solve(lp)
+        return replace(res, duals=[d * factor for d in res.duals])
+
+    assert oracle_dnorm(coprime3).optimum == d_norm(coprime3)
+    monkeypatch.setattr(oscal.oracle, "solve", rescaled)
+    with pytest.raises(InternalCheckError) as err:
+        oracle_dnorm(coprime3)
+    assert "re-verification" in str(err.value)
+    assert named in str(err.value)
+
+
+def test_a_half_integer_optimum_passes_reverification(monkeypatch):
+    # The stage formula's decomposition is optimal too.  Here its w is a
+    # half-integer on the D·f scale (D = 7): fed in as the kernel's duals,
+    # with the kernel's own multipliers, it passes the check and comes back.
+    shape = [(0, (), (1,)), (1, (3,), (2,)), (2, (), ()), (3, (), (4,)), (4, (), ())]
+    space = TreeSpace([SpaceNode(*node) for node in shape], 0)
+    f = QFunction(space, {0: 0, 1: 0, 2: 0, 3: 0, 4: F(1, 7)})
+    dec = decompose(f)
+    point = [dec.norm] + [dec.v(i) - max(-f(i), 0) for i in space.node_ids()]
+    assert {(7 * x).denominator for x in point} == {1, 2}
+    real_solve = oscal.oracle.solve
+
+    def formula_point(lp):
+        return replace(real_solve(lp), duals=[7 * x for x in point])
+
+    monkeypatch.setattr(oscal.oracle, "solve", formula_point)
+    res = oracle_dnorm(f)
+    assert res.optimum == dec.norm == d_norm(f)
+    assert res.u.values == dec.u.values and res.v.values == dec.v.values
+    assert res.lp_result.duals == point
 
 
 # -- symmetry_check solves each function's quotient program once -----------------

@@ -72,6 +72,17 @@ def test_negative_rhs_is_refused():
     assert lp.constraints == [({"x": Fraction(1)}, Fraction(0))]
 
 
+def test_variables_are_listed_in_first_seen_order():
+    lp = LinearProgram()
+    lp.add({"b": 1, "a": 1}, 1)
+    lp.set_objective({"c": 1, "a": 2})
+    lp.make_free("b", "d")
+    lp.add({"d": 1, "c": 1, "e": 1}, 2)
+    assert lp.variables == ["b", "a", "c", "d", "e"]
+    lp.variables.append("f")  # a copy
+    assert lp.variables == ["b", "a", "c", "d", "e"]
+
+
 def test_input_guards():
     with pytest.raises(PreconditionError):
         solve(LinearProgram())

@@ -65,6 +65,14 @@ def test_validate_reports_violations():
         no_pattern.require_valid()
 
 
+def test_validate_returns_a_copy_of_the_cached_violations():
+    orphan = _space([(0, [], [1]), (1, [], []), (5, [], [])])
+    orphan.validate().append("changed by the caller")
+    assert orphan.validate() == ["node 5 unreachable from root"]
+    with pytest.raises(SpaceError, match="^invalid space: node 5 unreachable from root$"):
+        orphan.require_valid()
+
+
 def test_validate_accepts_the_canonical_chains():
     for d in range(1, 5):
         assert chain_space(d).validate() == []

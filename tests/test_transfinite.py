@@ -15,7 +15,7 @@ from helpers import (
     qf,
     semicontinuity_criterion,
 )
-from oscal.errors import PreconditionError
+from oscal.errors import ExactnessError, PreconditionError
 from oscal.func import (
     QFunction,
     constant_function,
@@ -24,6 +24,7 @@ from oscal.func import (
     usc_envelope,
     zero_function,
 )
+from oscal.rationals import GaussianRational
 from oscal.sampling import build_corpus
 from oscal.space import chain_space
 from oscal.transfinite import (
@@ -130,6 +131,17 @@ def test_d_norm_canonical(k2, f1, f2):
     assert d_norm(f2) == Fraction(2)
     c = constant_function(k2, Fraction(-5, 2))
     assert d_norm(c) == Fraction(5, 2)
+
+
+def test_irrational_moduli_name_their_node(k1):
+    # |f(0)| = 5 is rational; |f(1)| = √2 and |f(1) − f(0)| = √13 are not
+    f = QFunction(k1, {0: GaussianRational(3, 4), 1: GaussianRational(1, 1)})
+    with pytest.raises(ExactnessError, match=r"\(oscillation step at node 0\)"):
+        final_stage(f)
+    with pytest.raises(ExactnessError, match=r"\(abs at node 1\)"):
+        d_norm(f)
+    g = QFunction(k1, {0: GaussianRational(3, 4), 1: GaussianRational(0, 0)})
+    assert d_norm(g) == 10  # |g(0)| + |g(1) − g(0)|
 
 
 def test_decompose_canonical(k1, k2, f1, f2):
