@@ -110,10 +110,6 @@ class QFunction:
             lambda v: v.im if isinstance(v, GaussianRational) else Fraction(0)
         )
 
-    def sup_abs(self) -> Fraction:
-        """max over nodes of |f| (exact)."""
-        return max(self.abs().values.values())
-
     def __le__(self, other: "QFunction") -> bool:
         if not isinstance(other, QFunction):
             return NotImplemented
@@ -126,11 +122,6 @@ class QFunction:
 
 def zero_function(space: TreeSpace) -> QFunction:
     return QFunction(space, {i: Fraction(0) for i in space.nodes})
-
-
-def constant_function(space: TreeSpace, value) -> QFunction:
-    value = _coerce(value)
-    return QFunction(space, {i: value for i in space.nodes})
 
 
 def lift_function(

@@ -6,6 +6,12 @@ the package builds has that shape (the norm oracle solves the dual of its
 decomposition program for exactly this reason), so the slack basis is
 feasible from the start and a single simplex phase runs from it.
 
+A :class:`LinearProgram` gives each variable a column the first time it
+sees its name and keeps its objective and rows by column, so ``solve``
+starts from them as they are, plus one slack per row; only a program
+with free variables is re-laid out (see below).  ``int`` coefficients
+stay ``int`` from the program to the tableau.
+
 Rows are sparse integers.  Each tableau row is a ``dict`` from column to
 nonzero ``int``, right-hand side included, and stands for a positive
 multiple of its canonical row (the one with a 1 in its basic column), so
@@ -13,11 +19,16 @@ the basic coefficient is always positive.  A pivot on (r, c) leaves row r
 as it is and replaces every other row i holding column c by
 ``a_rc·row_i − a_ic·row_r`` divided by the gcd of its entries; inner loops
 touch only nonzeros and do only ``int`` work.  The cost row is an integer
-row over its own positive denominator.  Rationals appear only where the
-program is scaled to integers (row by row, by the lcm of its denominators)
-and where values, objective and duals are read out; ``int`` coefficients
-stay ``int`` from the program to the tableau, and a row of them needs no
-scaling.
+row over its own positive denominator.  A row holding a ``Fraction`` is
+scaled to integers by the lcm of its denominators; a row of ``int``s
+needs no scaling.
+
+The answer is integer too.  :class:`LPResult` holds the optimal cost
+row's denominator, the objective's and every dual's numerator over it,
+and each nonzero basic value as the pair (right-hand side, basic
+coefficient) of its row.  Its ``objective``, ``values`` and ``duals`` are
+``Fraction`` views built on first read, so a caller that checks the
+answer in integers, as the norm oracle does, builds no fractions at all.
 
 Bland's anti-cycling rule throughout: the entering column is the
 lowest-index one with negative reduced cost and ties in the ratio test are
@@ -27,15 +38,19 @@ ratio ``rhs_i / a_i``, which is compared by cross-multiplying, so the pivot
 path is exactly the one a tableau of canonical rows would take.  There is
 no tolerance anywhere.
 
-Free variables are handled by the usual positive/negative split.  The dual
-of each row is the reduced cost of its slack column on the optimal
-tableau, reported per row in the order the rows were added.
+Free variables are handled by the usual positive/negative split: the
+negative column of a free variable comes right after its own column, so
+the structural columns follow the variables' first-seen order, whether a
+variable was made free before or after its rows were added.  The dual of
+each row is the reduced cost of its slack column on the optimal tableau,
+reported per row in the order the rows were added.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from ._record import record
@@ -43,60 +58,115 @@ from .errors import PreconditionError
 from .rationals import rat
 
 
-def _exact(c):
-    """An ``int`` as it is (bools excluded), anything else through ``rat``."""
-    return c if type(c) is int else rat(c)
-
-
 class LinearProgram:
     """maximize c·x subject to rows Σ a·x ≤ b with b ≥ 0; variables are
-    named, nonnegative unless made free."""
+    named, nonnegative unless made free.
+
+    Each name gets a column the first time the program sees it.  The
+    objective and the rows are kept as column -> coefficient dicts, ``int``
+    coefficients as they are and every other rational as a ``Fraction``;
+    ``variables``, ``objective`` and ``constraints`` are their named views.
+    """
 
     def __init__(self) -> None:
+        self._col: dict = {}  # name -> column, in first-seen order
         self._objective: dict = {}
         self._rows: list = []
-        self._vars: dict = {}  # insertion-ordered, values unused
         self._free: set = set()
 
-    def _register(self, names) -> None:
-        self._vars.update(dict.fromkeys(names))
+    def _by_column(self, coeffs: dict) -> dict:
+        """``coeffs`` by column; new names get their columns only once
+        every coefficient is accepted."""
+        col = self._col
+        out = {}
+        new = []
+        for n, c in coeffs.items():
+            if type(c) is not int:
+                c = rat(c)
+            j = col.get(n)
+            if j is None:
+                j = len(col) + len(new)
+                new.append(n)
+            out[j] = c
+        if new:
+            col.update(zip(new, range(len(col), len(col) + len(new))))
+        return out
 
     def make_free(self, *names: str) -> None:
-        self._register(names)
+        col = self._col
+        for n in names:
+            col.setdefault(n, len(col))
         self._free.update(names)
 
     def set_objective(self, coeffs: dict) -> None:
-        coeffs = {n: _exact(c) for n, c in coeffs.items()}
-        self._register(coeffs)
-        self._objective = coeffs
+        self._objective = self._by_column(coeffs)
 
     def add(self, coeffs: dict, rhs) -> None:
         """Add the row Σ coeffs·x ≤ rhs, with rhs ≥ 0."""
-        rhs = _exact(rhs)
+        if type(rhs) is not int:  # bools too, which rat refuses
+            rhs = rat(rhs)
         if rhs < 0:
             raise PreconditionError(
                 "right-hand side %s is negative; rows need rhs >= 0" % rhs
             )
-        coeffs = {n: _exact(c) for n, c in coeffs.items()}
-        self._register(coeffs)
-        self._rows.append((coeffs, rhs))
+        self._rows.append((self._by_column(coeffs), rhs))
 
     @property
     def variables(self) -> list:
-        return list(self._vars)
+        return list(self._col)
+
+    @property
+    def objective(self) -> dict:
+        names = self.variables
+        return {names[j]: c for j, c in self._objective.items()}
 
     @property
     def constraints(self) -> list:
-        return list(self._rows)
+        names = self.variables
+        return [
+            ({names[j]: c for j, c in row.items()}, rhs) for row, rhs in self._rows
+        ]
 
 
 @record
 class LPResult:
+    """The kernel's integer answer.
+
+    ``den`` is the optimal cost row's positive denominator: the objective
+    is ``num``/``den`` and row i's dual is ``dual_nums[i]``/``den``.
+    ``basic`` maps the column of each variable with a nonzero value to
+    that value as (numerator, positive denominator), and ``variables``
+    names the columns.  An unbounded result has no ``den``, ``num`` or
+    ``dual_nums`` and no variables.  ``objective``, ``values`` (every
+    variable, in column order) and ``duals`` are the same numbers as
+    ``Fraction``s, built on first read.
+    """
+
     status: str  # "optimal" | "unbounded"
-    objective: Optional[Fraction]
-    values: dict
-    duals: Optional[list]
     pivots: int
+    den: Optional[int]
+    num: Optional[int]
+    dual_nums: Optional[list]
+    basic: dict
+    variables: list
+
+    @cached_property
+    def objective(self) -> Optional[Fraction]:
+        return None if self.den is None else Fraction(self.num, self.den)
+
+    @cached_property
+    def values(self) -> dict:
+        basic = self.basic
+        return {
+            n: Fraction(*basic[j]) if j in basic else _ZERO
+            for j, n in enumerate(self.variables)
+        }
+
+    @cached_property
+    def duals(self) -> Optional[list]:
+        if self.den is None:
+            return None
+        return [Fraction(x, self.den) for x in self.dual_nums]
 
 
 _ZERO = Fraction(0)
@@ -183,31 +253,43 @@ def _optimize(rows, cost, basis) -> tuple[str, int, dict]:
         pivots += 1
 
 
+def _split_free(lp: LinearProgram):
+    """The program with each free variable x written x⁺ − x⁻, the column of
+    x⁻ right after that of x⁺: its objective, its rows, its number of
+    structural columns, and for each of them (variable column, sign)."""
+    free = {lp._col[n] for n in lp._free}
+    at = []  # the column of x⁺ for each variable x
+    owner = []
+    for j in range(len(lp._col)):
+        at.append(len(owner))
+        owner.append((j, 1))
+        if j in free:
+            owner.append((j, -1))
+
+    def split(row: dict) -> dict:
+        out = {}
+        for j, c in row.items():
+            out[at[j]] = c
+            if j in free:
+                out[at[j] + 1] = -c
+        return out
+
+    rows = [(split(row), rhs) for row, rhs in lp._rows]
+    return split(lp._objective), rows, len(owner), owner
+
+
 def solve(lp: LinearProgram) -> LPResult:
     names = lp.variables
     if not names:
         raise PreconditionError("linear program has no variables")
-
-    # column layout: structural (with free splits), then one slack per row
-    col_of: dict[str, int] = {}
-    neg_col_of: dict[str, int] = {}
-    ncols = 0
-    for n in names:
-        col_of[n] = ncols
-        ncols += 1
-        if n in lp._free:
-            neg_col_of[n] = ncols
-            ncols += 1
+    objective, body, ncols, owner = lp._objective, lp._rows, len(names), None
+    if lp._free:
+        objective, body, ncols, owner = _split_free(lp)
 
     # the slack basis: row i starts canonical, with basic slack ncols + i
     rows: list[dict] = []
-    for i, (coeffs, rhs) in enumerate(lp.constraints):
-        vec = {}
-        for n, c in coeffs.items():
-            if c:
-                vec[col_of[n]] = c
-                if n in neg_col_of:
-                    vec[neg_col_of[n]] = -c
+    for i, (row, rhs) in enumerate(body):
+        vec = {j: c for j, c in row.items() if c}
         if rhs:
             vec[_RHS] = rhs
         vec[ncols + i] = 1
@@ -215,26 +297,21 @@ def solve(lp: LinearProgram) -> LPResult:
     basis = [ncols + i for i in range(len(rows))]
 
     # the cost row of −c·x; the slack basis has zero cost, so it is reduced
-    goal = {_DEN: 1}
-    for n, c in lp._objective.items():
-        if c:
-            goal[col_of[n]] = -c
-            if n in neg_col_of:
-                goal[neg_col_of[n]] = c
+    goal = {j: -c for j, c in objective.items() if c}
+    goal[_DEN] = 1
     status, pivots, cost = _optimize(rows, _integer_row(goal), basis)
     if status == "unbounded":
-        return LPResult("unbounded", None, {}, None, pivots)
+        return LPResult("unbounded", pivots, None, None, None, {}, [])
 
-    col_val = {
-        b: Fraction(row.get(_RHS, 0), row[b]) for b, row in zip(basis, rows)
-    }
-    values = {}
-    for n in names:
-        v = col_val.get(col_of[n], _ZERO)
-        if n in neg_col_of:
-            v = v - col_val.get(neg_col_of[n], _ZERO)
-        values[n] = v
+    basic = {}
+    for b, row in zip(basis, rows):
+        p = row.get(_RHS)
+        if p and b < ncols:
+            q = row[b]
+            if owner:
+                b, sign = owner[b]
+                p *= sign
+            basic[b] = (p, q)
     den = cost[_DEN]
-    objective = Fraction(cost.get(_RHS, 0), den)
-    duals = [Fraction(cost.get(ncols + i, 0), den) for i in range(len(rows))]
-    return LPResult("optimal", objective, values, duals, pivots)
+    duals = [cost.get(ncols + i, 0) for i in range(len(rows))]
+    return LPResult("optimal", pivots, den, cost.get(_RHS, 0), duals, basic, names)

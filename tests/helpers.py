@@ -32,6 +32,15 @@ def qf(space: TreeSpace, *values) -> QFunction:
     return QFunction(space, dict(zip(ids, map(Fraction, values))))
 
 
+def constant_function(space: TreeSpace, value) -> QFunction:
+    return QFunction(space, dict.fromkeys(space.nodes, value))
+
+
+def sup_abs(f: QFunction) -> Fraction:
+    """max over nodes of |f| (exact)."""
+    return max(f.abs().values.values())
+
+
 def fmax(f: QFunction, g: QFunction) -> QFunction:
     return QFunction(
         f.space, {i: max(f(i), g(i)) for i in f.space.node_ids()}

@@ -8,17 +8,20 @@ integer vectors and before it dropped phase 1: a dense two-phase tableau in
 package's own :class:`LinearProgram` objects, which it reads as the general
 program they are: maximize over ``<=`` rows.  ``test_simplex_reference``
 requires the production kernel to agree with it on status, objective,
-values, duals and pivot count.
+values, duals and pivot count.  It returns its own :class:`Outcome`, the
+five fields as ``Fraction``s, as the package's results were before they
+held the kernel's integer answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Optional
 
 from oscal.errors import PreconditionError
 from oscal.rationals import rat
-from oscal.simplex import LinearProgram, LPResult
+from oscal.simplex import LinearProgram
 
 SENSES = ("<=", ">=", "==")
 
@@ -39,7 +42,7 @@ class GeneralProgram:
         """The kernel's program read as a general one, variables in order."""
         return cls(
             False,
-            dict(lp._objective),
+            lp.objective,
             [(coeffs, "<=", rhs) for coeffs, rhs in lp.constraints],
             lp.variables,
             set(lp._free),
@@ -73,6 +76,15 @@ class GeneralProgram:
     @property
     def constraints(self) -> list:
         return list(self._rows)
+
+
+@dataclass(frozen=True)
+class Outcome:
+    status: str  # "optimal" | "infeasible" | "unbounded"
+    objective: Optional[Fraction]
+    values: dict
+    duals: Optional[list]
+    pivots: int
 
 
 _ZERO = Fraction(0)
@@ -128,7 +140,7 @@ def _optimize(rows, cost, basis, allowed) -> tuple[str, int]:
         pivots += 1
 
 
-def solve(lp) -> LPResult:
+def solve(lp) -> Outcome:
     """Solve a :class:`GeneralProgram` or the package's :class:`LinearProgram`."""
     if isinstance(lp, LinearProgram):
         lp = GeneralProgram.of(lp)
@@ -214,7 +226,7 @@ def solve(lp) -> LPResult:
         status, p = _optimize(rows, cost, basis, range(ncols))
         pivots += p
         if -cost[-1] > 0:
-            return LPResult("infeasible", None, {}, None, pivots)
+            return Outcome("infeasible", None, {}, None, pivots)
         # drive leftover artificials out of the basis
         drop: list[int] = []
         for i in range(len(rows)):
@@ -251,7 +263,7 @@ def solve(lp) -> LPResult:
     status, p = _optimize(rows, cost, basis, allowed)
     pivots += p
     if status == "unbounded":
-        return LPResult("unbounded", None, {}, None, pivots)
+        return Outcome("unbounded", None, {}, None, pivots)
 
     col_val = [_ZERO] * ncols
     for i, b in enumerate(basis):
@@ -279,4 +291,4 @@ def solve(lp) -> LPResult:
             y = -y
         duals.append(y)
 
-    return LPResult("optimal", objective, values, duals, pivots)
+    return Outcome("optimal", objective, values, duals, pivots)

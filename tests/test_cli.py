@@ -342,7 +342,7 @@ def test_internal_fault_exits_three(paths, monkeypatch, capsys):
 
     def wrong_optimum(lp):
         res = real_solve(lp)
-        return replace(res, objective=res.objective + 1)
+        return replace(res, num=res.num + res.den)  # the objective plus 1
 
     monkeypatch.setattr(oscal.oracle, "solve", wrong_optimum)
     code = oscal.cli.main(["fn", "dnorm", str(paths["f2"]), "--oracle"])

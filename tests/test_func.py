@@ -5,11 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
-from helpers import fmax, leq, qf
+from helpers import constant_function, fmax, leq, qf, sup_abs
 from oscal.errors import ExactnessError, MismatchError, PreconditionError
 from oscal.func import (
     QFunction,
-    constant_function,
     is_continuous,
     is_lsc,
     is_usc,
@@ -134,7 +133,7 @@ def test_complex_parts_and_abs(k1):
     assert fc.re().values == {0: Fraction(3), 1: Fraction(-1)}
     assert fc.im().values == {0: Fraction(4), 1: Fraction(0)}
     assert fc.abs().values == {0: Fraction(5), 1: Fraction(1)}
-    assert fc.sup_abs() == Fraction(5)
+    assert sup_abs(fc) == Fraction(5)
 
 
 def test_irrational_modulus_is_refused(k1):

@@ -19,10 +19,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference_func
-from helpers import drawn_functions, iterated_final_stage
+from helpers import constant_function, drawn_functions, iterated_final_stage
 from oscal import func
 from oscal.errors import ExactnessError, PreconditionError
-from oscal.func import QFunction, constant_function, zero_function
+from oscal.func import QFunction, zero_function
 from oscal.rationals import GaussianRational
 from oscal.sampling import build_corpus, random_space
 from oscal.space import chain_space

@@ -179,6 +179,20 @@ def test_oracle_matches_primal_on_drawn_functions(f):
 # -- the certificate rejects wrong kernel results --------------------------------
 
 
+def with_duals(res, duals):
+    """The kernel's integer answer ``res`` with the rationals ``duals`` as
+    its duals: its objective and the duals over the lcm of their
+    denominators."""
+    objective = F(res.num, res.den)
+    den = math.lcm(objective.denominator, *(d.denominator for d in duals))
+    return replace(
+        res,
+        den=den,
+        num=objective.numerator * (den // objective.denominator),
+        dual_nums=[d.numerator * (den // d.denominator) for d in duals],
+    )
+
+
 def test_lowered_w_fails_reverification(f2, monkeypatch):
     real_solve = oscal.oracle.solve
 
@@ -188,7 +202,7 @@ def test_lowered_w_fails_reverification(f2, monkeypatch):
         k = max(range(1, len(duals)), key=duals.__getitem__)
         assert duals[k] > 0
         duals[k] -= min(duals[k], F(1, 2))
-        return replace(res, duals=duals)
+        return with_duals(res, duals)
 
     monkeypatch.setattr(oscal.oracle, "solve", lowered)
     with pytest.raises(InternalCheckError) as err:
@@ -205,9 +219,9 @@ def test_raised_w_at_a_limit_node_fails_monotonicity(f2, monkeypatch):
 
     def raised(lp):
         res = real_solve(lp)
-        duals = list(res.duals)
-        duals[1 + nodes.index(1)] += 1
-        return replace(res, duals=duals)
+        nums = list(res.dual_nums)
+        nums[1 + nodes.index(1)] += res.den
+        return replace(res, dual_nums=nums)
 
     monkeypatch.setattr(oscal.oracle, "solve", raised)
     with pytest.raises(InternalCheckError) as err:
@@ -220,9 +234,11 @@ def test_infeasible_multipliers_fail_reverification(f2, monkeypatch):
 
     def overweight(lp):
         res = real_solve(lp)
-        values = dict(res.values)
-        values["y%d" % f2.space.root] += 1  # breaks the row of column t
-        return replace(res, values=values)
+        basic = dict(res.basic)
+        k = f2.space.node_ids().index(f2.space.root)  # the column of y_root
+        num, den = basic.get(k, (0, 1))
+        basic[k] = (num + den, den)  # breaks the row of column t
+        return replace(res, basic=basic)
 
     monkeypatch.setattr(oscal.oracle, "solve", overweight)
     with pytest.raises(InternalCheckError) as err:
@@ -235,8 +251,7 @@ def test_suboptimal_multipliers_fail_reverification(f2, monkeypatch):
 
     def zero_multipliers(lp):
         # feasible for every dual row, but their objective 0 proves nothing
-        res = real_solve(lp)
-        return replace(res, values=dict.fromkeys(res.values, F(0)))
+        return replace(real_solve(lp), basic={})
 
     monkeypatch.setattr(oscal.oracle, "solve", zero_multipliers)
     with pytest.raises(InternalCheckError) as err:
@@ -252,18 +267,34 @@ def scale(f):
     return math.lcm(*(v.denominator for v in f.values.values()))
 
 
+def reference_names(f):
+    """The reference oracle's name for each column of ``oracle_lp(f)``:
+    y<i> for the k-th node, then z<p>_<y> for each cover edge."""
+    return ["y%d" % i for i in f.space.node_ids()] + [
+        "z%d_%d" % edge for edge in reference_oracle._cover_edges(f)
+    ]
+
+
 def assert_matches_reference(f):
     """Same program and same results, field by field, as the oracle that
     computed its cover edges twice and checked through QFunction algebra."""
+    names = reference_names(f)
+
+    def renamed(by_column):
+        return {names[k]: x for k, x in by_column.items()}
+
     lp, ref_lp = oracle_lp(f), reference_oracle.oracle_lp(f)
-    assert lp.variables == ref_lp.variables
-    assert lp.constraints == ref_lp.constraints
-    assert lp._objective == {n: scale(f) * c for n, c in ref_lp._objective.items()}
+    assert lp.variables == list(range(len(names)))
+    assert [names[k] for k in lp.variables] == ref_lp.variables
+    assert [(renamed(c), b) for c, b in lp.constraints] == ref_lp.constraints
+    assert renamed(lp.objective) == {
+        n: scale(f) * c for n, c in ref_lp.objective.items()
+    }
     res, ref = oracle_dnorm(f), reference_oracle.oracle_dnorm(f)
     assert res.optimum == ref.optimum
     assert res.u.values == ref.u.values
     assert res.v.values == ref.v.values
-    assert res.lp_result.values == ref.lp_result.values
+    assert renamed(res.lp_result.values) == ref.lp_result.values
     assert res.lp_result.duals == ref.lp_result.duals
     assert res.lp_result.pivots == ref.lp_result.pivots
 
@@ -325,12 +356,13 @@ def test_program_is_integer(coprime3, corpus0):
     reals = [f for f in corpus0.functions if not f.is_complex()]
     for f in [coprime3] + reals:
         lp = oracle_lp(f)
-        assert all(type(c) is int for c in lp._objective.values())
+        assert all(type(c) is int for c in lp.objective.values())
         for coeffs, rhs in lp.constraints:
             assert type(rhs) is int
             assert all(type(c) is int for c in coeffs.values())
     assert scale(coprime3) == 7 * 11 * 13
-    assert oracle_lp(coprime3)._objective["y1"] == 2 * 7 * 13
+    y1 = coprime3.space.node_ids().index(1)  # the column of y of node 1
+    assert oracle_lp(coprime3).objective[y1] == 2 * 7 * 13
 
 
 @pytest.mark.parametrize(
@@ -347,7 +379,7 @@ def test_duals_on_the_wrong_scale_fail_reverification(
 
     def rescaled(lp):
         res = real_solve(lp)
-        return replace(res, duals=[d * factor for d in res.duals])
+        return with_duals(res, [d * factor for d in res.duals])
 
     assert oracle_dnorm(coprime3).optimum == d_norm(coprime3)
     monkeypatch.setattr(oscal.oracle, "solve", rescaled)
@@ -370,7 +402,7 @@ def test_a_half_integer_optimum_passes_reverification(monkeypatch):
     real_solve = oscal.oracle.solve
 
     def formula_point(lp):
-        return replace(real_solve(lp), duals=[7 * x for x in point])
+        return with_duals(real_solve(lp), [7 * x for x in point])
 
     monkeypatch.setattr(oscal.oracle, "solve", formula_point)
     res = oracle_dnorm(f)
@@ -437,8 +469,7 @@ def test_patched_solve_still_fails_inside_symmetry_check(f2, monkeypatch):
     real_solve = oscal.oracle.solve
 
     def zero_multipliers(lp):
-        res = real_solve(lp)
-        return replace(res, values=dict.fromkeys(res.values, F(0)))
+        return replace(real_solve(lp), basic={})
 
     f = fresh(f2)
     symmetry_check(f, 1)  # the quotient is kept; the unrolled program is not
@@ -447,3 +478,19 @@ def test_patched_solve_still_fails_inside_symmetry_check(f2, monkeypatch):
         with pytest.raises(InternalCheckError) as err:
             symmetry_check(g, 2)
         assert str(err.value).endswith("re-verification: duality gap")
+
+
+def test_symmetry_check_certifies_without_oracle_dnorm(corpus0, monkeypatch):
+    # symmetry_check keeps only the certified optimum: it builds no
+    # decomposition and never goes through oracle_dnorm
+    reals = [f for f in corpus0.functions if not f.is_complex()]
+    optima = [oracle_dnorm(f).optimum for f in reals]
+
+    def refused(f):
+        raise AssertionError("symmetry_check called oracle_dnorm")
+
+    monkeypatch.setattr(oscal.oracle, "oracle_dnorm", refused)
+    for f, optimum in zip(reals, optima):
+        for k in (1, 2, 3):
+            rep = symmetry_check(f, k)
+            assert (rep.quotient_optimum, rep.unrolled_optimum) == (optimum, optimum)

@@ -91,6 +91,9 @@ def test_input_guards():
         lp.add({"x": 0.5}, 1)
     with pytest.raises(TypeError):
         lp.add({"x": 1}, 0.5)
+    with pytest.raises(TypeError):
+        lp.add({"w": 1, "x": 0.5}, 1)
+    assert lp.variables == [] and lp.constraints == []  # refused rows leave nothing
 
 
 def test_scaling_keeps_exactness():
@@ -109,8 +112,8 @@ def test_integer_coefficients_stay_integers():
     ((coeffs, rhs),) = lp.constraints
     assert type(rhs) is int
     assert all(type(c) is int for c in coeffs.values())
-    assert type(lp._objective["x"]) is int
-    assert type(lp._objective["y"]) is Fraction
+    assert type(lp.objective["x"]) is int
+    assert type(lp.objective["y"]) is Fraction
     with pytest.raises(TypeError):
         lp.add({"x": True}, 1)
     with pytest.raises(TypeError):
@@ -136,3 +139,29 @@ def test_integer_and_fraction_input_solve_alike():
     assert all(type(v) is Fraction for v in res.values.values())
     assert all(type(d) is Fraction for d in res.duals)
     assert type(res.objective) is Fraction
+
+
+def test_result_views_are_exact_fractions():
+    lp = LinearProgram()
+    lp.add({"b": 1, "a": 2}, 3)
+    lp.make_free("c")
+    lp.set_objective({"a": 1, "c": -1, "d": 0})
+    lp.add({"c": -1}, 2)  # c >= -2
+    res = solve(lp)
+    assert res.status == "optimal"
+    assert res.variables == ["b", "a", "c", "d"]
+    assert list(res.values) == ["b", "a", "c", "d"]
+    assert res.values == {
+        "b": Fraction(0), "a": Fraction(3, 2), "c": Fraction(-2), "d": Fraction(0)
+    }
+    assert res.objective == Fraction(7, 2)
+    assert res.duals == [Fraction(1, 2), Fraction(1)]
+    scalars = [res.objective, *res.values.values(), *res.duals]
+    assert all(type(x) is Fraction for x in scalars)
+    # the views read the integer answer: one denominator for the cost row,
+    # and the nonzero basic values by column
+    assert res.den > 0
+    assert res.objective == Fraction(res.num, res.den)
+    assert res.duals == [Fraction(x, res.den) for x in res.dual_nums]
+    assert set(res.basic) == {1, 2}
+    assert all(q > 0 for _, q in res.basic.values())

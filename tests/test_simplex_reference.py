@@ -85,6 +85,29 @@ def test_generated_programs_match_reference(spec):
     assert_same(build(spec))
 
 
+@st.composite
+def programs_freed_around_their_rows(draw):
+    """A drawn program whose free variables are made free before its
+    objective and rows, after them, or both; "v" appears only there."""
+    free, objective, rows = draw(programs())
+    later = draw(st.sets(st.sampled_from(NAMES + ("v",))))
+    return free, objective, rows, sorted(later)
+
+
+@settings(max_examples=200)
+@given(spec=programs_freed_around_their_rows())
+@example(spec=(["y"], {"x": 1, "y": -1}, [({"x": 1, "y": 1}, 2)], ["x"]))
+def test_programs_freed_before_and_after_their_rows_match_reference(spec):
+    before, objective, rows, after = spec
+    lp = LinearProgram()
+    lp.make_free(*before)
+    lp.set_objective(objective)
+    for coeffs, b in rows:
+        lp.add(coeffs, b)
+    lp.make_free(*after)
+    assert_same(lp)
+
+
 @pytest.mark.parametrize(
     "spec, status", [(DEGENERATE, "optimal"), (UNBOUNDED, "unbounded")]
 )

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import helpers
 import oscal.transfinite
 from helpers import (
+    constant_function,
     drawn_functions,
     fixpoint_criterion,
     iterated_final_stage,
@@ -18,7 +19,6 @@ from helpers import (
 from oscal.errors import ExactnessError, PreconditionError
 from oscal.func import (
     QFunction,
-    constant_function,
     is_usc,
     lsc_envelope,
     usc_envelope,
