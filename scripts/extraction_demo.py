@@ -59,9 +59,7 @@ def main(argv=None) -> int:
     # chain it starts from is built at eta / 5
     chain = build_jump_chain(seq, 2, 0, ns.eta / 5)
     diff = difference_witness_from_chain(chain)
-    verdict = check_difference_witness(
-        seq, diff.indices, diff.m, diff.t, diff.k, diff.lam, diff.eta
-    )
+    verdict = check_difference_witness(seq, diff)
     print(
         "difference form at eta %s (chain at eta/5): %s"
         % (diff.eta, verdict.name)

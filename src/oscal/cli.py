@@ -277,15 +277,7 @@ def cmd_extract_check(args) -> int:
             "verdict": verdict.value,
         }
     else:
-        verdict = check_difference_witness(
-            seq,
-            witness.indices,
-            witness.m,
-            witness.t,
-            witness.k,
-            witness.lam,
-            witness.eta,
-        )
+        verdict = check_difference_witness(seq, witness)
         obj = {"verdict": verdict.value}
     _emit(args, obj, verdict.value)
     return 0 if verdict is Verdict.TRUE else 1

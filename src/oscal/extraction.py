@@ -21,13 +21,16 @@ index given in closed form, with no search.
 
 ``build_jump_chain`` runs the extraction at any stage from 1 up to the
 index, as one loop over the stages: the paper's induction on the stage.
+Every round realizes its points the same way; round 1 also fixes the
+subsequence, from the exact tail of its first point.  Two checkers,
+``check_jump_chain`` and ``check_difference_witness``, re-verify a bundle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from ._record import record
 from .errors import InternalCheckError, PreconditionError
@@ -254,40 +257,6 @@ class IndexSeq:
         return i + self.offset
 
 
-@record
-class ExtractionPlan:
-    """Output of extract_subsequence: indices, the tail descriptor, and
-    the jump target node that ``witness`` realizes below x1."""
-
-    seq: FunctionSeq
-    x1: PointRef
-    level_set: frozenset[int]
-    delta: Fraction
-    eta: Fraction
-    indices: IndexSeq
-    target: int
-
-    def witness(self, m: int) -> PointRef:
-        """A point x2 in the level set, realized below x1, satisfying the
-        three jump-witness conditions for this m (see
-        ``extract_subsequence``)."""
-        if m < 1:
-            raise PreconditionError("positions start at 1")
-        seq, x1 = self.seq, self.x1
-        last = self.indices.value(m - 1) if m > 1 else 1
-        x2 = _realize(
-            seq, x1, self.target, 1 if seq.support_threshold(x1) >= last else last
-        )
-        if check_jump_witness(
-            seq, self.indices, x1, x2, m, self.delta, self.eta
-        ) is not Verdict.TRUE:
-            raise PreconditionError(
-                "no realization of node %d below x1 is a jump witness at "
-                "position %d" % (self.target, m)
-            )
-        return x2
-
-
 def _jump_target(phi: QFunction, start: int, pool: list[int]) -> tuple:
     """The largest jump phi(y) - phi(start) over ``pool``, smallest attainer."""
     best = max(phi(y) - phi(start) for y in pool)
@@ -303,111 +272,19 @@ def _realize(seq: FunctionSeq, base: PointRef, target: int, copy: int) -> PointR
     ))
 
 
-def extract_subsequence(
-    seq: FunctionSeq,
-    x1: PointRef,
-    level_set,
-    delta,
-    eta,
-) -> ExtractionPlan:
-    """Pick indices n_1 < n_2 < ... and a witness search for points below x1.
-
-    The index choice makes the tail sum at x1 small: n_1 starts the first
-    arithmetic tail {a, a+1, ...} whose exact tail sum at x1 is below
-    eta*delta, and successive picks take least elements, so the whole
-    subsequence is the tail itself.  witness(m) realizes the best jump
-    target as a point x2 below x1 with
-
-      1)  phi(x2) - phi(x1) > (1 - eta) delta
-      2)  sum_{i < m} |b_i(x2) - f(x1)| < eta delta
-      3)  sum_{i >= m} |b_i(x2) - f(x2)| < eta delta
-
-    with b_i = f_{n_i}; every sum is evaluated exactly.  The new recurring
-    steps take copy c* = n_{m-1} (n_0 = 1), or copy 1 when the support
-    threshold T of x1 is at least n_{m-1}: the least copy that can pass,
-    and one that passes whenever any copy does.  Only ``MovingStep``
-    sequences get here (an ``EventuallyLimit`` limit is continuous, so it
-    has no positive jump), and the path below x1 enters a moving pattern
-    first (phi is constant on a non-moving one).  So with copy c, b_i(x2)
-    = b_i(x1) when n_i <= max(c, T) and f(x2) otherwise, while |f(x2) -
-    f(x1)| >= delta > eta delta.  Condition 1 does not depend on c.
-    Condition 2 holds only if n_{m-1} <= max(c, T), and then its terms
-    are those of x1's tail, whatever c is.  Condition 3 fails if some i >=
-    m has T < n_i <= c, and otherwise sums the same terms n_i <= T, whatever
-    c is.  So every accepted copy c has c >= c* and the verdict of c*: if
-    c* fails, every copy fails, and witness raises ``PreconditionError``.
-    """
-    delta = rat(delta)
-    eta = rat(eta)
-    if not 0 < eta < 1:
-        raise PreconditionError("eta must lie strictly between 0 and 1")
-    sp = seq.space
-    x1_node = resolve(sp, x1)
-    if sp.is_leaf(x1_node):
-        raise PreconditionError("nothing accumulates at an isolated point")
-    level = frozenset(int(y) for y in level_set)
-    phi = seq.phi
-    pool = [y for y in sorted(sp.acc(x1_node)) if y in level]
-    if not pool:
-        raise PreconditionError("the level set misses Acc(x1)")
-    best, target = _jump_target(phi, x1_node, pool)
-    if best <= 0:
-        raise PreconditionError(
-            "no positive jump from x1 into the level set"
-        )
-    if best != delta:
-        raise PreconditionError(
-            "delta is %s but the attained maximum is %s" % (delta, best)
-        )
-
-    # n_1 is the least a with tail sum S(a) = sum_{j >= a} |f_j(x1) - f(x1)|
-    # below eta*delta; S only grows as a falls, so walk the terms down once
-    bound = eta * delta
-    a = 1
+def _first_index(seq: FunctionSeq, x1: PointRef, bound: Fraction) -> int:
+    """The least a whose exact tail sum sum_{j >= a} |f_j(x1) - f(x1)| is
+    below ``bound``; the sum only grows as a falls, so walk the terms down
+    once."""
     tail = IntervalSum()
     for j, d in reversed(seq.tail_terms(x1, 1)):
         tail.add_abs(d)
         if tail.less_than(bound) is Verdict.FALSE:
-            a = j + 1
-            break
-    return ExtractionPlan(
-        seq=seq,
-        x1=x1,
-        level_set=level,
-        delta=delta,
-        eta=eta,
-        indices=IndexSeq((), a - 1),
-        target=target,
-    )
+            return j + 1
+    return 1
 
 
 # -- checkers -----------------------------------------------------------------
-
-
-def check_jump_witness(
-    seq: FunctionSeq,
-    indices: IndexSeq,
-    x1: PointRef,
-    x2: PointRef,
-    m: int,
-    delta,
-    eta,
-) -> Verdict:
-    """The three conditions a single jump witness must satisfy, verified
-    exactly against the sequence, irrational complex moduli included."""
-    delta = rat(delta)
-    eta = rat(eta)
-    if not 0 < eta < 1:
-        raise PreconditionError("eta must lie strictly between 0 and 1")
-    if m < 1:
-        raise PreconditionError("positions start at 1")
-    phi = seq.phi
-    f = seq.limit
-    jump = phi.at_point(x2) - phi.at_point(x1) > (1 - eta) * delta
-    bound = eta * delta
-    head = _abs_sum(seq, indices, x2, f.at_point(x1), 1, m)
-    tail = _abs_sum(seq, indices, x2, f.at_point(x2), m, None)
-    return verdict_all([verdict(jump), head.less_than(bound), tail.less_than(bound)])
 
 
 @record
@@ -449,6 +326,8 @@ class WitnessBundle:
                 raise PreconditionError("t must be the final point")
         if self.m and self.m[0] != 1:
             raise PreconditionError("the first block starts at position 1")
+        if len(self.m) < 2 * self.k:
+            raise PreconditionError("need at least 2k block boundaries")
 
 
 @record
@@ -500,15 +379,7 @@ def check_jump_chain(seq: FunctionSeq, bundle: WitnessBundle) -> JumpChainReport
     return JumpChainReport(conditions)
 
 
-def check_difference_witness(
-    seq: FunctionSeq,
-    indices: IndexSeq,
-    m: Sequence[int],
-    t: PointRef,
-    k: int,
-    lam,
-    eta,
-) -> Verdict:
+def check_difference_witness(seq: FunctionSeq, bundle: WitnessBundle) -> Verdict:
     """Difference-sequence form: with b_i = f_{n_i}, e_1 = b_1 and
     e_i = b_i - b_{i-1},
 
@@ -519,19 +390,8 @@ def check_difference_witness(
     The sum in 3) ranges over all positive integers, but e_i(t) vanishes
     once both b_i and b_{i-1} have left the support of t, so the scan
     terminates."""
-    lam = rat(lam)
-    eta = rat(eta)
-    if not 0 < eta < 1:
-        raise PreconditionError("eta must lie strictly between 0 and 1")
-    if k < 1:
-        raise PreconditionError("k must be at least 1")
-    m = [int(v) for v in m]
-    if len(m) < 2 * k:
-        raise PreconditionError("need at least 2k block boundaries")
-    if m[0] != 1:
-        raise PreconditionError("the first block starts at position 1")
-    if any(a >= b for a, b in zip(m, m[1:])):
-        raise PreconditionError("m must be strictly increasing")
+    indices, m, t, k = bundle.indices, bundle.m, bundle.t, bundle.k
+    lam, eta = bundle.lam, bundle.eta
 
     def b(i: int) -> Scalar:
         return seq.eval(indices.value(i), t)
@@ -610,19 +470,24 @@ def build_jump_chain(
     value beta at its node into a jump delta and a remainder one stage
     lower at the jump target: by ``level_set_witness`` at eta / (2 alpha
     - 1) above stage 1, by the jump from the stage attainer at stage 1.
-    Round 1 extracts the subsequence, realizes x_1 at copy 1 and takes
-    the plan's witness, which lands at copy n_1 (x_1's support threshold
-    is at most 1 <= n_1).  Round i > 1 realizes its start at copy n_b
-    and its target at copy n_{b+1} below the last point, b = 2i - 2 the
-    number of points so far.  So the new recurring steps of x_{b+1} carry
-    copy n_b, and term n_b cuts t where it leaves x_b, or where it leaves
-    x_{b+1} = x_b when the start is the node itself.  Each step down
-    enters a moving pattern or one on which f is constantly f(x_b), so
-    the cut point is worth f(x_b): block b >= 2 of the checker sums to 0,
-    block 1 is at most x_1's own tail, below eta delta_1 by the choice of
-    n_1, and no term past n_{2 alpha - 1} cuts t, so the tail is 0.  The
-    jumps are exact: phi is a node function, so phi(x_{2i}) - phi(x_{2i-1})
-    is delta_i at every realization.
+    Every round takes the largest jump from its start into the level set,
+    and realizes its target at copy n_{b+1} below its start, b the number
+    of points so far.  Round i > 1 realizes its start at copy n_b below
+    the last point.  Round 1 realizes x_1 at copy 1 and first fixes the
+    subsequence n_i = i + a - 1, with a the least index whose exact tail
+    sum at x_1 is below run_eta delta_1 (``_first_index``); run_eta <= eta
+    is the round's level-set eta.  So the new recurring steps of x_{b+1}
+    carry copy n_b (copy 1 for x_1), and term n_b cuts t where it leaves
+    x_b, or where it leaves x_{b+1} = x_b when the start is the node
+    itself.  Each step down enters a moving pattern or one on which f is
+    constantly f(x_b), so the cut point is worth f(x_b): block b >= 2 of
+    the checker sums to 0.  Block 1 is |f_{n_1}(t) - f(x_1)|, and term
+    n_1 cuts t either inside x_1, where t and x_1 agree, or where t leaves
+    x_1 (x_1's support threshold is at most 1 <= n_1).  So block 1 is at
+    most x_1's own tail from n_1, below run_eta delta_1 <= eta delta_1 by
+    the choice of n_1.  No term past n_{2 alpha - 1} cuts t, so the tail
+    is 0.  The jumps are exact: phi is a node function, so phi(x_{2i}) -
+    phi(x_{2i-1}) is delta_i at every realization.
 
     No round finds stages that agree: with y the jump start and t the
     target of a stage-j round, v_{j-2}(t) = v_{j-1}(t) would give
@@ -658,22 +523,19 @@ def build_jump_chain(
         else:
             start = _stage_attainer(pre1, beta, node)
             level, delta, run_eta = frozenset(sp.node_ids()), beta, eta
-        if not points:
-            plan = extract_subsequence(
-                seq, point_at(sp, start), level, delta, run_eta
-            )
-            n = plan.indices
-            points += [plan.x1, plan.witness(2)]
-        else:
-            pool = [y for y in sorted(sp.acc(start)) if y in level]
-            best, target = _jump_target(phi, start, pool)
-            if best != delta:
-                raise InternalCheckError("a jump is not attained below its start")
-            b = len(points)
+        pool = [y for y in sorted(sp.acc(start)) if y in level]
+        best, target = _jump_target(phi, start, pool)
+        if best != delta:
+            raise InternalCheckError("a jump is not attained below its start")
+        b = len(points)
+        if points:
             x_start = _realize(seq, points[-1], start, n.value(b))
-            points += [x_start, _realize(seq, x_start, target, n.value(b + 1))]
+        else:
+            x_start = point_at(sp, start)
+            n = IndexSeq((), _first_index(seq, x_start, run_eta * delta) - 1)
+        points += [x_start, _realize(seq, x_start, target, n.value(b + 1))]
         deltas.append(delta)
-        node = resolve(sp, points[-1])
+        node = target
 
     bundle = WitnessBundle(
         indices=n,

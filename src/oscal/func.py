@@ -151,11 +151,6 @@ def lsc_envelope(f: QFunction) -> QFunction:
     return _envelope(f, min, "lower envelope")
 
 
-def is_usc(f: QFunction) -> bool:
-    f.require_real("semicontinuity test")
-    return f.values == usc_envelope(f).values
-
-
 def is_lsc(f: QFunction) -> bool:
     f.require_real("semicontinuity test")
     return f.values == lsc_envelope(f).values

@@ -73,22 +73,9 @@ def _pre_step(f: QFunction, w: QFunction, jump) -> QFunction:
     })
 
 
-def osc_pre_step(f: QFunction, w: QFunction) -> QFunction:
-    """One oscillation step before taking the upper envelope."""
-    return _pre_step(f, w, _jump(f, "osc"))
-
-
-def osc_step(f: QFunction, w: QFunction) -> QFunction:
-    return usc_envelope(osc_pre_step(f, w))
-
-
 def v_pre_step(f: QFunction, w: QFunction) -> QFunction:
     """Signed (upward-jump) step before the upper envelope; f must be real."""
     return _pre_step(f, w, _jump(f, "v"))
-
-
-def v_step(f: QFunction, w: QFunction) -> QFunction:
-    return usc_envelope(v_pre_step(f, w))
 
 
 @record

@@ -8,11 +8,11 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from oscal.errors import InternalCheckError
-from oscal.func import QFunction, is_usc
+from oscal.func import QFunction, usc_envelope
 from oscal.rationals import GaussianRational
 from oscal.sampling import DEFAULT_SEED, build_corpus, random_space
 from oscal.seqlab import PolyBasis, SpanFunctional
-from oscal.transfinite import iterate
+from oscal.transfinite import _jump, _pre_step, iterate, v_pre_step
 from oscal.space import (
     PointRef,
     PrefixStep,
@@ -197,6 +197,26 @@ def staged_function(seed: int, depth: int = 4) -> QFunction:
 
     root = build(depth, 0)
     return QFunction(TreeSpace(nodes, root), values)
+
+
+def is_usc(f: QFunction) -> bool:
+    f.require_real("semicontinuity test")
+    return f.values == usc_envelope(f).values
+
+
+def osc_pre_step(f: QFunction, w: QFunction) -> QFunction:
+    """One oscillation step before taking the upper envelope."""
+    return _pre_step(f, w, _jump(f, "osc"))
+
+
+def osc_step(f: QFunction, w: QFunction) -> QFunction:
+    """One oscillation step: the stage after weight w."""
+    return usc_envelope(osc_pre_step(f, w))
+
+
+def v_step(f: QFunction, w: QFunction) -> QFunction:
+    """One signed (upward-jump) step; f must be real."""
+    return usc_envelope(v_pre_step(f, w))
 
 
 def iterated_final_stage(f, kind="osc"):

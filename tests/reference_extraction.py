@@ -5,14 +5,17 @@ alpha in {1, 2}.  The bodies below are the old ones, byte for byte, but
 for the level-set call, which now passes the trace it reads, and the
 jump witness, which comes from ``scan_witness``.
 
-Both search their copy indices with ``_scan_copies``, the copy-window
-scan the package used before it realized every point at a closed-form
-copy; ``scan_witness`` is the search that the closed form of
-``ExtractionPlan.witness`` replaced.
+Both plan their first round with ``extract_subsequence``, which returns
+an ``ExtractionPlan``, and check each jump witness with
+``check_jump_witness``: the package's own round-1 layer until its first
+round became the common round, copied here verbatim.  Both search their
+copy indices with ``_scan_copies``, the copy-window scan the package used
+before it realized every point at a closed-form copy; ``scan_witness`` is
+the search that the closed form of ``ExtractionPlan.witness`` replaced.
 
 ``tail_bound`` is the tail sum ``FunctionSeq`` used to offer, summed term
 by term from ``eval``: the tests check ``tail_terms`` against it and use it
-for the n_1 scan that ``extract_subsequence`` replaced with one suffix sum.
+for the n_1 scan that the package replaced with one suffix sum.
 It and ``uniform_bound`` round an irrational modulus up with ``_abs_upper``,
 the 30-bit rounding that n_1 was once chosen with.
 """
@@ -23,24 +26,27 @@ from fractions import Fraction
 from typing import Callable
 
 from oscal.errors import InternalCheckError, PreconditionError
+from oscal._record import record
 from oscal.extraction import (
     EventuallyLimit,
-    ExtractionPlan,
     FunctionSeq,
+    IndexSeq,
     WitnessBundle,
     _abs_sum,
     _jump_target,
+    _realize,
     check_jump_chain,
-    check_jump_witness,
-    extract_subsequence,
 )
 from oscal.func import QFunction, Scalar
 from oscal.rationals import (
     GaussianRational,
+    IntervalSum,
     Verdict,
     rat,
     rational_abs,
     sqrt_bracket,
+    verdict,
+    verdict_all,
 )
 from oscal.space import (
     PointRef,
@@ -88,6 +94,150 @@ def tail_bound(seq: FunctionSeq, x: PointRef, m: int) -> Fraction:
         ),
         Fraction(0),
     )
+
+
+# -- the package's round-1 planning layer, verbatim ----------------------------
+
+
+@record
+class ExtractionPlan:
+    """Output of extract_subsequence: indices, the tail descriptor, and
+    the jump target node that ``witness`` realizes below x1."""
+
+    seq: FunctionSeq
+    x1: PointRef
+    level_set: frozenset[int]
+    delta: Fraction
+    eta: Fraction
+    indices: IndexSeq
+    target: int
+
+    def witness(self, m: int) -> PointRef:
+        """A point x2 in the level set, realized below x1, satisfying the
+        three jump-witness conditions for this m (see
+        ``extract_subsequence``)."""
+        if m < 1:
+            raise PreconditionError("positions start at 1")
+        seq, x1 = self.seq, self.x1
+        last = self.indices.value(m - 1) if m > 1 else 1
+        x2 = _realize(
+            seq, x1, self.target, 1 if seq.support_threshold(x1) >= last else last
+        )
+        if check_jump_witness(
+            seq, self.indices, x1, x2, m, self.delta, self.eta
+        ) is not Verdict.TRUE:
+            raise PreconditionError(
+                "no realization of node %d below x1 is a jump witness at "
+                "position %d" % (self.target, m)
+            )
+        return x2
+
+
+def extract_subsequence(
+    seq: FunctionSeq,
+    x1: PointRef,
+    level_set,
+    delta,
+    eta,
+) -> ExtractionPlan:
+    """Pick indices n_1 < n_2 < ... and a witness search for points below x1.
+
+    The index choice makes the tail sum at x1 small: n_1 starts the first
+    arithmetic tail {a, a+1, ...} whose exact tail sum at x1 is below
+    eta*delta, and successive picks take least elements, so the whole
+    subsequence is the tail itself.  witness(m) realizes the best jump
+    target as a point x2 below x1 with
+
+      1)  phi(x2) - phi(x1) > (1 - eta) delta
+      2)  sum_{i < m} |b_i(x2) - f(x1)| < eta delta
+      3)  sum_{i >= m} |b_i(x2) - f(x2)| < eta delta
+
+    with b_i = f_{n_i}; every sum is evaluated exactly.  The new recurring
+    steps take copy c* = n_{m-1} (n_0 = 1), or copy 1 when the support
+    threshold T of x1 is at least n_{m-1}: the least copy that can pass,
+    and one that passes whenever any copy does.  Only ``MovingStep``
+    sequences get here (an ``EventuallyLimit`` limit is continuous, so it
+    has no positive jump), and the path below x1 enters a moving pattern
+    first (phi is constant on a non-moving one).  So with copy c, b_i(x2)
+    = b_i(x1) when n_i <= max(c, T) and f(x2) otherwise, while |f(x2) -
+    f(x1)| >= delta > eta delta.  Condition 1 does not depend on c.
+    Condition 2 holds only if n_{m-1} <= max(c, T), and then its terms
+    are those of x1's tail, whatever c is.  Condition 3 fails if some i >=
+    m has T < n_i <= c, and otherwise sums the same terms n_i <= T, whatever
+    c is.  So every accepted copy c has c >= c* and the verdict of c*: if
+    c* fails, every copy fails, and witness raises ``PreconditionError``.
+    """
+    delta = rat(delta)
+    eta = rat(eta)
+    if not 0 < eta < 1:
+        raise PreconditionError("eta must lie strictly between 0 and 1")
+    sp = seq.space
+    x1_node = resolve(sp, x1)
+    if sp.is_leaf(x1_node):
+        raise PreconditionError("nothing accumulates at an isolated point")
+    level = frozenset(int(y) for y in level_set)
+    phi = seq.phi
+    pool = [y for y in sorted(sp.acc(x1_node)) if y in level]
+    if not pool:
+        raise PreconditionError("the level set misses Acc(x1)")
+    best, target = _jump_target(phi, x1_node, pool)
+    if best <= 0:
+        raise PreconditionError(
+            "no positive jump from x1 into the level set"
+        )
+    if best != delta:
+        raise PreconditionError(
+            "delta is %s but the attained maximum is %s" % (delta, best)
+        )
+
+    # n_1 is the least a with tail sum S(a) = sum_{j >= a} |f_j(x1) - f(x1)|
+    # below eta*delta; S only grows as a falls, so walk the terms down once
+    bound = eta * delta
+    a = 1
+    tail = IntervalSum()
+    for j, d in reversed(seq.tail_terms(x1, 1)):
+        tail.add_abs(d)
+        if tail.less_than(bound) is Verdict.FALSE:
+            a = j + 1
+            break
+    return ExtractionPlan(
+        seq=seq,
+        x1=x1,
+        level_set=level,
+        delta=delta,
+        eta=eta,
+        indices=IndexSeq((), a - 1),
+        target=target,
+    )
+
+
+def check_jump_witness(
+    seq: FunctionSeq,
+    indices: IndexSeq,
+    x1: PointRef,
+    x2: PointRef,
+    m: int,
+    delta,
+    eta,
+) -> Verdict:
+    """The three conditions a single jump witness must satisfy, verified
+    exactly against the sequence, irrational complex moduli included."""
+    delta = rat(delta)
+    eta = rat(eta)
+    if not 0 < eta < 1:
+        raise PreconditionError("eta must lie strictly between 0 and 1")
+    if m < 1:
+        raise PreconditionError("positions start at 1")
+    phi = seq.phi
+    f = seq.limit
+    jump = phi.at_point(x2) - phi.at_point(x1) > (1 - eta) * delta
+    bound = eta * delta
+    head = _abs_sum(seq, indices, x2, f.at_point(x1), 1, m)
+    tail = _abs_sum(seq, indices, x2, f.at_point(x2), m, None)
+    return verdict_all([verdict(jump), head.less_than(bound), tail.less_than(bound)])
+
+
+# -- the copy scans -------------------------------------------------------------
 
 
 def _scan_copies(

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import helpers
+from helpers import is_usc, osc_step
 from oscal import documents
 from oscal.errors import PreconditionError
 from oscal.extraction import (
@@ -31,7 +32,7 @@ from oscal.extraction import (
     check_jump_chain,
     difference_witness_from_chain,
 )
-from oscal.func import QFunction, is_usc, lsc_envelope, zero_function
+from oscal.func import QFunction, lsc_envelope, zero_function
 from oscal.oracle import oracle_dnorm, symmetry_check
 from oscal.rationals import Verdict
 from oscal.sampling import random_basis, random_blocking
@@ -55,7 +56,6 @@ from oscal.transfinite import (
     d_norm,
     decompose,
     iterate,
-    osc_step,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -352,12 +352,7 @@ def test_criterion_10_extraction():
             assert check_jump_chain(seq, b).verdict is Verdict.TRUE
             d = difference_witness_from_chain(b)
             assert d.eta == eta
-            assert (
-                check_difference_witness(
-                    seq, d.indices, d.m, d.t, d.k, d.lam, d.eta
-                )
-                is Verdict.TRUE
-            )
+            assert check_difference_witness(seq, d) is Verdict.TRUE
 
     # a depth-2 chain cannot start on the rank-2 chain space: the second
     # stage adds nothing there, and the builder says so instead of

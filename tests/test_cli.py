@@ -23,6 +23,7 @@ from oscal.extraction import (
     build_jump_chain,
     check_jump_chain,
 )
+from oscal.errors import PreconditionError
 from oscal.func import QFunction, lift_function, usc_envelope
 from oscal.rationals import GaussianRational
 from oscal.rationals import format_rational as fmt
@@ -610,6 +611,21 @@ def test_extract_check_difference_form(paths):
     r = run_cli(["extract", "check", paths["h"], p])
     assert r.returncode == 0
     assert json.loads(r.stdout) == {"verdict": "true"}
+
+
+def test_extract_check_refuses_a_short_difference_form(paths):
+    # k = 2 needs at least 2k = 4 block boundaries
+    t = PointRef(tuple(RecurringStep(0, c) for c in (1, 2, 3)))
+    with pytest.raises(PreconditionError, match="at least 2k"):
+        WitnessBundle(IndexSeq(), (1, 2, 3), 2, t, F(1, 2), F(2))
+    whole = WitnessBundle(IndexSeq(), (1, 2, 3, 4), 2, t, F(1, 2), F(2))
+    short = json.loads(documents.dumps(whole))
+    short["m"] = [1, 2, 3]
+    p = paths["tmp"] / "short.json"
+    p.write_text(json.dumps(short) + "\n")
+    r = run_cli(["extract", "check", paths["h"], p, "--quiet"])
+    assert (r.returncode, r.stdout) == (2, "")
+    assert "at least 2k block boundaries" in r.stderr
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Subsequence extraction, witness bundles, and the three checkers."""
+"""Subsequence extraction, witness bundles, and the two checkers."""
 
 from fractions import Fraction as F
 
@@ -12,12 +12,11 @@ from oscal.extraction import (
     IndexSeq,
     MovingStep,
     WitnessBundle,
+    _first_index,
     build_jump_chain,
     check_difference_witness,
     check_jump_chain,
-    check_jump_witness,
     difference_witness_from_chain,
-    extract_subsequence,
 )
 from oscal.func import QFunction, is_continuous
 from oscal.rationals import Verdict
@@ -87,32 +86,7 @@ def test_index_seq_must_increase():
         IndexSeq((3, 2), 0)
 
 
-# --- the extraction pass ---
-
-
-def test_extract_example_plan(g_seq):
-    plan = extract_subsequence(g_seq, ROOT, frozenset({1}), F(1), F(1, 2))
-    assert [plan.indices.value(i) for i in (1, 2, 3)] == [1, 2, 3]
-    assert plan.witness(4) == leaf(3)
-
-
-def test_jump_witness_goldens(g_seq):
-    check = check_jump_witness
-    assert check(g_seq, IDENT, ROOT, leaf(3), 4, F(1), F(1, 2)) is Verdict.TRUE
-    assert check(g_seq, IDENT, ROOT, leaf(1), 4, F(1), F(1, 2)) is Verdict.FALSE
-    assert check(g_seq, IDENT, ROOT, leaf(1), 1, F(2), F(1, 2)) is Verdict.FALSE
-
-
-def test_extraction_preconditions(g_seq):
-    with pytest.raises(PreconditionError):
-        extract_subsequence(g_seq, ROOT, frozenset({1}), F(2), F(1, 2))
-    with pytest.raises(PreconditionError):
-        extract_subsequence(g_seq, leaf(1), frozenset({1}), F(1), F(1, 2))
-    flat = FunctionSeq(
-        QFunction(chain_space(1), {0: F(0), 1: F(0)}), MovingStep(None)
-    )
-    with pytest.raises(PreconditionError):
-        extract_subsequence(flat, ROOT, frozenset({1}), F(0), F(1, 2))
+# --- the first index ---
 
 
 def step_seq():
@@ -121,10 +95,11 @@ def step_seq():
     return FunctionSeq(QFunction(sp, values), MovingStep(None))
 
 
-def plan_at(seq, x1, eta):
+def first_index_at(seq, x1, eta):
+    """x1's largest jump delta, and n_1 for the tail bound eta * delta."""
     node = seq.space.node_ids()[len(x1.steps)]
     delta = max(seq.phi(y) - seq.phi(node) for y in seq.space.acc(node))
-    return extract_subsequence(seq, x1, seq.space.node_ids(), delta, eta)
+    return delta, _first_index(seq, x1, eta * delta)
 
 
 @pytest.mark.parametrize("eta", [F(1, 10), F(1, 2), F(9, 10)])
@@ -134,11 +109,11 @@ def test_first_index_is_the_least_small_tail(eta):
     points = [ROOT] + [pt(c) for c in range(1, 6)]
     points += [pt(c, d) for c in range(1, 6) for d in range(1, 8)]
     for x1 in points:
-        plan = plan_at(seq, x1, eta)
+        delta, n1 = first_index_at(seq, x1, eta)
         a = 1
-        while tail_bound(seq, x1, a) >= eta * plan.delta:
+        while tail_bound(seq, x1, a) >= eta * delta:
             a += 1
-        assert plan.indices.value(1) == a
+        assert n1 == a
 
 
 def test_first_index_takes_one_pass_over_the_tail(monkeypatch):
@@ -152,8 +127,8 @@ def test_first_index_takes_one_pass_over_the_tail(monkeypatch):
         return real_eval(self, j, x)
 
     monkeypatch.setattr(FunctionSeq, "eval", counted)
-    plan = plan_at(seq, x1, F(1, 2))
-    assert plan.indices.value(1) == 1001
+    _, n1 = first_index_at(seq, x1, F(1, 2))
+    assert n1 == 1001
     assert len(calls) <= 2 * seq.support_threshold(x1)
 
 
@@ -202,10 +177,7 @@ def test_chain_reduces_to_difference_form(g_seq, h_seq, eta):
         b = build_jump_chain(seq, alpha, 0, eta / 5)
         d = difference_witness_from_chain(b)
         assert d.eta == eta
-        verdict = check_difference_witness(
-            seq, d.indices, d.m, d.t, d.k, d.lam, d.eta
-        )
-        assert verdict is Verdict.TRUE
+        assert check_difference_witness(seq, d) is Verdict.TRUE
 
 
 def ramp_seq(depth):
@@ -227,16 +199,13 @@ def test_reduction_enlarges_eta(seq, x):
     # the reduction costs a factor 5 in eta, it does not gain one
     b = build_jump_chain(seq, 1, x, F(1, 2))
     assert check_jump_chain(seq, b).verdict is Verdict.TRUE
-    args = (seq, b.indices, b.m, b.t, b.k, b.lam)
-    assert check_difference_witness(*args, F(1, 10)) is Verdict.FALSE
+    read = WitnessBundle(b.indices, b.m, b.k, b.t, F(1, 10), b.lam)
+    assert check_difference_witness(seq, read) is Verdict.FALSE
     with pytest.raises(PreconditionError):
         difference_witness_from_chain(b)
     d = difference_witness_from_chain(build_jump_chain(seq, 1, x, F(1, 10)))
     assert d.eta == F(1, 2)
-    verdict = check_difference_witness(
-        seq, d.indices, d.m, d.t, d.k, d.lam, d.eta
-    )
-    assert verdict is Verdict.TRUE
+    assert check_difference_witness(seq, d) is Verdict.TRUE
 
 
 def test_chain_build_preconditions(g_seq, h_seq):
@@ -255,10 +224,13 @@ def test_chain_build_preconditions(g_seq, h_seq):
 
 
 def test_difference_witness_goldens(g_seq):
-    check = check_difference_witness
-    assert check(g_seq, IDENT, (1, 3), leaf(2), 1, F(1), F(1, 2)) is Verdict.TRUE
-    assert check(g_seq, IDENT, (1, 3), leaf(9), 1, F(1), F(1, 2)) is Verdict.FALSE
-    assert check(g_seq, IDENT, (1, 3), leaf(2), 1, F(3), F(1, 2)) is Verdict.FALSE
+    def check(t, lam):
+        bundle = WitnessBundle(IDENT, (1, 3), 1, t, F(1, 2), lam)
+        return check_difference_witness(g_seq, bundle)
+
+    assert check(leaf(2), F(1)) is Verdict.TRUE
+    assert check(leaf(9), F(1)) is Verdict.FALSE
+    assert check(leaf(2), F(3)) is Verdict.FALSE
 
 
 # --- corrupted bundles name the violated condition ---

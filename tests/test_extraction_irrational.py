@@ -1,12 +1,12 @@
-"""The three witness checkers on complex ``MovingStep`` sequences whose
+"""The two witness checkers on complex ``MovingStep`` sequences whose
 moduli are irrational, against a recomputation at 2000 bits.
 
 ``build_corpus`` draws no complex function, so these sequences are drawn
 here.  Each case moves one bound to the midpoint of a 200-bit bracket of
 an irrational sum it is compared with, inside the first bracket a
-checker tries, so every case makes the checker refine.  The witness
-and difference cases keep only draws whose other conditions hold, so
-that the verdict hangs on that sum.  The recomputation sums each
+checker tries, so every case makes the checker refine.  The difference
+cases keep only draws whose other conditions hold, so that the verdict
+hangs on that sum.  The recomputation sums each
 condition term by term from ``eval`` over every sequence index up to
 ``SCAN``, past any copy index drawn, where every term vanishes; it
 shares no summation code with the checkers.
@@ -16,8 +16,6 @@ import itertools
 import random
 from fractions import Fraction as F
 
-import pytest
-
 from oscal.extraction import (
     FunctionSeq,
     IndexSeq,
@@ -25,7 +23,6 @@ from oscal.extraction import (
     WitnessBundle,
     check_difference_witness,
     check_jump_chain,
-    check_jump_witness,
 )
 from oscal.func import QFunction
 from oscal.rationals import (
@@ -120,31 +117,6 @@ def block(seq, indices, x, ref, lo, hi=None):
     return [seq.eval(indices.value(i), x) - ref for i in positions(indices, lo, hi)]
 
 
-@pytest.mark.parametrize("part", ["head", "tail"])
-def test_jump_witness_agrees_at_2000_bits(part):
-    def case(seed):
-        rng, seq, n, point = draw(seed)
-        x1 = point(0, len(seq.space) - 2)
-        x2, m = point(len(x1.steps) + 1), rng.randint(1, 4)
-        eta = F(rng.randint(5, 9), 10)
-        f = seq.limit
-        head = block(seq, n, x2, f.at_point(x1), 1, m)
-        tail = block(seq, n, x2, f.at_point(x2), m)
-        target, other = (head, tail) if part == "head" else (tail, head)
-        bound = adversarial_bound(target)
-        if bound is None:
-            return None
-        delta = bound / eta
-        jump = seq.phi.at_point(x2) - seq.phi.at_point(x1) > (1 - eta) * delta
-        if not jump or decided(other, bound) is Verdict.FALSE:
-            return None
-        want = decided(target, bound)
-        assert check_jump_witness(seq, n, x1, x2, m, delta, eta) is want, seed
-        return want
-
-    run_cases(0, case)
-
-
 def test_jump_chain_agrees_at_2000_bits():
     def case(seed):
         rng, seq, n, point = draw(seed)
@@ -213,7 +185,8 @@ def test_difference_witness_agrees_at_2000_bits():
         if sum(rises, F(0)) <= (1 - eta) * lam or min(rises) <= 0:
             return None
         want = decided(off, bound)
-        assert check_difference_witness(seq, n, m, t, k, lam, eta) is want, seed
+        bundle = WitnessBundle(n, m, k, t, eta, lam)
+        assert check_difference_witness(seq, bundle) is want, seed
         return want
 
     run_cases(2000, case)

@@ -1,7 +1,8 @@
 """The stage loop of ``build_jump_chain`` against the two hand-written
-branches it replaced (``reference_extraction``) at stages 1 and 2, and
-against both checkers at every stage up to the index; the closed-form
-copies of the extracted points against the copy scans they replaced."""
+branches it replaced (``reference_extraction``, which finds its copies
+with the scans the closed form replaced) at stages 1 and 2, against both
+checkers at every stage up to the index, and its points against the
+copies the proof puts them at."""
 
 from fractions import Fraction as F
 
@@ -23,12 +24,11 @@ from oscal.extraction import (
     check_difference_witness,
     check_jump_chain,
     difference_witness_from_chain,
-    extract_subsequence,
 )
 from oscal.func import QFunction
 from oscal.rationals import Verdict
 from oscal.sampling import build_corpus
-from oscal.space import PrefixStep, RecurringStep, chain_space, point_at, resolve
+from oscal.space import PrefixStep, RecurringStep, chain_space, resolve
 from oscal.transfinite import iterate
 
 PROFILES = {
@@ -124,10 +124,7 @@ def assert_verifies(seq, alpha, x, eta):
     assert check_jump_chain(seq, b).verdict is Verdict.TRUE
     d = difference_witness_from_chain(b)
     assert d.eta == eta
-    verdict = check_difference_witness(
-        seq, d.indices, d.m, d.t, d.k, d.lam, d.eta
-    )
-    assert verdict is Verdict.TRUE
+    assert check_difference_witness(seq, d) is Verdict.TRUE
 
 
 @pytest.mark.parametrize("name", sorted(PROFILES))
@@ -222,35 +219,6 @@ def test_points_sit_at_their_proven_copies():
                 isinstance(s, PrefixStep) for s in bundle.t.steps
             )
     assert built > 300 and through_prefix > 20
-
-
-def test_witness_matches_the_scanning_oracle():
-    """x1 realized at copies 1..4, positions m = 1..5: the closed-form
-    witness is the point the copy scan finds, or both fail."""
-    found = failed = 0
-    for seq in every_seq():
-        sp, phi = seq.space, seq.phi
-        for node in sp.limit_nodes():
-            delta = max(phi(y) - phi(node) for y in sp.acc(node))
-            if delta <= 0:
-                continue
-            for copy in range(1, 5):
-                plan = extract_subsequence(
-                    seq, point_at(sp, node, copy), sp.node_ids(), delta,
-                    F(1, 2),
-                )
-                for m in range(1, 6):
-                    past = max(
-                        seq.support_threshold(plan.x1), plan.indices.value(m)
-                    )
-                    assert past < reference_extraction.WITNESS_SCAN_COPIES[-1]
-                    got = outcome(plan.witness, m)
-                    assert got == outcome(
-                        reference_extraction.scan_witness, plan, m
-                    ), (node, copy, m)
-                    failed += isinstance(got, type)
-                    found += not isinstance(got, type)
-    assert found > 3000 and failed > 300
 
 
 def test_one_v_trace_per_build(monkeypatch):

@@ -5,20 +5,27 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
-from helpers import constant_function, fmax, leq, qf, sup_abs
+from helpers import (
+    constant_function,
+    fmax,
+    is_usc,
+    leq,
+    osc_pre_step,
+    osc_step,
+    qf,
+    sup_abs,
+)
 from oscal.errors import ExactnessError, MismatchError, PreconditionError
 from oscal.func import (
     QFunction,
     is_continuous,
     is_lsc,
-    is_usc,
     lsc_envelope,
     usc_envelope,
     zero_function,
 )
 from oscal.rationals import GaussianRational
 from oscal.space import chain_space
-from oscal.transfinite import osc_pre_step, osc_step
 
 functions = st.sampled_from(helpers.corpus().functions)
 

@@ -19,14 +19,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference_func
-from helpers import constant_function, drawn_functions, iterated_final_stage
+from helpers import (
+    constant_function,
+    drawn_functions,
+    is_usc,
+    iterated_final_stage,
+    osc_pre_step,
+    osc_step,
+)
 from oscal import func
 from oscal.errors import ExactnessError, PreconditionError
 from oscal.func import QFunction, zero_function
 from oscal.rationals import GaussianRational
 from oscal.sampling import build_corpus, random_space
 from oscal.space import chain_space
-from oscal.transfinite import final_stage, osc_pre_step, osc_step
+from oscal.transfinite import final_stage
 
 
 def outcome(call, f):
@@ -50,9 +57,9 @@ def check_final_stage(f):
 
 
 def check_against_reference(f):
-    for name in ("usc_envelope", "lsc_envelope", "is_usc", "is_lsc", "is_continuous"):
-        got = outcome(getattr(func, name), f)
-        assert got == outcome(getattr(reference_func, name), f), name
+    for fn in (func.usc_envelope, func.lsc_envelope, is_usc, func.is_lsc, func.is_continuous):
+        got = outcome(fn, f)
+        assert got == outcome(getattr(reference_func, fn.__name__), f), fn.__name__
     for step, name in ((osc_pre_step, "underline_osc"), (osc_step, "osc")):
         got = outcome(lambda h: step(h, zero_function(h.space)), f)
         assert got == outcome(getattr(reference_func, name), f), name
@@ -66,7 +73,7 @@ def test_corpus_functions_and_their_envelopes(seed):
     for f in corpus.functions:
         for h in (f, func.usc_envelope(f), func.lsc_envelope(f)):
             check_against_reference(h)
-            seen.add((func.is_usc(h), func.is_lsc(h), func.is_continuous(h)))
+            seen.add((is_usc(h), func.is_lsc(h), func.is_continuous(h)))
     for sp in corpus.spaces:
         check_against_reference(constant_function(sp, Fraction(-3, 2)))
     # both branches of each test ran

@@ -179,3 +179,76 @@ def test_every_error_type_has_a_raiser():
     raised = set().union(*(raised_names(p) for p in PACKAGE.glob("*.py")))
     assert "PreconditionError" in declared
     assert sorted(declared - {"OscalError"} - raised) == []
+
+
+ROOT = PACKAGE.parent.parent
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def public_definitions(path: Path):
+    """(dotted name, bare name) of each public function and class defined
+    at module level, and of each public method of a module-level class."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, DEFS) and not node.name.startswith("_"):
+            yield "%s.%s" % (path.stem, node.name), node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, DEFS) and not item.name.startswith("_"):
+                    yield "%s.%s.%s" % (path.stem, node.name, item.name), item.name
+
+
+def named(path: Path) -> set[str]:
+    """Every identifier a module names: as a name, an attribute, or an
+    import (each dotted part of it)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                found.update(alias.name.split("."))
+    return found
+
+
+def unnamed_definitions(defining: list[Path], using: list[Path]) -> list[str]:
+    """Public definitions in ``defining`` that no file in ``using`` names."""
+    used = set().union(*(named(p) for p in using))
+    return [
+        dotted
+        for path in defining
+        for dotted, name in public_definitions(path)
+        if name not in used
+    ]
+
+
+def test_scan_flags_an_unnamed_definition(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "from json import dumps\n"
+        "class Box:\n"
+        "    def size(self):\n"
+        "        return 1\n"
+        "    def spare(self):\n"
+        "        return dumps(self.size())\n"
+        "    def _hidden(self):\n"
+        "        return 0\n"
+        "def orphan():\n"
+        "    return Box()\n"
+        "def _private():\n"
+        "    return 0\n"
+    )
+    user = tmp_path / "user.py"
+    user.write_text("import mod.orphan\n")
+    assert unnamed_definitions([mod], [mod]) == ["mod.Box.spare", "mod.orphan"]
+    assert unnamed_definitions([mod], [mod, user]) == ["mod.Box.spare"]
+
+
+def test_every_public_definition_has_a_user():
+    """What the package defines, the package, its scripts or its
+    benchmark name; what only the tests use lives in the tests."""
+    defining = sorted(PACKAGE.glob("*.py"))
+    using = defining + sorted((ROOT / "scripts").glob("*.py"))
+    using += sorted((ROOT / "perfbench").glob("*.py"))
+    assert unnamed_definitions(defining, using) == []

@@ -11,15 +11,17 @@ from helpers import (
     constant_function,
     drawn_functions,
     fixpoint_criterion,
+    is_usc,
     iterated_final_stage,
     leq,
+    osc_step,
     qf,
     semicontinuity_criterion,
+    v_step,
 )
 from oscal.errors import ExactnessError, PreconditionError
 from oscal.func import (
     QFunction,
-    is_usc,
     lsc_envelope,
     usc_envelope,
     zero_function,
@@ -35,8 +37,6 @@ from oscal.transfinite import (
     final_stage,
     iterate,
     level_set_witness,
-    osc_step,
-    v_step,
 )
 
 functions = st.sampled_from(helpers.corpus().functions)
