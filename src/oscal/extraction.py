@@ -328,6 +328,8 @@ class WitnessBundle:
             raise PreconditionError("the first block starts at position 1")
         if len(self.m) < 2 * self.k:
             raise PreconditionError("need at least 2k block boundaries")
+        if not self.points and self.deltas:
+            raise PreconditionError("a difference form carries no jumps")
 
 
 @record

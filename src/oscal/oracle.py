@@ -28,8 +28,9 @@ shape:
 
 Everything is computed on one integer scale.  D, the lcm of the
 denominators of f's values, the node ids, D·f and the cover edges with
-their bounds D·c_py are computed once per certified program, as ``int``s,
-and shared by the program and its certificate check.  The program is the
+their bounds D·c_py are computed once per certified program, as
+``int``s; the program reads them all, and its certificate check reads the
+same D·f and recomputes the bound of each pair it uses.  The program is the
 dual above for D·f, so every coefficient the kernel sees is an ``int``,
 and each variable is named by its column, so the kernel keeps the program
 as it is built.  Its constraints do not involve f and only its objective
@@ -38,30 +39,51 @@ entering choices and the ratio tests, hence the pivot path and the y/z
 multipliers, are those of the program for f, while its objective and its
 (t, w) duals are D times f's.
 
-:func:`_certify` reads t and w from the kernel's duals and trusts neither
-the kernel nor the reductions: the decomposition is re-verified against
-the unreduced constraint system (every y in acc(p), not only the cover),
-and the kernel's y/z values are checked to be dual feasible with an
-objective equal to sup(u + v).  A feasible primal and a feasible dual with
-equal objectives are both optimal by weak duality, so the optimum is
-certified in exact arithmetic.  Both checks read the kernel's integer
-answer: with d the cost row's denominator, the duals' numerators are
-d·D·t and d·D·w, so u and v are checked as d·D·u and d·D·v, and the
-multipliers, each a (numerator, denominator) pair, over the lcm of their
-denominators.  :func:`oracle_dnorm` builds fractions only for what
-:class:`OracleResult` returns, in f's units: the optimum, u and v over
-d·D, and the kernel's result with d·D as its denominator, so its
-objective and duals are f's without a fraction per dual.
+The certificate is checked by one private checker, :func:`_verify`,
+which trusts neither the kernel nor the reductions.  :func:`_certify`
+reads t and w from the kernel's duals and hands them to it with the
+kernel's y/z multipliers.  The decomposition is re-verified against the
+unreduced constraint system: u and v must be monotone from every limit
+node p to all of acc(p), not only along the cover.  The multipliers must
+be dual feasible, each z on an acc pair with its bound c_py recomputed
+from f, and their objective must equal sup(u + v).  A feasible primal
+and a feasible dual with equal objectives are both optimal by weak
+duality, so the optimum is certified in exact arithmetic.  Everything is
+read from the kernel's integer answer: with d the cost row's
+denominator, the duals' numerators are d·D·t and d·D·w, so u and v are
+checked as d·D·u and d·D·v, and the multipliers, each a (numerator,
+denominator) pair, over the lcm of their denominators.
+:func:`oracle_dnorm` builds fractions only for what :class:`OracleResult`
+returns, in f's units: the optimum, u and v over d·D, and the kernel's
+result with d·D as its denominator, so its objective and duals are f's
+without a fraction per dual.
 
-The LP here optimizes over node functions, i.e. decompositions constant on
-pattern copies.  :func:`symmetry_check` probes whether allowing copies to
-differ could ever pay off, by re-solving on unrolled presentations where
-each copy has its own variables.  It runs the same certificate check on
-every program it solves and keeps only the certified optimum, so it builds
-no decomposition and loses no check.  The quotient program does not depend
-on the unroll count, so ``symmetry_check`` keeps the last quotient optimum
-it certified and reuses it while it is asked about the same function
-object with the same values.
+The LP here optimizes over node functions, i.e. decompositions constant
+on pattern copies.  :func:`symmetry_check` confirms that letting copies
+differ never pays, on unrolled presentations where each copy is a node
+of its own, and it needs no second solve: the certificate of f's program
+is a certificate on every presentation of the same space.  The norm is
+defined on the space K.  Let u, v ≥ 0 be lsc on K with u − v = f, put
+w = u − f⁺ = v − f⁻, and let W_i be the sup of w over the points that
+realize node i.  Then t = sup(u + v) ≥ |f(i)| + 2·W_i, and lsc gives
+W_p − W_y ≤ c_py for every y in acc(p).  So (t, W) is feasible for the
+node program, and the program's dual bounds every decomposition on K
+from below.  On U = unroll(space, k) the lifted certificate passes the
+same checks.  The lifted u and v are monotone on U, because each
+recurring subtree of a node of U maps into acc of the node it copies.
+The multipliers stay on the original ids, which ``unroll`` keeps: each
+of their pairs is an acc pair of U with the same bound, so they satisfy
+U's dual rows with the same objective.  Weak duality then certifies that
+U's optimum is the quotient's, so per-copy freedom never pays.
+``symmetry_check`` does not take this on trust: it runs :func:`_verify`
+on U with u, v and f lifted through the node map, in linear time.
+
+:func:`_certify` keeps the last certificate it produced, with f and a
+copy of f's values.  ``symmetry_check`` lifts it while it is asked about
+the same function object with the same values, and certifies f itself
+otherwise, so checking one function at k = 1, 2, 3 solves one program.
+:func:`oracle_dnorm` writes that cache but never reads it: every call of
+it solves.
 """
 
 from __future__ import annotations
@@ -72,9 +94,9 @@ from typing import Optional
 
 from ._record import record
 from .errors import InternalCheckError, PreconditionError
-from .func import QFunction, lift_function
+from .func import QFunction
 from .simplex import LinearProgram, LPResult, solve
-from .space import unroll
+from .space import TreeSpace, unroll
 
 # the scale D, the node ids in order, D·f, and (p, y, D·c_py) for every
 # cover edge, all ints
@@ -116,7 +138,7 @@ def oracle_lp(f: QFunction, cover: Optional[_Cover] = None) -> LinearProgram:
     w_p − w_y ≤ D·c_py); all are nonnegative.  Row 0 is the column of t,
     row 1 + k the column of w for the k-th node, so the kernel's duals are
     (t, w) in that order, D times those for f.  The cover thinning is exact
-    because acc sets are downward closed, and _certify re-verifies the
+    because acc sets are downward closed, and _verify re-verifies the
     reconstructed optimum against the original constraint system.
     ``cover`` is what ``_cover(f)`` returns, when the caller has already
     computed it.
@@ -150,101 +172,167 @@ class OracleResult:
     lp_result: LPResult
 
 
-def _certify(f: QFunction) -> tuple[int, LPResult, dict, dict]:
-    """Solve the decomposition program of a real f and check the kernel's
-    integer answer; raise ``InternalCheckError`` unless it certifies its
-    optimum.
 
-    With d the kernel's denominator, u = f⁺ + w and v = f⁻ + w are checked
-    as d·D·u and d·D·v.  The re-verification checks u(p) ≤ u(y) and
-    v(p) ≤ v(y) at every limit node p for every y in acc(p), not only on
-    the cover.  That is lower semicontinuity on a tree presentation, so no
-    separate lsc test runs.  Returns d·D, the kernel's result, d·D·u and
-    d·D·v; the optimum is the result's ``num`` over d·D.
+
+@record
+class _Certificate:
+    """A claimed optimum of the decomposition program on one space, with
+    its evidence, all ints: f, u and v by node, t and the optimum, each
+    times ``units``; the nonzero multipliers times ``den``, y by node and
+    z by acc pair (p, y)."""
+
+    units: int
+    f: dict
+    u: dict
+    v: dict
+    t: int
+    optimum: int
+    den: int
+    y: dict
+    z: dict
+
+
+def _verify(sp: TreeSpace, cert: _Certificate) -> None:
+    """Raise ``InternalCheckError`` unless ``cert`` certifies its optimum
+    on the valid space ``sp``.
+
+    The primal side: u, v ≥ 0, u − v = f, u(p) ≤ u(y) and v(p) ≤ v(y) at
+    every limit node p for every y in acc(p), and sup(u + v) ≤ t and equal
+    to the optimum.  Monotonicity is lower semicontinuity on a tree
+    presentation, so no separate lsc test runs.  acc(p) is the subtrees of
+    p's recurring children, so one children-first pass of subtree minima
+    finds every limit node that breaks it; the lowest id is named.  The
+    dual side: y, z ≥ 0 with Σ y ≤ 1, every z on an acc pair of ``sp``
+    with its bound c_py recomputed from f, every row of w satisfied, and a
+    dual objective equal to sup(u + v).
     """
+    f, u, v = cert.f, cert.u, cert.v
+    nodes = sp.nodes
+    problems = []
+    if any(u[i] < 0 or v[i] < 0 for i in nodes):
+        problems.append("negativity")
+    if any(u[i] - v[i] != f[i] for i in nodes):
+        problems.append("difference")
+    low_u, low_v = {}, {}  # minima of u and v over each subtree
+    broken = []
+    for x in reversed(sp.preorder()):
+        n = nodes[x]
+        mu, mv = u[x], v[x]
+        if n.recurring:
+            au = min(low_u[r] for r in n.recurring)
+            av = min(low_v[r] for r in n.recurring)
+            if mu > au or mv > av:
+                broken.append(x)
+            mu, mv = min(mu, au), min(mv, av)
+        for c in n.prefix:
+            mu, mv = min(mu, low_u[c]), min(mv, low_v[c])
+        low_u[x], low_v[x] = mu, mv
+    if broken:
+        problems.append("monotonicity at %d" % min(broken))
+    sup = max(u[i] + v[i] for i in nodes)
+    if sup > cert.t:
+        problems.append("bound")
+    if sup != cert.optimum:
+        problems.append("objective")
+    # the dual certificate: multipliers y, z >= 0 that satisfy every dual
+    # row and whose objective equals sup(u + v) bound every decomposition
+    # from below (weak duality), so the one above is optimal.  The sums
+    # run over the nonzero multipliers; a multiplier off the program's
+    # rows makes it infeasible.
+    feasible = True
+    load = {}  # left-hand sides of the rows of w that have a multiplier
+    total = 0  # left-hand side of the row of t
+    bound = 0  # dual objective, times units and den
+    for i, x in cert.y.items():
+        if i not in nodes:
+            feasible = False
+            continue
+        feasible &= x >= 0
+        load[i] = load.get(i, 0) - 2 * x
+        total += x
+        bound += abs(f[i]) * x
+    for (p, y), x in cert.z.items():
+        if not sp.in_acc(p, y):
+            feasible = False
+            continue
+        feasible &= x >= 0
+        fp, fy = f[p], f[y]
+        c = min(max(fy, 0) - max(fp, 0), max(-fy, 0) - max(-fp, 0))
+        load[p] = load.get(p, 0) - x
+        load[y] = load.get(y, 0) + x
+        bound -= c * x
+    if not feasible or total > cert.den or any(val > 0 for val in load.values()):
+        problems.append("dual feasibility")
+    if bound != sup * cert.den:
+        problems.append("duality gap")
+    if problems:
+        raise InternalCheckError(
+            "oracle solution failed re-verification: %s" % ", ".join(problems)
+        )
+
+
+# the last certificate _certify produced: (f, a copy of f.values, its
+# certificate).  Holding f keeps its id from being reused by another
+# function; a reader checks one tuple, so racing callers can at worst
+# certify again.
+_last_certificate: Optional[tuple[QFunction, dict, _Certificate]] = None
+
+
+def _certify(f: QFunction) -> tuple[_Certificate, LPResult]:
+    """Solve the decomposition program of a real f and check the
+    certificate read from the kernel's integer answer with
+    :func:`_verify`.  Returns the certificate, which it also keeps as the
+    last one, and the kernel's result.
+
+    With d the kernel's denominator and D f's scale, the certificate is on
+    the scale d·D: u = f⁺ + w and v = f⁻ + w are d·D·u and d·D·v, and the
+    optimum is the result's ``num``.
+    """
+    global _last_certificate
     cover = _cover(f)
     res = solve(oracle_lp(f, cover))
     if res.status != "optimal":
         raise InternalCheckError(
             "decomposition LP came back %s" % res.status
         )
-    sp = f.space
     scale, nodes, df, edges = cover
     # the duals are D·t and D·w, over d
     d = res.den
     t, *ws = res.dual_nums
-    u_vals = {}
-    v_vals = {}
+    f_vals, u_vals, v_vals = {}, {}, {}
     for i, w in zip(nodes, ws):
-        fi = d * df[i]
+        fi = f_vals[i] = d * df[i]
         if fi > 0:
             u_vals[i], v_vals[i] = w + fi, w
         else:
             u_vals[i], v_vals[i] = w, w - fi
-
-    # independent re-verification against the unreduced constraint system,
-    # on the int value dicts
-    problems = []
-    if any(val < 0 for val in u_vals.values()) or any(
-        val < 0 for val in v_vals.values()
-    ):
-        problems.append("negativity")
-    if any(u_vals[i] - v_vals[i] != d * df[i] for i in nodes):
-        problems.append("difference")
-    for p in sp.limit_nodes():
-        up, vp = u_vals[p], v_vals[p]
-        if any(up > u_vals[y] or vp > v_vals[y] for y in sp.acc(p)):
-            problems.append("monotonicity at %d" % p)
-            break
-    sup = max(u_vals[i] + v_vals[i] for i in nodes)
-    if sup > t:
-        problems.append("bound")
-    if sup != res.num:  # both D times f's, over d
-        problems.append("objective")
-    # the dual certificate: multipliers y, z >= 0 that satisfy every dual
-    # row and whose objective equals sup(u + v) bound every decomposition
-    # from below (weak duality), so the one above is optimal.  The sums
-    # run over the nonzero multipliers, times the lcm of their denominators.
+    # the multipliers by node and by cover edge, over one denominator
     n = len(nodes)
     basic = res.basic
     den = math.lcm(*(q for _, q in basic.values()))
-    load = dict.fromkeys(nodes, 0)  # left-hand sides, rows of w
-    total = 0  # left-hand side of the row of t
-    bound = 0  # dual objective, times D and den
-    negative = False
+    ys, zs = {}, {}
     for k, (num, q) in basic.items():
-        x = num * (den // q)
-        negative |= x < 0
         if k < n:
-            i = nodes[k]
-            load[i] -= 2 * x
-            total += x
-            bound += abs(df[i]) * x
+            ys[nodes[k]] = num * (den // q)
         else:
-            p, y, c = edges[k - n]
-            load[p] -= x
-            load[y] += x
-            bound -= c * x
-    if negative or total > den or any(val > 0 for val in load.values()):
-        problems.append("dual feasibility")
-    if bound * d != sup * den:
-        problems.append("duality gap")
-    if problems:
-        raise InternalCheckError(
-            "oracle solution failed re-verification: %s" % ", ".join(problems)
-        )
-    return d * scale, res, u_vals, v_vals
+            p, y, _ = edges[k - n]
+            zs[p, y] = num * (den // q)
+    cert = _Certificate(d * scale, f_vals, u_vals, v_vals, t, res.num, den, ys, zs)
+    _verify(f.space, cert)
+    _last_certificate = (f, dict(f.values), cert)
+    return cert, res
 
 
 def oracle_dnorm(f: QFunction) -> OracleResult:
     """Exact LP optimum together with an attaining decomposition, certified
     by :func:`_certify`."""
-    units, res, u_vals, v_vals = _certify(f)
+    cert, res = _certify(f)
     # fractions only for what the result holds, in f's units
     sp = f.space
-    optimum = Fraction(res.num, units)
-    u = QFunction(sp, {i: Fraction(x, units) for i, x in u_vals.items()})
-    v = QFunction(sp, {i: Fraction(x, units) for i, x in v_vals.items()})
+    units = cert.units
+    optimum = Fraction(cert.optimum, units)
+    u = QFunction(sp, {i: Fraction(x, units) for i, x in cert.u.items()})
+    v = QFunction(sp, {i: Fraction(x, units) for i, x in cert.v.items()})
     lp_result = LPResult(
         res.status, res.pivots, units, res.num, res.dual_nums, res.basic,
         res.variables,
@@ -263,43 +351,46 @@ class SymmetryReport:
         return self.quotient_optimum == self.unrolled_optimum
 
 
-def _optimum(f: QFunction) -> Fraction:
-    """The certified optimum of f's decomposition program."""
-    units, res, _, _ = _certify(f)
-    return Fraction(res.num, units)
-
-
-# the last quotient symmetry_check certified: (f, a copy of f.values,
-# optimum).  Holding f keeps its id from being reused by another function;
-# a reader checks one tuple, so racing callers can at worst solve again.
-_last_quotient: Optional[tuple[QFunction, dict, Fraction]] = None
-
-
-def _quotient(f: QFunction) -> Fraction:
-    global _last_quotient
-    last = _last_quotient
-    if last is not None and last[0] is f and last[1] == f.values:
-        return last[2]
-    optimum = _optimum(f)
-    _last_quotient = (f, dict(f.values), optimum)
-    return optimum
+def _lift(cert: _Certificate, node_map: dict[int, int]) -> _Certificate:
+    """``cert`` on an unrolled presentation: f, u and v read through the
+    node map; t, the optimum and the multipliers, which sit on the
+    original ids that ``unroll`` keeps, as they are."""
+    f, u, v = cert.f, cert.u, cert.v
+    return _Certificate(
+        cert.units,
+        {i: f[o] for i, o in node_map.items()},
+        {i: u[o] for i, o in node_map.items()},
+        {i: v[o] for i, o in node_map.items()},
+        cert.t, cert.optimum, cert.den, cert.y, cert.z,
+    )
 
 
 def symmetry_check(f: QFunction, k: int) -> SymmetryReport:
-    """Solve the LP again on unroll(space, k), each copy with its own
-    variables, and compare its certified optimum with the quotient LP's.
+    """Certify that on unroll(space, k), where each copy has its own
+    variables, the decomposition program has the quotient program's
+    optimum.
 
-    Both programs go through the certificate check that
-    :func:`oracle_dnorm` runs; only their optima are kept.  The quotient
-    optimum is reused from the previous call when f is the same object
-    with the same values, so checking one function at k = 1, 2, 3 solves
-    its quotient program once; any other function, equal values or not,
-    is solved afresh.
+    No program is solved for it.  f's certificate, lifted through the node
+    map, is checked by :func:`_verify` on the unrolled space.  It passes
+    because the norm lives on the space, not on its presentation: the
+    lifted u and v are monotone on the unrolled space, as each of its
+    recurring subtrees maps into acc of the node it copies, and the
+    multipliers, kept on the original ids, satisfy its dual rows with the
+    same objective.  So weak duality certifies the unrolled optimum, and
+    per-copy freedom never pays.  The certificate is the last one
+    :func:`_certify` produced when that was for f, the same object with
+    the same values (an :func:`oracle_dnorm` call, or the previous
+    ``symmetry_check``); any other function, equal values or not, is
+    solved and certified afresh.
     """
     if k not in (1, 2, 3):
         raise PreconditionError("unroll count must be 1, 2 or 3")
-    base = _quotient(f)
+    last = _last_certificate
+    if last is not None and last[0] is f and last[1] == f.values:
+        cert = last[2]
+    else:
+        cert, _ = _certify(f)
     big_space, node_map = unroll(f.space, k)
-    return SymmetryReport(
-        k, base, _optimum(lift_function(f, big_space, node_map))
-    )
+    _verify(big_space, _lift(cert, node_map))
+    optimum = Fraction(cert.optimum, cert.units)
+    return SymmetryReport(k, optimum, optimum)

@@ -229,6 +229,22 @@ class TreeSpace:
         n = self._limit(ident)
         return frozenset(self._order[self._pos[n.recurring[0]]:self._end[ident]])
 
+    def in_acc(self, ident: int, y: int) -> bool:
+        """Whether y lies in acc(ident), read from the preorder in constant
+        time; False at a leaf and for ids the space does not have."""
+        self.require_valid()
+        n = self.nodes.get(ident)
+        if n is None or not n.recurring or y not in self._pos:
+            return False
+        return self._pos[n.recurring[0]] <= self._pos[y] < self._end[ident]
+
+    def preorder(self) -> list[int]:
+        """The node ids in depth-first preorder from the root, each node's
+        prefix children before its recurring ones.  Reversed, it lists
+        every node after its whole subtree."""
+        self.require_valid()
+        return list(self._order)
+
     def rank(self, ident: Optional[int] = None) -> int:
         """Accumulation rank: 0 at leaves, else 1 + max rank over acc.
 

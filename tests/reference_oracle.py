@@ -16,16 +16,23 @@ its certificate on plain value dicts, byte for byte; ``test_oracle``
 requires the package's results to equal theirs field by field, and its
 program to equal theirs with the objective scaled by D, the lcm of the
 denominators of f's values.
+
+``symmetry_check`` is the package's symmetry check as it was before it
+lifted the quotient certificate: it solves and certifies the whole
+decomposition program again on the unrolled presentation.
+``test_oracle`` requires the package's reports to equal its reports.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from oscal.errors import InternalCheckError
-from oscal.func import QFunction, is_lsc
-from oscal.oracle import OracleResult
+import oscal.oracle
+from oscal.errors import InternalCheckError, PreconditionError
+from oscal.func import QFunction, is_lsc, lift_function
+from oscal.oracle import OracleResult, SymmetryReport
 from oscal.simplex import LinearProgram, solve
+from oscal.space import unroll
 from reference_simplex import GeneralProgram
 
 
@@ -185,3 +192,18 @@ def oracle_dnorm(f: QFunction) -> OracleResult:
             "oracle solution failed re-verification: %s" % ", ".join(problems)
         )
     return OracleResult(res.objective, u, v, res)
+
+
+def symmetry_check(f: QFunction, k: int) -> SymmetryReport:
+    """Solve the LP again on unroll(space, k), each copy with its own
+    variables, and compare its certified optimum with the quotient LP's;
+    both programs are solved and certified by the package's oracle."""
+    if k not in (1, 2, 3):
+        raise PreconditionError("unroll count must be 1, 2 or 3")
+    big_space, node_map = unroll(f.space, k)
+    lifted = lift_function(f, big_space, node_map)
+    return SymmetryReport(
+        k,
+        oscal.oracle.oracle_dnorm(f).optimum,
+        oscal.oracle.oracle_dnorm(lifted).optimum,
+    )

@@ -22,6 +22,7 @@ from oscal.extraction import (
     WitnessBundle,
     build_jump_chain,
     check_jump_chain,
+    difference_witness_from_chain,
 )
 from oscal.errors import PreconditionError
 from oscal.func import QFunction, lift_function, usc_envelope
@@ -626,6 +627,21 @@ def test_extract_check_refuses_a_short_difference_form(paths):
     r = run_cli(["extract", "check", paths["h"], p, "--quiet"])
     assert (r.returncode, r.stdout) == (2, "")
     assert "at least 2k block boundaries" in r.stderr
+
+
+def test_extract_check_refuses_a_difference_form_with_jumps(paths, h_seq):
+    # the difference form of the alpha = 2 chain at eta = 1/10, with a jump
+    # it cannot carry: the checker would ignore it, so loading refuses it
+    d = difference_witness_from_chain(build_jump_chain(h_seq, 2, 0, F(1, 10)))
+    with pytest.raises(PreconditionError, match="carries no jumps"):
+        replace(d, deltas=(F(7),))
+    doc = json.loads(documents.dumps(d))
+    doc["deltas"] = ["7"]
+    p = paths["tmp"] / "jumps.json"
+    p.write_text(json.dumps(doc) + "\n")
+    r = run_cli(["extract", "check", paths["h"], p, "--quiet"])
+    assert (r.returncode, r.stdout) == (2, "")
+    assert "a difference form carries no jumps" in r.stderr
 
 
 @pytest.mark.parametrize(

@@ -12,8 +12,8 @@ import helpers
 import oscal.oracle
 from helpers import replace
 from oscal.errors import InternalCheckError, PreconditionError
-from oscal.func import QFunction, is_lsc
-from oscal.oracle import lift_function, oracle_dnorm, oracle_lp, symmetry_check
+from oscal.func import QFunction, is_lsc, lift_function
+from oscal.oracle import oracle_dnorm, oracle_lp, symmetry_check
 from oscal.sampling import build_corpus, random_space
 from oscal.simplex import solve
 from oscal.space import SpaceNode, TreeSpace, chain_space, unroll
@@ -229,6 +229,26 @@ def test_raised_w_at_a_limit_node_fails_monotonicity(f2, monkeypatch):
     assert "monotonicity at 1" in str(err.value)
 
 
+def test_two_broken_limit_nodes_name_the_lower_id(f2, monkeypatch):
+    # w raised at the limit nodes 0 and 1 breaks monotonicity at both; the
+    # children-first pass meets node 1 first, and the lower id is named
+    real_solve = oscal.oracle.solve
+    nodes = f2.space.node_ids()
+
+    def raised(lp):
+        res = real_solve(lp)
+        nums = list(res.dual_nums)
+        for i in (0, 1):
+            nums[1 + nodes.index(i)] += 5 * res.den
+        return replace(res, dual_nums=nums)
+
+    monkeypatch.setattr(oscal.oracle, "solve", raised)
+    with pytest.raises(InternalCheckError) as err:
+        oracle_dnorm(f2)
+    assert "monotonicity at 0" in str(err.value)
+    assert "monotonicity at 1" not in str(err.value)
+
+
 def test_infeasible_multipliers_fail_reverification(f2, monkeypatch):
     real_solve = oscal.oracle.solve
 
@@ -411,7 +431,7 @@ def test_a_half_integer_optimum_passes_reverification(monkeypatch):
     assert res.lp_result.duals == point
 
 
-# -- symmetry_check solves each function's quotient program once -----------------
+# -- symmetry_check solves one program per function and lifts its certificate ----
 
 
 def count_solves(monkeypatch):
@@ -432,11 +452,15 @@ def fresh(f):
 
 
 def test_symmetry_solves_the_quotient_once_per_function(f2, monkeypatch):
-    f = fresh(f2)
+    f, g = fresh(f2), fresh(f2)
     calls = count_solves(monkeypatch)
     for k in (1, 2, 3):
         assert symmetry_check(f, k).agree
-    assert len(calls) == 4  # one quotient, three unrolled programs
+    assert len(calls) == 1  # the quotient; the unrolled programs are checked
+    oracle_dnorm(g)
+    for k in (1, 2, 3):
+        assert symmetry_check(g, k).agree
+    assert len(calls) == 2  # oracle_dnorm's certificate is lifted
 
 
 def test_symmetry_alternating_functions_report_their_own_optimum(f2):
@@ -454,7 +478,7 @@ def test_symmetry_solves_a_new_function_with_equal_values(f2, monkeypatch):
     symmetry_check(f, 1)
     calls = count_solves(monkeypatch)
     symmetry_check(fresh(f), 1)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_symmetry_sees_values_changed_in_place(f2):
@@ -472,12 +496,14 @@ def test_patched_solve_still_fails_inside_symmetry_check(f2, monkeypatch):
         return replace(real_solve(lp), basic={})
 
     f = fresh(f2)
-    symmetry_check(f, 1)  # the quotient is kept; the unrolled program is not
+    symmetry_check(f, 1)  # f's certificate is kept, for f alone
     monkeypatch.setattr(oscal.oracle, "solve", zero_multipliers)
-    for g in (f, fresh(f2)):
-        with pytest.raises(InternalCheckError) as err:
-            symmetry_check(g, 2)
-        assert str(err.value).endswith("re-verification: duality gap")
+    with pytest.raises(InternalCheckError) as err:
+        symmetry_check(fresh(f2), 2)
+    assert str(err.value).endswith("re-verification: duality gap")
+    with pytest.raises(InternalCheckError) as err:
+        oracle_dnorm(f)  # oracle_dnorm never reads the kept certificate
+    assert str(err.value).endswith("re-verification: duality gap")
 
 
 def test_symmetry_check_certifies_without_oracle_dnorm(corpus0, monkeypatch):
@@ -494,3 +520,138 @@ def test_symmetry_check_certifies_without_oracle_dnorm(corpus0, monkeypatch):
         for k in (1, 2, 3):
             rep = symmetry_check(f, k)
             assert (rep.quotient_optimum, rep.unrolled_optimum) == (optimum, optimum)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_symmetry_matches_the_resolving_reference_on_corpus(seed):
+    for f in build_corpus(seed).functions:
+        if f.is_complex():
+            continue
+        for k in (1, 2, 3):
+            assert symmetry_check(f, k) == reference_oracle.symmetry_check(f, k)
+
+
+# -- the lifted certificate: mutants the checker must name ------------------------
+
+
+def lifted_with(monkeypatch, change):
+    """Patch the lift so that ``change(big_space, cert)`` alters each
+    lifted certificate before it is checked."""
+    real_lift = oscal.oracle._lift
+    spaces = []
+
+    def patched(cert, node_map):
+        lifted = real_lift(cert, node_map)
+        return change(spaces[-1], lifted)
+
+    def unroll_kept(space, k):
+        out = unroll(space, k)
+        spaces.append(out[0])
+        return out
+
+    monkeypatch.setattr(oscal.oracle, "_lift", patched)
+    monkeypatch.setattr(oscal.oracle, "unroll", unroll_kept)
+
+
+def check_fails(f, k, named):
+    with pytest.raises(InternalCheckError) as err:
+        symmetry_check(f, k)
+    message = str(err.value)
+    assert "re-verification" in message
+    assert any(name in message for name in named), message
+    return message
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_lowered_copy_fails_monotonicity(f2, monkeypatch, k):
+    # lower u and v by the same amount at one copy of the leaf 2: u − v = f
+    # still holds and sup(u + v) does not grow, but a limit node above the
+    # copy is no longer lsc
+    big, node_map = unroll(f2.space, k)
+    copy = min(
+        i for i, o in node_map.items()
+        if o == 2 and i not in f2.space.nodes
+        and any(big.in_acc(p, i) for p in big.limit_nodes())
+    )
+
+    def lowered(space, cert):
+        u, v = dict(cert.u), dict(cert.v)
+        drop = min(u[copy], v[copy])
+        assert drop > 0
+        u[copy] -= drop
+        v[copy] -= drop
+        return replace(cert, u=u, v=v)
+
+    # the lowest limit node with the lowered copy below it in acc
+    first = min(p for p in big.limit_nodes() if big.in_acc(p, copy))
+    lifted_with(monkeypatch, lowered)
+    message = check_fails(fresh(f2), k, ["monotonicity at %d" % first])
+    assert message.endswith("re-verification: monotonicity at %d" % first)
+
+
+def test_moved_multiplier_fails_dual_feasibility(f2, monkeypatch):
+    # move each z, with the y of its head's row, to the tail and a copy of
+    # the head that is a prefix child of the tail: the same values and rows
+    # that still hold, but a pair outside the unrolled acc, where the
+    # program has no row, so its term also leaves the objective
+    def moved(space, cert):
+        y, z = dict(cert.y), {}
+        for (p, q), x in cert.z.items():
+            outside = [c for c in space.nodes[p].prefix if cert.f[c] == cert.f[q]]
+            assert outside and not space.in_acc(p, outside[0])
+            z[p, outside[0]] = x
+            y[outside[0]] = y.pop(q)
+        return replace(cert, y=y, z=z)
+
+    assert oracle_dnorm(f2).lp_result.basic  # there is a multiplier to move
+    lifted_with(monkeypatch, moved)
+    message = check_fails(fresh(f2), 1, ["dual feasibility"])
+    assert message.endswith("re-verification: dual feasibility, duality gap")
+
+
+def scanned_monotonicity(sp, u, v):
+    """The lowest limit node p with u(p) > u(y) or v(p) > v(y) for some y
+    in acc(p), by a scan of every acc set, or None."""
+    for p in sp.limit_nodes():
+        if any(u[p] > u[y] or v[p] > v[y] for y in sp.acc(p)):
+            return p
+    return None
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 10**6),
+    k=st.integers(0, 2),
+    values=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1),
+)
+def test_monotonicity_pass_names_the_scans_node(seed, k, values):
+    # any u, v >= 0 on a drawn space, unrolled or not; the certificate is
+    # only there to carry them, so its duality gap is not looked at
+    sp = unroll(random_space(random.Random(seed), 3, 10), k)[0]
+    ids = sp.node_ids()
+    u = {i: values[j % len(values)][0] for j, i in enumerate(ids)}
+    v = {i: values[j % len(values)][1] for j, i in enumerate(ids)}
+    sup = max(u[i] + v[i] for i in ids)
+    f = {i: u[i] - v[i] for i in ids}
+    cert = oscal.oracle._Certificate(1, f, u, v, sup, sup, 1, {}, {})
+    try:
+        oscal.oracle._verify(sp, cert)
+        problems = []
+    except InternalCheckError as err:
+        problems = str(err).split("re-verification: ")[1].split(", ")
+    first = scanned_monotonicity(sp, u, v)
+    expected = [] if first is None else ["monotonicity at %d" % first]
+    assert [p for p in problems if p.startswith("monotonicity")] == expected
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_dropped_lifted_multiplier_fails(f2, coprime3, monkeypatch, k):
+    for f in (f2, coprime3):
+        for i in sorted(oscal.oracle._certify(f)[0].y):
+            def dropped(space, cert, i=i):
+                return replace(cert, y={j: x for j, x in cert.y.items() if j != i})
+
+            with monkeypatch.context() as m:
+                lifted_with(m, dropped)
+                check_fails(fresh(f), k, ["duality gap", "dual feasibility"])
+

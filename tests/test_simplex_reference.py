@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import reference_simplex
 from oscal import seqlab, simplex
-from oscal.oracle import lift_function, oracle_lp
+from oscal.func import lift_function
+from oscal.oracle import oracle_lp
 from oscal.sampling import build_corpus, random_basis
 from oscal.seqlab import NormKind, PolyBasis, PolySpace, check_identities
 from oscal.simplex import LinearProgram

@@ -99,6 +99,27 @@ def test_acc_cover_generates_acc(space):
 
 
 @given(spaces)
+def test_in_acc_is_membership_in_acc(space):
+    ids = space.node_ids()
+    for p in ids:
+        acc = space.acc(p) if p in space.limit_nodes() else frozenset()
+        assert {y for y in ids if space.in_acc(p, y)} == acc
+    assert not space.in_acc(space.root, max(ids) + 1)
+    assert not space.in_acc(max(ids) + 1, space.root)
+
+
+@given(spaces)
+def test_preorder_puts_each_subtree_in_one_run(space):
+    order = space.preorder()
+    assert sorted(order) == space.node_ids() and order[0] == space.root
+    for x in order:
+        lo = order.index(x)
+        assert set(order[lo:lo + len(space.subtree(x))]) == space.subtree(x)
+        n = space.node(x)
+        assert [c for c in order if c in n.children()] == list(n.children())
+
+
+@given(spaces)
 def test_descend_path_walks_to_the_target(space):
     for target in space.node_ids():
         cur = space.root
