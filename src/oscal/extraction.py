@@ -44,7 +44,7 @@ from .space import (
     descend_path,
     point_at,
     resolve,
-    truncate_point,
+    walk,
 )
 from .transfinite import iterate, level_set_witness, v_pre_step
 
@@ -57,18 +57,20 @@ def _abs_sum(
     lo: int,
     hi: Optional[int],
 ) -> IntervalSum:
-    """Exact sum_{lo <= i < hi} |f_{n_i}(pt) - ref|.  With hi
-    None the range is open: it runs while n_i is within the support
-    threshold of pt, past which f_{n_i}(pt) = f(pt), so callers summing
-    to infinity pass ref = f(pt)."""
-    if hi is None:
-        top = seq.support_threshold(pt)
-        hi = lo
-        while indices.value(hi) <= top:
-            hi += 1
+    """Exact sum_{lo <= i < hi} |f_{n_i}(pt) - ref|.  Past the support
+    threshold T of pt every term is |f(pt) - ref|, so the scan stops at the
+    first n_i > T and adds the hi - i terms left as one, (hi - i) (f(pt) -
+    ref), exact for Gaussian values too since |c z| = c |z|.  With hi None
+    the range is open, and callers summing to infinity pass ref = f(pt),
+    whose terms past T are 0."""
+    top = seq.support_threshold(pt)
     acc = IntervalSum()
-    for i in range(lo, hi):
+    i = lo
+    while (hi is None or i < hi) and indices.value(i) <= top:
         acc.add_abs(seq.eval(indices.value(i), pt) - ref)
+        i += 1
+    if hi is not None and i < hi:
+        acc.add_abs((hi - i) * (seq.limit.at_point(pt) - ref))
     return acc
 
 
@@ -183,6 +185,9 @@ class FunctionSeq:
     # evaluation ---------------------------------------------------------
 
     def eval(self, j: int, x: PointRef) -> Scalar:
+        """f_j(x).  Under ``MovingStep``: the limit at the node the path is
+        at just before it first enters a moving copy >= j, or at its end
+        if it never does, read in one walk that stops there."""
         if j < 1:
             raise PreconditionError("sequence indices start at 1")
         g = self.generator
@@ -190,28 +195,26 @@ class FunctionSeq:
             if j <= len(g.prefix):
                 return g.prefix[j - 1].at_point(x)
             return self.limit.at_point(x)
-        cut = truncate_point(self.space, x, j, g.moving)
-        return self.limit.at_point(cut)
+        node = self.space.root
+        for s, entered in walk(self.space, x):
+            if (isinstance(s, RecurringStep) and s.copy >= j
+                    and (g.moving is None or entered in g.moving)):
+                break
+            node = entered
+        return self.limit(node)
 
     def support_threshold(self, x: PointRef) -> int:
-        """A threshold T with f_j(x) = limit(x) for every j > T (the
-        largest moving copy index along the path, or the prefix length)."""
+        """A threshold T with f_j(x) = limit(x) for every j > T: the
+        largest copy index of a moving step of the path (0 if it has none),
+        or the prefix length."""
         g = self.generator
         if isinstance(g, EventuallyLimit):
             return len(g.prefix)
-        resolve(self.space, x)
-        sp = self.space
-        cur = sp.root
         best = 0
-        for s in x.steps:
-            n = sp.node(cur)
-            if isinstance(s, RecurringStep):
-                pat = n.recurring[s.pattern]
-                if g.moving is None or pat in g.moving:
-                    best = max(best, s.copy)
-                cur = pat
-            else:
-                cur = n.prefix[s.child]
+        for s, entered in walk(self.space, x):
+            if (isinstance(s, RecurringStep)
+                    and (g.moving is None or entered in g.moving)):
+                best = max(best, s.copy)
         return best
 
     def tail_terms(self, x: PointRef, m: int) -> list[tuple[int, Scalar]]:
@@ -390,10 +393,11 @@ def check_difference_witness(seq: FunctionSeq, bundle: WitnessBundle) -> Verdict
       3)  sum over i outside {m_1, ..., m_{2k}} of |e_i(t)| < eta lam
 
     The sum in 3) ranges over all positive integers, but e_i(t) vanishes
-    once both b_i and b_{i-1} have left the support of t, so the scan
-    terminates."""
+    once n_{i-1} passes the support threshold of t, where b_i and b_{i-1}
+    both equal f(t).  The scan stops there, however large m is."""
     indices, m, t, k = bundle.indices, bundle.m, bundle.t, bundle.k
     lam, eta = bundle.lam, bundle.eta
+    top = seq.support_threshold(t)
 
     def b(i: int) -> Scalar:
         return seq.eval(indices.value(i), t)
@@ -408,12 +412,8 @@ def check_difference_witness(seq: FunctionSeq, bundle: WitnessBundle) -> Verdict
     main = sum((re(e(m[2 * j - 1])) for j in range(1, k + 1)), Fraction(0))
     positive = all(re(e(m[2 * j - 1])) > 0 for j in range(1, k + 1))
     off = IntervalSum()
-    top = seq.support_threshold(t)
     i = 1
-    while True:
-        past_support = indices.value(max(i - 1, 1)) > top and i > 1
-        if past_support and i > m[2 * k - 1]:
-            break
+    while i == 1 or indices.value(i - 1) <= top:
         if i not in marked:
             off.add_abs(e(i))
         i += 1

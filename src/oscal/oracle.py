@@ -199,12 +199,12 @@ def _verify(sp: TreeSpace, cert: _Certificate) -> None:
     The primal side: u, v ≥ 0, u − v = f, u(p) ≤ u(y) and v(p) ≤ v(y) at
     every limit node p for every y in acc(p), and sup(u + v) ≤ t and equal
     to the optimum.  Monotonicity is lower semicontinuity on a tree
-    presentation, so no separate lsc test runs.  acc(p) is the subtrees of
-    p's recurring children, so one children-first pass of subtree minima
-    finds every limit node that breaks it; the lowest id is named.  The
-    dual side: y, z ≥ 0 with Σ y ≤ 1, every z on an acc pair of ``sp``
-    with its bound c_py recomputed from f, every row of w satisfied, and a
-    dual objective equal to sup(u + v).
+    presentation, so no separate lsc test runs.  acc(p) is the union of
+    {z} ∪ acc(z) over its cover, so one ``fold_cover`` pass of the minima
+    of u and v over {p} ∪ acc(p) finds every limit node that breaks it;
+    the lowest id is named.  The dual side: y, z ≥ 0 with Σ y ≤ 1, every
+    z on an acc pair of ``sp`` with its bound c_py recomputed from f,
+    every row of w satisfied, and a dual objective equal to sup(u + v).
     """
     f, u, v = cert.f, cert.u, cert.v
     nodes = sp.nodes
@@ -213,20 +213,19 @@ def _verify(sp: TreeSpace, cert: _Certificate) -> None:
         problems.append("negativity")
     if any(u[i] - v[i] != f[i] for i in nodes):
         problems.append("difference")
-    low_u, low_v = {}, {}  # minima of u and v over each subtree
     broken = []
-    for x in reversed(sp.preorder()):
-        n = nodes[x]
+
+    def low(x, cover, out):  # minima of u and v over {x} ∪ acc(x)
         mu, mv = u[x], v[x]
-        if n.recurring:
-            au = min(low_u[r] for r in n.recurring)
-            av = min(low_v[r] for r in n.recurring)
+        if cover:
+            au = min(out[z][0] for z in cover)
+            av = min(out[z][1] for z in cover)
             if mu > au or mv > av:
                 broken.append(x)
             mu, mv = min(mu, au), min(mv, av)
-        for c in n.prefix:
-            mu, mv = min(mu, low_u[c]), min(mv, low_v[c])
-        low_u[x], low_v[x] = mu, mv
+        return mu, mv
+
+    sp.fold_cover(low)
     if broken:
         problems.append("monotonicity at %d" % min(broken))
     sup = max(u[i] + v[i] for i in nodes)

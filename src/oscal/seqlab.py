@@ -282,6 +282,32 @@ def _norm_rows(space: PolySpace, combo: dict[str, Vector], lp: LinearProgram,
         lp.add({a: 1 for a in aux}, 1)
 
 
+def _maximize(space: PolySpace, what: str, objective: dict[str, Fraction],
+              blocks: list[tuple[str, dict[str, Vector]]]) -> Fraction:
+    """The ``what`` program: max sum_c objective[c] c over coefficients c
+    of either sign with ||sum_c combo[c] c|| <= 1 for each (tag, combo).
+
+    The kernel's variables are nonnegative, so c is c+ - c-.  The objective
+    declares c+ then c- for every coefficient, in its order, before any row
+    (a zero cost still gets a column); a block maps c+ to c's vector and
+    c- to the negated vector."""
+    costs = {}
+    for c, g in objective.items():
+        costs[c + "+"], costs[c + "-"] = g, -g
+    lp = LinearProgram()
+    lp.set_objective(costs)
+    for tag, combo in blocks:
+        signed = {}
+        for c, vec in combo.items():
+            signed[c + "+"] = vec
+            signed[c + "-"] = _scale(Fraction(-1), vec)
+        _norm_rows(space, signed, lp, tag)
+    res = solve(lp)
+    if res.status != "optimal":
+        raise InternalCheckError("%s program was %s" % (what, res.status))
+    return res.objective
+
+
 def functional_norm(f: SpanFunctional) -> Fraction:
     """Exact norm of f on the span's unit ball.
 
@@ -296,15 +322,11 @@ def functional_norm(f: SpanFunctional) -> Fraction:
         # psi = B^-T gamma solves (B^T psi)_j = b_j . psi = gamma_j
         psi = [_dot(row, f.gamma) for row in basis.transpose_inverse]
         return basis.space.dual_norm(psi)
-    lp = LinearProgram()
     cvars = ["c%d" % j for j in range(1, n + 1)]
-    lp.make_free(*cvars)
-    lp.set_objective({v: g for v, g in zip(cvars, f.gamma) if g})
-    _norm_rows(basis.space, dict(zip(cvars, basis.vectors)), lp, "")
-    res = solve(lp)
-    if res.status != "optimal":
-        raise InternalCheckError("functional-norm program was %s" % res.status)
-    return res.objective
+    return _maximize(
+        basis.space, "functional-norm", dict(zip(cvars, f.gamma)),
+        [("", dict(zip(cvars, basis.vectors)))],
+    )
 
 
 def summing_functional(basis: PolyBasis) -> SpanFunctional:
@@ -613,21 +635,13 @@ def eps_cc_value(
     if j0 in zeros:
         raise PreconditionError("target coefficient is pinned to zero")
     diff = difference_sequence(basis)
-    free = [j for j in range(1, n + 1) if j not in zeros]
-    lp = LinearProgram()
-    cvars = {j: "c%d" % j for j in free}
-    lp.make_free(*cvars.values())
-    lp.set_objective({cvars[j0]: 1})
+    live = [j for j in range(1, n + 1) if j not in zeros]
+    blocks = []
     for stage in range(1, n + 1):
-        combo = {
-            cvars[j]: diff.vectors[j - 1] for j in free if j <= stage
-        }
-        if not combo:
-            continue
-        _norm_rows(basis.space, combo, lp, "s%d" % stage)
-    res = solve(lp)
-    if res.status != "optimal":
-        raise InternalCheckError(
-            "coefficient-ceiling program was %s" % res.status
-        )
-    return res.objective
+        combo = {"c%d" % j: diff.vectors[j - 1] for j in live if j <= stage}
+        if combo:
+            blocks.append(("s%d" % stage, combo))
+    return _maximize(
+        basis.space, "coefficient-ceiling",
+        {"c%d" % j: int(j == j0) for j in live}, blocks,
+    )

@@ -1,16 +1,16 @@
 """Exact linear programming over the rationals.
 
 The kernel solves one program shape: maximize c·x subject to rows
-Σ a·x ≤ b with b ≥ 0, each variable nonnegative or free.  Every program
-the package builds has that shape (the norm oracle solves the dual of its
-decomposition program for exactly this reason), so the slack basis is
-feasible from the start and a single simplex phase runs from it.
+Σ a·x ≤ b with b ≥ 0 over nonnegative variables.  Every program the
+package builds has that shape (the norm oracle solves the dual of its
+decomposition program for exactly this reason, and ``seqlab`` writes
+each coefficient of either sign as a difference of two), so the slack
+basis is feasible from the start and a single simplex phase runs from it.
 
 A :class:`LinearProgram` gives each variable a column the first time it
 sees its name and keeps its objective and rows by column, so ``solve``
-starts from them as they are, plus one slack per row; only a program
-with free variables is re-laid out (see below).  ``int`` coefficients
-stay ``int`` from the program to the tableau.
+starts from them as they are, plus one slack per row.  ``int``
+coefficients stay ``int`` from the program to the tableau.
 
 Rows are sparse integers.  Each tableau row is a ``dict`` from column to
 nonzero ``int``, right-hand side included, and stands for a positive
@@ -36,14 +36,9 @@ broken by the lowest basic variable index, so every run is deterministic
 and terminates, degenerate instances included.  Row scales cancel in the
 ratio ``rhs_i / a_i``, which is compared by cross-multiplying, so the pivot
 path is exactly the one a tableau of canonical rows would take.  There is
-no tolerance anywhere.
-
-Free variables are handled by the usual positive/negative split: the
-negative column of a free variable comes right after its own column, so
-the structural columns follow the variables' first-seen order, whether a
-variable was made free before or after its rows were added.  The dual of
-each row is the reduced cost of its slack column on the optimal tableau,
-reported per row in the order the rows were added.
+no tolerance anywhere.  The dual of each row is the reduced cost of its
+slack column on the optimal tableau, reported per row in the order the
+rows were added.
 """
 
 from __future__ import annotations
@@ -60,7 +55,7 @@ from .rationals import rat
 
 class LinearProgram:
     """maximize c·x subject to rows Σ a·x ≤ b with b ≥ 0; variables are
-    named, nonnegative unless made free.
+    named and nonnegative.
 
     Each name gets a column the first time the program sees it.  The
     objective and the rows are kept as column -> coefficient dicts, ``int``
@@ -72,7 +67,6 @@ class LinearProgram:
         self._col: dict = {}  # name -> column, in first-seen order
         self._objective: dict = {}
         self._rows: list = []
-        self._free: set = set()
 
     def _by_column(self, coeffs: dict) -> dict:
         """``coeffs`` by column; new names get their columns only once
@@ -91,12 +85,6 @@ class LinearProgram:
         if new:
             col.update(zip(new, range(len(col), len(col) + len(new))))
         return out
-
-    def make_free(self, *names: str) -> None:
-        col = self._col
-        for n in names:
-            col.setdefault(n, len(col))
-        self._free.update(names)
 
     def set_objective(self, coeffs: dict) -> None:
         self._objective = self._by_column(coeffs)
@@ -253,42 +241,15 @@ def _optimize(rows, cost, basis) -> tuple[str, int, dict]:
         pivots += 1
 
 
-def _split_free(lp: LinearProgram):
-    """The program with each free variable x written x⁺ − x⁻, the column of
-    x⁻ right after that of x⁺: its objective, its rows, its number of
-    structural columns, and for each of them (variable column, sign)."""
-    free = {lp._col[n] for n in lp._free}
-    at = []  # the column of x⁺ for each variable x
-    owner = []
-    for j in range(len(lp._col)):
-        at.append(len(owner))
-        owner.append((j, 1))
-        if j in free:
-            owner.append((j, -1))
-
-    def split(row: dict) -> dict:
-        out = {}
-        for j, c in row.items():
-            out[at[j]] = c
-            if j in free:
-                out[at[j] + 1] = -c
-        return out
-
-    rows = [(split(row), rhs) for row, rhs in lp._rows]
-    return split(lp._objective), rows, len(owner), owner
-
-
 def solve(lp: LinearProgram) -> LPResult:
     names = lp.variables
     if not names:
         raise PreconditionError("linear program has no variables")
-    objective, body, ncols, owner = lp._objective, lp._rows, len(names), None
-    if lp._free:
-        objective, body, ncols, owner = _split_free(lp)
+    ncols = len(names)
 
     # the slack basis: row i starts canonical, with basic slack ncols + i
     rows: list[dict] = []
-    for i, (row, rhs) in enumerate(body):
+    for i, (row, rhs) in enumerate(lp._rows):
         vec = {j: c for j, c in row.items() if c}
         if rhs:
             vec[_RHS] = rhs
@@ -297,7 +258,7 @@ def solve(lp: LinearProgram) -> LPResult:
     basis = [ncols + i for i in range(len(rows))]
 
     # the cost row of −c·x; the slack basis has zero cost, so it is reduced
-    goal = {j: -c for j, c in objective.items() if c}
+    goal = {j: -c for j, c in lp._objective.items() if c}
     goal[_DEN] = 1
     status, pivots, cost = _optimize(rows, _integer_row(goal), basis)
     if status == "unbounded":
@@ -307,11 +268,7 @@ def solve(lp: LinearProgram) -> LPResult:
     for b, row in zip(basis, rows):
         p = row.get(_RHS)
         if p and b < ncols:
-            q = row[b]
-            if owner:
-                b, sign = owner[b]
-                p *= sign
-            basic[b] = (p, q)
+            basic[b] = (p, row[b])
     den = cost[_DEN]
     duals = [cost.get(ncols + i, 0) for i in range(len(rows))]
     return LPResult("optimal", pivots, den, cost.get(_RHS, 0), duals, basic, names)

@@ -32,7 +32,7 @@ a quantity over acc sets in one linear pass along cover edges.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from ._record import record
 from .errors import ResourceCapError, SpaceError
@@ -238,13 +238,6 @@ class TreeSpace:
             return False
         return self._pos[n.recurring[0]] <= self._pos[y] < self._end[ident]
 
-    def preorder(self) -> list[int]:
-        """The node ids in depth-first preorder from the root, each node's
-        prefix children before its recurring ones.  Reversed, it lists
-        every node after its whole subtree."""
-        self.require_valid()
-        return list(self._order)
-
     def rank(self, ident: Optional[int] = None) -> int:
         """Accumulation rank: 0 at leaves, else 1 + max rank over acc.
 
@@ -310,16 +303,14 @@ class PointRef:
     def extend(self, *more: Step) -> "PointRef":
         return PointRef(self.steps + tuple(more))
 
-    def truncated(self, length: int) -> "PointRef":
-        return PointRef(self.steps[:length])
 
-
-def resolve(space: TreeSpace, point: PointRef) -> int:
-    """Node id reached by following the path; raises on malformed paths."""
+def walk(space: TreeSpace, point: PointRef) -> Iterator[tuple[Step, int]]:
+    """(step, node id it enters) along the path, from the root; raises
+    ``SpaceError`` at the first step the space does not have."""
     space.require_valid()
     cur = space.root
     for i, s in enumerate(point.steps):
-        n = space.node(cur)
+        n = space.nodes[cur]
         if isinstance(s, PrefixStep):
             if not 0 <= s.child < len(n.prefix):
                 raise SpaceError(
@@ -336,29 +327,15 @@ def resolve(space: TreeSpace, point: PointRef) -> int:
             if s.copy < 1:
                 raise SpaceError("step %d: copy index must be >= 1" % i)
             cur = n.recurring[s.pattern]
-    return cur
+        yield s, cur
 
 
-def truncate_point(
-    space: TreeSpace,
-    point: PointRef,
-    threshold: int,
-    moving: Optional[frozenset[int]] = None,
-) -> PointRef:
-    """Cut the path just before its first recurring step with copy index
-    >= threshold (restricted to steps entering a pattern in ``moving`` when
-    given).  Identity when no step qualifies."""
+def resolve(space: TreeSpace, point: PointRef) -> int:
+    """Node id reached by following the path; raises on malformed paths."""
     cur = space.root
-    for i, s in enumerate(point.steps):
-        n = space.node(cur)
-        if isinstance(s, RecurringStep):
-            pat_root = n.recurring[s.pattern]
-            if s.copy >= threshold and (moving is None or pat_root in moving):
-                return point.truncated(i)
-            cur = pat_root
-        else:
-            cur = n.prefix[s.child]
-    return point
+    for _, cur in walk(space, point):
+        pass
+    return cur
 
 
 def descend_path(space: TreeSpace, start: int, target: int) -> list[tuple[str, int]]:

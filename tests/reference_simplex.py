@@ -45,7 +45,6 @@ class GeneralProgram:
             lp.objective,
             [(coeffs, "<=", rhs) for coeffs, rhs in lp.constraints],
             lp.variables,
-            set(lp._free),
         )
 
     def _register(self, names) -> None:

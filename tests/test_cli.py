@@ -629,6 +629,34 @@ def test_extract_check_refuses_a_short_difference_form(paths):
     assert "at least 2k block boundaries" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "t, message",
+    [
+        ([["r", 5, 1]], "step 0: node 0 has no recurring pattern 5"),
+        ([["p", 0]], "step 0: node 0 has no prefix child 0"),
+        ([["r", 0, 1]] * 5, "step 3: node 3 has no recurring pattern 0"),
+        ([["r", -1, 1]], "step 0: node 0 has no recurring pattern -1"),
+    ],
+    ids=["pattern", "prefix", "past-the-leaf", "negative-pattern"],
+)
+def test_extract_check_refuses_a_point_the_space_lacks(t, message, tmp_path):
+    # the difference form of the depth-3 chain, its t off the space
+    sp = chain_space(3)
+    seq = FunctionSeq(
+        QFunction(sp, {i: F(-((i + 1) % 2)) for i in sp.node_ids()}),
+        MovingStep(None),
+    )
+    d = difference_witness_from_chain(build_jump_chain(seq, 2, 0, F(1, 10)))
+    doc = json.loads(documents.dumps(d))
+    doc["t"] = t
+    seq_path, witness_path = tmp_path / "seq.json", tmp_path / "witness.json"
+    seq_path.write_text(documents.dumps(seq))
+    witness_path.write_text(json.dumps(doc) + "\n")
+    r = run_cli(["extract", "check", seq_path, witness_path, "--quiet"])
+    assert (r.returncode, r.stdout) == (2, "")
+    assert message in r.stderr
+
+
 def test_extract_check_refuses_a_difference_form_with_jumps(paths, h_seq):
     # the difference form of the alpha = 2 chain at eta = 1/10, with a jump
     # it cannot carry: the checker would ignore it, so loading refuses it

@@ -1,5 +1,6 @@
 """Subsequence extraction, witness bundles, and the two checkers."""
 
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,7 @@ from oscal.extraction import (
     IndexSeq,
     MovingStep,
     WitnessBundle,
+    _abs_sum,
     _first_index,
     build_jump_chain,
     check_difference_witness,
@@ -273,6 +275,20 @@ def test_deep_terminal_point_fails(h_seq):
         h_seq, rebuild(b, t=deep, points=b.points[:3] + (deep,))
     )
     assert rep.verdict is Verdict.FALSE
+
+
+def test_checker_time_does_not_grow_with_the_block_boundaries(g_seq):
+    # past t's support threshold every term is the same, so a block ending
+    # at 10^12 is one closed-form term and the off-block scan stops there
+    far = 10**12
+    b = build_jump_chain(g_seq, 1, 0, F(1, 2))
+    start = time.perf_counter()
+    assert check_jump_chain(g_seq, rebuild(b, m=(1, far))).failed() == ["block_1"]
+    d = WitnessBundle(b.indices, (1, far), 1, b.t, F(1, 10), b.lam)
+    assert check_difference_witness(g_seq, d) is Verdict.FALSE
+    # f_j at leaf copy 2 is f(root) = -1 for j <= 2 and f(leaf) = 0 after
+    assert _abs_sum(g_seq, IDENT, leaf(2), F(-1), 1, far).rational == far - 3
+    assert time.perf_counter() - start < 5
 
 
 # --- bundle shape validation ---

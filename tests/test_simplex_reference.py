@@ -14,7 +14,9 @@ from oscal import seqlab, simplex
 from oscal.func import lift_function
 from oscal.oracle import oracle_lp
 from oscal.sampling import build_corpus, random_basis
-from oscal.seqlab import NormKind, PolyBasis, PolySpace, check_identities
+from oscal.seqlab import (
+    NormKind, PolyBasis, PolySpace, check_identities, eps_cc_value,
+)
 from oscal.simplex import LinearProgram
 from oscal.space import unroll
 
@@ -56,12 +58,23 @@ def programs(draw):
 
 
 def build(spec) -> LinearProgram:
+    """The drawn program with each free variable n written n - n~ over two
+    nonnegative columns, n~ right after n, so variables of either sign
+    stay covered."""
     free, objective, rows = spec
+
+    def signed(coeffs):
+        out = {}
+        for n, c in coeffs.items():
+            out[n] = c
+            if n in free:
+                out[n + "~"] = -c
+        return out
+
     lp = LinearProgram()
-    lp.set_objective(objective)
-    lp.make_free(*free)
+    lp.set_objective(signed(objective))
     for coeffs, b in rows:
-        lp.add(coeffs, b)
+        lp.add(signed(coeffs), b)
     return lp
 
 
@@ -84,29 +97,6 @@ UNBOUNDED = (["x"], {"x": -1, "y": 1}, [({"x": 1, "y": -1}, 2)])
 @example(spec=UNBOUNDED)
 def test_generated_programs_match_reference(spec):
     assert_same(build(spec))
-
-
-@st.composite
-def programs_freed_around_their_rows(draw):
-    """A drawn program whose free variables are made free before its
-    objective and rows, after them, or both; "v" appears only there."""
-    free, objective, rows = draw(programs())
-    later = draw(st.sets(st.sampled_from(NAMES + ("v",))))
-    return free, objective, rows, sorted(later)
-
-
-@settings(max_examples=200)
-@given(spec=programs_freed_around_their_rows())
-@example(spec=(["y"], {"x": 1, "y": -1}, [({"x": 1, "y": 1}, 2)], ["x"]))
-def test_programs_freed_before_and_after_their_rows_match_reference(spec):
-    before, objective, rows, after = spec
-    lp = LinearProgram()
-    lp.make_free(*before)
-    lp.set_objective(objective)
-    for coeffs, b in rows:
-        lp.add(coeffs, b)
-    lp.make_free(*after)
-    assert_same(lp)
 
 
 @pytest.mark.parametrize(
@@ -137,14 +127,36 @@ def test_oracle_programs_match_reference(corpus0, k):
 # -- sequence-basis programs -----------------------------------------------------
 
 
+def merged(lp: LinearProgram) -> reference_simplex.GeneralProgram:
+    """A seqlab program with each column pair c+, c- merged back into one
+    free variable c; every pair must carry opposite coefficients."""
+
+    def merge(coeffs):
+        plus = {n[:-1]: c for n, c in coeffs.items() if n.endswith("+")}
+        minus = {n[:-1]: -c for n, c in coeffs.items() if n.endswith("-")}
+        assert plus == minus
+        return {n: c for n, c in coeffs.items() if n[-1] not in "+-"} | plus
+
+    gp = reference_simplex.GeneralProgram(minimize=False)
+    gp.make_free(*(n[:-1] for n in lp.variables if n.endswith("+")))
+    gp.set_objective(merge(lp.objective))
+    for coeffs, rhs in lp.constraints:
+        gp.add(merge(coeffs), "<=", rhs)
+    return gp
+
+
 @pytest.mark.parametrize("kind", list(NormKind))
 def test_identity_programs_match_reference(kind, monkeypatch):
-    """Padded bases are not square, so their functional norms are LPs."""
+    """Padded bases are not square, so their functional norms are LPs, and
+    coefficient ceilings are LPs on every basis.  Each program matches the
+    reference kernel, and so does its optimum over free coefficients."""
     solved = []
 
     def checked(lp):
         solved.append(lp)
-        return assert_same(lp)
+        res = assert_same(lp)
+        assert reference_simplex.solve(merged(lp)).objective == res.objective
+        return res
 
     monkeypatch.setattr(seqlab, "solve", checked)
     rng = random.Random(20261018)
@@ -155,4 +167,7 @@ def test_identity_programs_match_reference(kind, monkeypatch):
             tuple(v + (Fraction(0),) for v in basis.vectors),
         )
         assert check_identities(padded).all_pass
+        for b in (basis, padded):
+            eps_cc_value(b, [1], dim)
+            eps_cc_value(b, [], 1)
     assert solved

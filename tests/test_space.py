@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 import helpers
 from oscal.errors import ResourceCapError, SpaceError
+from oscal.extraction import FunctionSeq, MovingStep
+from oscal.func import QFunction
 from oscal.space import (
     PointRef,
     PrefixStep,
@@ -16,9 +18,9 @@ from oscal.space import (
     descend_path,
     point_at,
     resolve,
-    truncate_point,
     unroll,
     unrolled_size,
+    walk,
 )
 
 spaces = st.sampled_from(helpers.corpus().spaces)
@@ -109,17 +111,6 @@ def test_in_acc_is_membership_in_acc(space):
 
 
 @given(spaces)
-def test_preorder_puts_each_subtree_in_one_run(space):
-    order = space.preorder()
-    assert sorted(order) == space.node_ids() and order[0] == space.root
-    for x in order:
-        lo = order.index(x)
-        assert set(order[lo:lo + len(space.subtree(x))]) == space.subtree(x)
-        n = space.node(x)
-        assert [c for c in order if c in n.children()] == list(n.children())
-
-
-@given(spaces)
 def test_descend_path_walks_to_the_target(space):
     for target in space.node_ids():
         cur = space.root
@@ -138,23 +129,28 @@ def test_node_path_lists_every_node_visited(k3):
     p = PointRef((RecurringStep(0, 1), RecurringStep(0, 2)))
     assert helpers.node_path(k3, p) == [0, 1, 2]
     assert resolve(k3, p) == 2
+    assert list(walk(k3, p)) == list(zip(p.steps, [1, 2]))
 
 
 def test_pointref_helpers():
     p = PointRef((RecurringStep(0, 5), RecurringStep(0, 2)))
     assert helpers.max_copy(p) == 5
-    assert p.truncated(1) == PointRef((RecurringStep(0, 5),))
     assert p.extend(RecurringStep(0, 9)).steps[-1] == RecurringStep(0, 9)
 
 
 def test_truncate_point_cuts_at_the_threshold(k3):
+    # f_j(p) is the limit where p is cut: before its first moving copy >= j
     p = PointRef(tuple(RecurringStep(0, c) for c in (1, 4, 2)))
-    assert truncate_point(k3, p, 5) == p
-    assert truncate_point(k3, p, 4) == p.truncated(1)
-    assert truncate_point(k3, p, 1) == PointRef(())
-    # a restricted moving set only cuts at steps entering those patterns
-    assert truncate_point(k3, p, 1, moving=frozenset({3})) == p.truncated(2)
-    assert truncate_point(k3, p, 1, moving=frozenset({2})) == p.truncated(1)
+    f = QFunction(k3, {i: Fraction(i) for i in k3.node_ids()})
+    seq = FunctionSeq(f, MovingStep(None))
+    assert [seq.eval(j, p) for j in (5, 4, 2, 1)] == [3, 1, 1, 0]
+    assert seq.support_threshold(p) == 4
+    # a restricted moving set only counts steps entering those patterns;
+    # the limit must then be constant, so only the threshold shows it
+    flat = QFunction(k3, dict.fromkeys(k3.node_ids(), Fraction(0)))
+    for moving, top in (({3}, 2), ({2}, 4), ({2, 3}, 4)):
+        seq = FunctionSeq(flat, MovingStep(frozenset(moving)))
+        assert seq.support_threshold(p) == top
 
 
 @given(spaces, st.integers(min_value=0, max_value=2))
