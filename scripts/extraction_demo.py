@@ -1,10 +1,11 @@
 """Walk one extraction end to end and then break it on purpose.
 
 Builds the alternating sequence on the rank-3 chain space, extracts a
-depth-2 jump chain, prints the witness bundle as a document, re-checks it
-with the independent checker, reduces the chain built at eta/5 to
-difference form at eta, and finally corrupts single fields to show the
-checker naming each violated condition.
+depth-2 jump chain, prints the witness bundle as a document and the
+terms f_j(t) at its final point, re-checks it with the independent
+checker, reduces the chain built at eta/5 to difference form at eta, and
+finally corrupts single fields to show the checker naming each violated
+condition.
 
     python3 scripts/extraction_demo.py [--eta 1/2]
 """
@@ -49,6 +50,9 @@ def main(argv=None) -> int:
     bundle = build_jump_chain(seq, 2, 0, ns.eta)
     print("witness bundle:")
     print(documents.dumps(bundle), end="")
+    # f_j(t) moves with j until j passes t's copy indices, then is f(t)
+    terms = [seq.eval(j, bundle.t) for j in range(1, 2 * bundle.k + 2)]
+    print("f_j(t), j = 1..%d: %s" % (len(terms), ", ".join(map(str, terms))))
 
     report = check_jump_chain(seq, bundle)
     print("\nchain check: %s" % report.verdict.name)

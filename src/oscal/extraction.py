@@ -22,12 +22,15 @@ index given in closed form, with no search.
 ``build_jump_chain`` runs the extraction at any stage from 1 up to the
 index, as one loop over the stages: the paper's induction on the stage.
 Every round realizes its points the same way; round 1 also fixes the
-subsequence, from the exact tail of its first point.  Two checkers,
-``check_jump_chain`` and ``check_difference_witness``, re-verify a bundle.
+subsequence, from the exact tail of its first point; only it imports the
+stage iteration.  ``check_jump_chain`` and ``check_difference_witness``
+re-verify a bundle, reading t through ``FunctionSeq.runs``: one term per
+run, so their time is bounded by t's path length, not m or its copies.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Union
@@ -46,7 +49,6 @@ from .space import (
     resolve,
     walk,
 )
-from .transfinite import iterate, level_set_witness, v_pre_step
 
 
 def _abs_sum(
@@ -57,20 +59,20 @@ def _abs_sum(
     lo: int,
     hi: Optional[int],
 ) -> IntervalSum:
-    """Exact sum_{lo <= i < hi} |f_{n_i}(pt) - ref|.  Past the support
-    threshold T of pt every term is |f(pt) - ref|, so the scan stops at the
-    first n_i > T and adds the hi - i terms left as one, (hi - i) (f(pt) -
-    ref), exact for Gaussian values too since |c z| = c |z|.  With hi None
-    the range is open, and callers summing to infinity pass ref = f(pt),
-    whose terms past T are 0."""
-    top = seq.support_threshold(pt)
+    """Exact sum_{lo <= i < hi} |f_{n_i}(pt) - ref|, one term per run of
+    ``seq.runs(pt)``: the c positions count(T) < i <= count(T') with n_i in
+    a run (T, T'] add |c (v - ref)|, exact for Gaussian v since |c z| = c |z|.
+    With hi None the range is open; callers summing to infinity pass ref =
+    f(pt), so the last run, whose terms are 0, is left out."""
+    breaks, values = seq.runs(pt)
+    ends = [indices.count(top) + 1 for top in breaks]
+    if hi is not None:
+        ends = [min(end, hi) for end in ends + [hi]]
     acc = IntervalSum()
-    i = lo
-    while (hi is None or i < hi) and indices.value(i) <= top:
-        acc.add_abs(seq.eval(indices.value(i), pt) - ref)
-        i += 1
-    if hi is not None and i < hi:
-        acc.add_abs((hi - i) * (seq.limit.at_point(pt) - ref))
+    for end, v in zip(ends, values):
+        if end > lo:
+            acc.add_abs((end - lo) * (v - ref))
+            lo = end
     return acc
 
 
@@ -184,52 +186,46 @@ class FunctionSeq:
 
     # evaluation ---------------------------------------------------------
 
+    def runs(self, x: PointRef) -> tuple[list[int], list[Scalar]]:
+        """j -> f_j(x) as a step function, read in one walk of all of x's
+        path: breaks T_1 < ... < T_r and values v_0 .. v_r with f_j(x) = v_i
+        for T_i < j <= T_{i+1}, T_0 = 0, T_{r+1} infinite.  So v_r is f(x),
+        and T_r (0 if r = 0) is x's support threshold.  ``MovingStep`` cuts x
+        before its first moving copy >= j, so the breaks are the moving
+        copies above every earlier one and v_i is the limit just before copy
+        T_{i+1}; ``EventuallyLimit`` has breaks 1..J and values the prefix
+        terms, then the limit.  A malformed x raises ``SpaceError``."""
+        g = self.generator
+        if isinstance(g, EventuallyLimit):
+            node = resolve(self.space, x)
+            values = [h(node) for h in g.prefix] + [self.limit(node)]
+            return list(range(1, len(g.prefix) + 1)), values
+        breaks, values, node = [0], [], self.space.root
+        for s, entered in walk(self.space, x):
+            if (isinstance(s, RecurringStep) and s.copy > breaks[-1]
+                    and (g.moving is None or entered in g.moving)):
+                breaks.append(s.copy)
+                values.append(self.limit(node))
+            node = entered
+        return breaks[1:], values + [self.limit(node)]
+
     def eval(self, j: int, x: PointRef) -> Scalar:
-        """f_j(x).  Under ``MovingStep``: the limit at the node the path is
-        at just before it first enters a moving copy >= j, or at its end
-        if it never does, read in one walk that stops there."""
+        """f_j(x), read from ``runs(x)``."""
         if j < 1:
             raise PreconditionError("sequence indices start at 1")
-        g = self.generator
-        if isinstance(g, EventuallyLimit):
-            if j <= len(g.prefix):
-                return g.prefix[j - 1].at_point(x)
-            return self.limit.at_point(x)
-        node = self.space.root
-        for s, entered in walk(self.space, x):
-            if (isinstance(s, RecurringStep) and s.copy >= j
-                    and (g.moving is None or entered in g.moving)):
-                break
-            node = entered
-        return self.limit(node)
-
-    def support_threshold(self, x: PointRef) -> int:
-        """A threshold T with f_j(x) = limit(x) for every j > T: the
-        largest copy index of a moving step of the path (0 if it has none),
-        or the prefix length."""
-        g = self.generator
-        if isinstance(g, EventuallyLimit):
-            return len(g.prefix)
-        best = 0
-        for s, entered in walk(self.space, x):
-            if (isinstance(s, RecurringStep)
-                    and (g.moving is None or entered in g.moving)):
-                best = max(best, s.copy)
-        return best
+        breaks, values = self.runs(x)
+        return values[bisect_left(breaks, j)]
 
     def tail_terms(self, x: PointRef, m: int) -> list[tuple[int, Scalar]]:
         """All (j, f_j(x) - f(x)) with j >= m and a nonzero difference."""
         if m < 1:
             raise PreconditionError("tail start must be at least 1")
-        base = self.limit.at_point(x)
+        breaks, values = self.runs(x)
         out = []
-        for j in range(m, self.support_threshold(x) + 1):
-            d = self.eval(j, x) - base
-            if isinstance(d, GaussianRational):
-                if not d.is_zero():
-                    out.append((j, d))
-            elif d != 0:
-                out.append((j, d))
+        for lo, top, v in zip([0] + breaks, breaks, values):
+            d = v - values[-1]
+            if not (d.is_zero() if isinstance(d, GaussianRational) else d == 0):
+                out.extend((j, d) for j in range(max(lo + 1, m), top + 1))
         return out
 
 
@@ -258,6 +254,11 @@ class IndexSeq:
         if i <= len(self.prefix):
             return self.prefix[i - 1]
         return i + self.offset
+
+    def count(self, j: int) -> int:
+        """#{i : n_i <= j}."""
+        head = len(self.prefix)
+        return bisect_right(self.prefix, j) + max(0, j - self.offset - head)
 
 
 def _jump_target(phi: QFunction, start: int, pool: list[int]) -> tuple:
@@ -392,15 +393,15 @@ def check_difference_witness(seq: FunctionSeq, bundle: WitnessBundle) -> Verdict
       2)  Re e_{m_{2j}}(t) > 0 for each j
       3)  sum over i outside {m_1, ..., m_{2k}} of |e_i(t)| < eta lam
 
-    The sum in 3) ranges over all positive integers, but e_i(t) vanishes
-    once n_{i-1} passes the support threshold of t, where b_i and b_{i-1}
-    both equal f(t).  The scan stops there, however large m is."""
+    The sum in 3) skips i = 1 = m_1, and b_i = b_{i-1} unless a break T
+    of ``seq.runs(t)`` has n_{i-1} <= T < n_i, i.e. i = count(T) + 1; so
+    3) sums those i alone, whatever m or t's copy indices are."""
     indices, m, t, k = bundle.indices, bundle.m, bundle.t, bundle.k
     lam, eta = bundle.lam, bundle.eta
-    top = seq.support_threshold(t)
+    breaks, values = seq.runs(t)
 
     def b(i: int) -> Scalar:
-        return seq.eval(indices.value(i), t)
+        return values[bisect_left(breaks, indices.value(i))]
 
     def e(i: int) -> Scalar:
         return b(i) if i == 1 else b(i) - b(i - 1)
@@ -412,11 +413,8 @@ def check_difference_witness(seq: FunctionSeq, bundle: WitnessBundle) -> Verdict
     main = sum((re(e(m[2 * j - 1])) for j in range(1, k + 1)), Fraction(0))
     positive = all(re(e(m[2 * j - 1])) > 0 for j in range(1, k + 1))
     off = IntervalSum()
-    i = 1
-    while i == 1 or indices.value(i - 1) <= top:
-        if i not in marked:
-            off.add_abs(e(i))
-        i += 1
+    for i in {indices.count(top) + 1 for top in breaks} - marked:
+        off.add_abs(e(i))
     return verdict_all(
         [verdict(main > (1 - eta) * lam), verdict(positive), off.less_than(eta * lam)]
     )
@@ -497,6 +495,7 @@ def build_jump_chain(
     eta in ``level_set_witness``.  The budget holds: the next beta is
     v_{j-1}(t) <= v_{j-1}(y) < beta, so the alpha - 1 level-set errors
     add up to less than eta beta / 2."""
+    from .transfinite import iterate, level_set_witness, v_pre_step
     eta = rat(eta)
     if not 0 < eta < 1:
         raise PreconditionError("eta must lie strictly between 0 and 1")

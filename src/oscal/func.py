@@ -151,9 +151,34 @@ def lsc_envelope(f: QFunction) -> QFunction:
     return _envelope(f, min, "lower envelope")
 
 
-def is_lsc(f: QFunction) -> bool:
-    f.require_real("semicontinuity test")
-    return f.values == lsc_envelope(f).values
+def decomposition_problems(sp: TreeSpace, f: dict, u: dict, v: dict) -> list[str]:
+    """Why u, v (by node; ints or fractions) fail to decompose f on the
+    valid space ``sp``: "negativity" unless u, v ≥ 0, "difference" unless
+    u − v = f, and "monotonicity at p", p the lowest limit node with u(p) >
+    u(y) or v(p) > v(y) for some y in acc(p): lower semicontinuity on a tree
+    presentation.  acc(p) is the union of {z} ∪ acc(z) over its cover, so
+    one ``fold_cover`` pass of the minima of u and v over {p} ∪ acc(p)
+    finds every such p."""
+    problems = []
+    if any(u[i] < 0 or v[i] < 0 for i in sp.nodes):
+        problems.append("negativity")
+    if any(u[i] - v[i] != f[i] for i in sp.nodes):
+        problems.append("difference")
+    broken = []
+
+    def low(x, cover, out):  # minima of u and v over {x} ∪ acc(x)
+        if not cover:
+            return u[x], v[x]
+        mu = min(u[x], min(out[z][0] for z in cover))
+        mv = min(v[x], min(out[z][1] for z in cover))
+        if mu < u[x] or mv < v[x]:
+            broken.append(x)
+        return mu, mv
+
+    sp.fold_cover(low)
+    if broken:
+        problems.append("monotonicity at %d" % min(broken))
+    return problems
 
 
 def is_continuous(f: QFunction) -> bool:

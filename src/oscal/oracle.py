@@ -94,7 +94,7 @@ from typing import Optional
 
 from ._record import record
 from .errors import InternalCheckError, PreconditionError
-from .func import QFunction
+from .func import QFunction, decomposition_problems
 from .simplex import LinearProgram, LPResult, solve
 from .space import TreeSpace, unroll
 
@@ -196,38 +196,14 @@ def _verify(sp: TreeSpace, cert: _Certificate) -> None:
     """Raise ``InternalCheckError`` unless ``cert`` certifies its optimum
     on the valid space ``sp``.
 
-    The primal side: u, v ≥ 0, u − v = f, u(p) ≤ u(y) and v(p) ≤ v(y) at
-    every limit node p for every y in acc(p), and sup(u + v) ≤ t and equal
-    to the optimum.  Monotonicity is lower semicontinuity on a tree
-    presentation, so no separate lsc test runs.  acc(p) is the union of
-    {z} ∪ acc(z) over its cover, so one ``fold_cover`` pass of the minima
-    of u and v over {p} ∪ acc(p) finds every limit node that breaks it;
-    the lowest id is named.  The dual side: y, z ≥ 0 with Σ y ≤ 1, every
-    z on an acc pair of ``sp`` with its bound c_py recomputed from f,
-    every row of w satisfied, and a dual objective equal to sup(u + v).
+    The primal side: ``decomposition_problems``, and sup(u + v) ≤ t and
+    equal to the optimum.  The dual side: y, z ≥ 0 with Σ y ≤ 1, every z on
+    an acc pair of ``sp`` with its bound c_py recomputed from f, every row
+    of w satisfied, and a dual objective equal to sup(u + v).
     """
     f, u, v = cert.f, cert.u, cert.v
     nodes = sp.nodes
-    problems = []
-    if any(u[i] < 0 or v[i] < 0 for i in nodes):
-        problems.append("negativity")
-    if any(u[i] - v[i] != f[i] for i in nodes):
-        problems.append("difference")
-    broken = []
-
-    def low(x, cover, out):  # minima of u and v over {x} ∪ acc(x)
-        mu, mv = u[x], v[x]
-        if cover:
-            au = min(out[z][0] for z in cover)
-            av = min(out[z][1] for z in cover)
-            if mu > au or mv > av:
-                broken.append(x)
-            mu, mv = min(mu, au), min(mv, av)
-        return mu, mv
-
-    sp.fold_cover(low)
-    if broken:
-        problems.append("monotonicity at %d" % min(broken))
+    problems = decomposition_problems(sp, f, u, v)
     sup = max(u[i] + v[i] for i in nodes)
     if sup > cert.t:
         problems.append("bound")

@@ -35,7 +35,7 @@ from ._record import record
 from .errors import InternalCheckError, PreconditionError
 from .func import (
     QFunction,
-    is_lsc,
+    decomposition_problems,
     usc_envelope,
     zero_function,
     _gap,
@@ -178,11 +178,11 @@ def decompose(f: QFunction) -> Decomposition:
     u_vals = {i: (lam - final[i] + x) * half for i, x in fv.items()}
     v_vals = {i: (lam - final[i] - x) * half for i, x in fv.items()}
     u, v = QFunction(f.space, u_vals), QFunction(f.space, v_vals)
+    problems = decomposition_problems(f.space, fv, u_vals, v_vals)
     checks = {
-        "difference": all(u_vals[i] - v_vals[i] == x for i, x in fv.items()),
-        "nonnegative": all(val >= 0 for val in u_vals.values())
-        and all(val >= 0 for val in v_vals.values()),
-        "lower_semicontinuous": is_lsc(u) and is_lsc(v),
+        "difference": "difference" not in problems,
+        "nonnegative": "negativity" not in problems,
+        "lower_semicontinuous": not any(p.startswith("monotonicity") for p in problems),
         "sup_norm": max(abs(u_vals[i] + v_vals[i]) for i in fv) == lam,
     }
     bad = [name for name, ok in checks.items() if not ok]

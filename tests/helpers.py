@@ -8,7 +8,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from oscal.errors import InternalCheckError
-from oscal.func import QFunction, usc_envelope
+from oscal.func import QFunction, lsc_envelope, usc_envelope
 from oscal.rationals import GaussianRational
 from oscal.sampling import DEFAULT_SEED, build_corpus, random_space
 from oscal.seqlab import PolyBasis, SpanFunctional
@@ -202,6 +202,11 @@ def staged_function(seed: int, depth: int = 4) -> QFunction:
 def is_usc(f: QFunction) -> bool:
     f.require_real("semicontinuity test")
     return f.values == usc_envelope(f).values
+
+
+def is_lsc(f: QFunction) -> bool:
+    f.require_real("semicontinuity test")
+    return f.values == lsc_envelope(f).values
 
 
 def osc_pre_step(f: QFunction, w: QFunction) -> QFunction:

@@ -13,17 +13,22 @@ copy indices with ``_scan_copies``, the copy-window scan the package used
 before it realized every point at a closed-form copy; ``scan_witness`` is
 the search that the closed form of ``ExtractionPlan.witness`` replaced.
 
-``tail_bound`` is the tail sum ``FunctionSeq`` used to offer, summed term
-by term from ``eval``: the tests check ``tail_terms`` against it and use it
-for the n_1 scan that the package replaced with one suffix sum.
-It and ``uniform_bound`` round an irrational modulus up with ``_abs_upper``,
-the 30-bit rounding that n_1 was once chosen with.
+``eval_term``, ``support_threshold``, ``abs_sum`` and
+``check_difference_witness`` are the per-term readers the package used
+before ``FunctionSeq.runs`` read j -> f_j(x) as a step function: one
+path walk per term, up to the support threshold of the point.  They are
+the differential oracle for ``eval``, ``_abs_sum`` and the difference
+checker.  ``tail_bound`` is the tail sum ``FunctionSeq`` used to offer,
+summed term by term from ``eval_term``: the tests check ``tail_terms``
+against it and use it for the n_1 scan that the package replaced with one
+suffix sum.  It and ``uniform_bound`` round an irrational modulus up with
+``_abs_upper``, the 30-bit rounding that n_1 was once chosen with.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Optional
 
 from oscal.errors import InternalCheckError, PreconditionError
 from oscal._record import record
@@ -55,6 +60,7 @@ from oscal.space import (
     descend_path,
     point_at,
     resolve,
+    walk,
 )
 from oscal.transfinite import iterate, level_set_witness, v_pre_step
 
@@ -73,6 +79,107 @@ def _abs_upper(z: Scalar) -> Fraction:
     return abs(z)
 
 
+# -- the per-term readers -------------------------------------------------------
+
+
+def eval_term(seq: FunctionSeq, j: int, x: PointRef) -> Scalar:
+    """f_j(x).  Under ``MovingStep``: the limit at the node the path is
+    at just before it first enters a moving copy >= j, or at its end
+    if it never does, read in one walk that stops there."""
+    if j < 1:
+        raise PreconditionError("sequence indices start at 1")
+    g = seq.generator
+    if isinstance(g, EventuallyLimit):
+        if j <= len(g.prefix):
+            return g.prefix[j - 1].at_point(x)
+        return seq.limit.at_point(x)
+    node = seq.space.root
+    for s, entered in walk(seq.space, x):
+        if (isinstance(s, RecurringStep) and s.copy >= j
+                and (g.moving is None or entered in g.moving)):
+            break
+        node = entered
+    return seq.limit(node)
+
+
+def support_threshold(seq: FunctionSeq, x: PointRef) -> int:
+    """A threshold T with f_j(x) = limit(x) for every j > T: the
+    largest copy index of a moving step of the path (0 if it has none),
+    or the prefix length."""
+    g = seq.generator
+    if isinstance(g, EventuallyLimit):
+        return len(g.prefix)
+    best = 0
+    for s, entered in walk(seq.space, x):
+        if (isinstance(s, RecurringStep)
+                and (g.moving is None or entered in g.moving)):
+            best = max(best, s.copy)
+    return best
+
+
+def abs_sum(
+    seq: FunctionSeq,
+    indices: IndexSeq,
+    pt: PointRef,
+    ref: Scalar,
+    lo: int,
+    hi: Optional[int],
+) -> IntervalSum:
+    """Exact sum_{lo <= i < hi} |f_{n_i}(pt) - ref|.  Past the support
+    threshold T of pt every term is |f(pt) - ref|, so the scan stops at the
+    first n_i > T and adds the hi - i terms left as one, (hi - i) (f(pt) -
+    ref), exact for Gaussian values too since |c z| = c |z|.  With hi None
+    the range is open, and callers summing to infinity pass ref = f(pt),
+    whose terms past T are 0."""
+    top = support_threshold(seq, pt)
+    acc = IntervalSum()
+    i = lo
+    while (hi is None or i < hi) and indices.value(i) <= top:
+        acc.add_abs(eval_term(seq, indices.value(i), pt) - ref)
+        i += 1
+    if hi is not None and i < hi:
+        acc.add_abs((hi - i) * (seq.limit.at_point(pt) - ref))
+    return acc
+
+
+def check_difference_witness(seq: FunctionSeq, bundle: WitnessBundle) -> Verdict:
+    """Difference-sequence form: with b_i = f_{n_i}, e_1 = b_1 and
+    e_i = b_i - b_{i-1},
+
+      1)  sum_{j<=k} Re e_{m_{2j}}(t) > (1 - eta) lam
+      2)  Re e_{m_{2j}}(t) > 0 for each j
+      3)  sum over i outside {m_1, ..., m_{2k}} of |e_i(t)| < eta lam
+
+    The sum in 3) ranges over all positive integers, but e_i(t) vanishes
+    once n_{i-1} passes the support threshold of t, where b_i and b_{i-1}
+    both equal f(t).  The scan stops there, however large m is."""
+    indices, m, t, k = bundle.indices, bundle.m, bundle.t, bundle.k
+    lam, eta = bundle.lam, bundle.eta
+    top = support_threshold(seq, t)
+
+    def b(i: int) -> Scalar:
+        return eval_term(seq, indices.value(i), t)
+
+    def e(i: int) -> Scalar:
+        return b(i) if i == 1 else b(i) - b(i - 1)
+
+    def re(z: Scalar) -> Fraction:
+        return z.re if isinstance(z, GaussianRational) else z
+
+    marked = set(m[: 2 * k])
+    main = sum((re(e(m[2 * j - 1])) for j in range(1, k + 1)), Fraction(0))
+    positive = all(re(e(m[2 * j - 1])) > 0 for j in range(1, k + 1))
+    off = IntervalSum()
+    i = 1
+    while i == 1 or indices.value(i - 1) <= top:
+        if i not in marked:
+            off.add_abs(e(i))
+        i += 1
+    return verdict_all(
+        [verdict(main > (1 - eta) * lam), verdict(positive), off.less_than(eta * lam)]
+    )
+
+
 def uniform_bound(seq: FunctionSeq) -> Fraction:
     """Rational bound on |f_j| over all j and all points."""
     vals = list(seq.limit.values.values())
@@ -89,8 +196,8 @@ def tail_bound(seq: FunctionSeq, x: PointRef, m: int) -> Fraction:
     base = seq.limit.at_point(x)
     return sum(
         (
-            _abs_upper(seq.eval(j, x) - base)
-            for j in range(m, seq.support_threshold(x) + 1)
+            _abs_upper(eval_term(seq, j, x) - base)
+            for j in range(m, support_threshold(seq, x) + 1)
         ),
         Fraction(0),
     )
@@ -121,7 +228,7 @@ class ExtractionPlan:
         seq, x1 = self.seq, self.x1
         last = self.indices.value(m - 1) if m > 1 else 1
         x2 = _realize(
-            seq, x1, self.target, 1 if seq.support_threshold(x1) >= last else last
+            seq, x1, self.target, 1 if support_threshold(seq, x1) >= last else last
         )
         if check_jump_witness(
             seq, self.indices, x1, x2, m, self.delta, self.eta

@@ -29,10 +29,11 @@ from fractions import Fraction
 
 import oscal.oracle
 from oscal.errors import InternalCheckError, PreconditionError
-from oscal.func import QFunction, is_lsc, lift_function
+from oscal.func import QFunction, lift_function
 from oscal.oracle import OracleResult, SymmetryReport
 from oscal.simplex import LinearProgram, solve
 from oscal.space import unroll
+from helpers import is_lsc
 from reference_simplex import GeneralProgram
 
 

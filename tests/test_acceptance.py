@@ -127,7 +127,7 @@ def test_criterion_02_decomposition_attained():
         assert (u - v).values == f.values
         assert all(x >= 0 for x in u.values.values())
         assert all(x >= 0 for x in v.values.values())
-        from oscal.func import is_lsc
+        from helpers import is_lsc
 
         assert is_lsc(u) and is_lsc(v)
         assert max((u + v).values.values()) == dec.norm

@@ -887,7 +887,7 @@ def import_cases(paths, f2, h_seq):
             json.dumps({"conditions": {n: v.name.lower()
                                        for n, v in report.conditions.items()},
                         "verdict": report.verdict.name.lower()}, indent=2) + "\n",
-            _EXTRACT),
+            _EXTRACT | {"transfinite"}),
     }
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 import helpers
-from oscal.errors import PreconditionError
+from oscal.errors import PreconditionError, SpaceError
 from oscal.extraction import (
     EventuallyLimit,
     FunctionSeq,
@@ -51,7 +51,8 @@ def test_tail_bounds(g_seq):
     assert tail_bound(g_seq, leaf(5), 2) == F(4)
     assert tail_bound(g_seq, leaf(5), 6) == F(0)
     assert uniform_bound(g_seq) == F(1)
-    assert g_seq.support_threshold(leaf(5)) == 5
+    # f_j at leaf copy 5 is f(root) = -1 for j <= 5 and f(leaf) = 0 after
+    assert g_seq.runs(leaf(5)) == ([5], [F(-1), F(0)])
 
 
 @pytest.mark.parametrize("m", range(1, 8))
@@ -74,6 +75,21 @@ def test_eval_on_alternating_chain(h_seq):
     ]
 
 
+def test_eval_walks_all_of_a_malformed_point():
+    # the cut for j = 1 comes at the first step, before the path leaves
+    # the space at step 3; the walk still reads the whole path
+    sp = chain_space(3)
+    f = QFunction(sp, {i: F(i) for i in sp.node_ids()})
+    seq = FunctionSeq(f, MovingStep(None))
+    p = PointRef((RecurringStep(0, 1),) * 5)
+    for j in (1, 2, 10**12):
+        with pytest.raises(SpaceError):
+            seq.eval(j, p)
+    for read in (seq.runs, lambda x: seq.tail_terms(x, 1)):
+        with pytest.raises(SpaceError):
+            read(p)
+
+
 # --- index sequences ---
 
 
@@ -81,6 +97,13 @@ def test_index_seq_values():
     n = IndexSeq((2, 5), 7)
     assert [n.value(i) for i in (1, 2, 3, 4)] == [2, 5, 10, 11]
     assert IDENT.value(9) == 9
+
+
+def test_index_seq_count():
+    for n in (IndexSeq((2, 5), 7), IDENT, IndexSeq((1, 3), 1), IndexSeq((), 4)):
+        values = [n.value(i) for i in range(1, 40)]
+        for j in range(0, 30):
+            assert n.count(j) == sum(v <= j for v in values), (n, j)
 
 
 def test_index_seq_must_increase():
@@ -122,16 +145,16 @@ def test_first_index_takes_one_pass_over_the_tail(monkeypatch):
     seq = step_seq()
     x1 = leaf(1000)
     calls = []
-    real_eval = FunctionSeq.eval
+    real_runs = FunctionSeq.runs
 
-    def counted(self, j, x):
-        calls.append(j)
-        return real_eval(self, j, x)
+    def counted(self, x):
+        calls.append(x)
+        return real_runs(self, x)
 
-    monkeypatch.setattr(FunctionSeq, "eval", counted)
+    monkeypatch.setattr(FunctionSeq, "runs", counted)
     _, n1 = first_index_at(seq, x1, F(1, 2))
     assert n1 == 1001
-    assert len(calls) <= 2 * seq.support_threshold(x1)
+    assert calls == [x1]  # one walk of x1 reads every term
 
 
 # --- jump chains ---
@@ -278,8 +301,9 @@ def test_deep_terminal_point_fails(h_seq):
 
 
 def test_checker_time_does_not_grow_with_the_block_boundaries(g_seq):
-    # past t's support threshold every term is the same, so a block ending
-    # at 10^12 is one closed-form term and the off-block scan stops there
+    # f_j(t) is one value on each run of j between t's moving copies, so a
+    # block ending at 10^12 or a copy index of 10^12 in t is one term per
+    # run, and the off-block sum has one term per run
     far = 10**12
     b = build_jump_chain(g_seq, 1, 0, F(1, 2))
     start = time.perf_counter()
@@ -288,6 +312,15 @@ def test_checker_time_does_not_grow_with_the_block_boundaries(g_seq):
     assert check_difference_witness(g_seq, d) is Verdict.FALSE
     # f_j at leaf copy 2 is f(root) = -1 for j <= 2 and f(leaf) = 0 after
     assert _abs_sum(g_seq, IDENT, leaf(2), F(-1), 1, far).rational == far - 3
+    # t at copy 10^12: f_j(t) = -1 = f(x_1) until then, so block 1 holds
+    # and the tail has 10^12 - 1 terms |-1 - 0|; in difference form the
+    # gain e_2 is 0, and e_i is 0 but at i = 10^12 + 1, where it is 1
+    t = leaf(far)
+    rep = check_jump_chain(g_seq, rebuild(b, t=t, points=(ROOT, t)))
+    assert rep.failed() == ["tail"]
+    assert _abs_sum(g_seq, b.indices, t, F(0), 2, None).rational == far - 1
+    d = WitnessBundle(b.indices, (1, 2), 1, t, F(1, 2), b.lam)
+    assert check_difference_witness(g_seq, d) is Verdict.FALSE
     assert time.perf_counter() - start < 5
 
 
@@ -323,7 +356,7 @@ def test_eventually_limit_semantics(k2):
     assert el.eval(2, p_iso) == F(0)
     assert el.eval(3, p_iso) == F(1)
     assert tail_bound(el, p_iso, 1) == F(2)
-    assert el.support_threshold(p_iso) == 2
+    assert el.runs(p_iso) == ([1, 2], [F(0), F(0), F(1)])
 
 
 def test_eventually_limit_guards(k1, k2):

@@ -2,8 +2,11 @@
 branches it replaced (``reference_extraction``, which finds its copies
 with the scans the closed form replaced) at stages 1 and 2, against both
 checkers at every stage up to the index, and its points against the
-copies the proof puts them at."""
+copies the proof puts them at.  The run-by-run readers (``eval``,
+``_abs_sum`` and both checkers) against the per-term scans they replaced,
+on perturbed corpus witnesses."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -16,19 +19,29 @@ import reference_extraction
 from helpers import replace, staged_function
 from oscal.errors import OscalError
 from oscal.extraction import (
+    EventuallyLimit,
     FunctionSeq,
+    IndexSeq,
     MovingStep,
     WitnessBundle,
+    _abs_sum,
     _realize,
     build_jump_chain,
     check_difference_witness,
     check_jump_chain,
     difference_witness_from_chain,
 )
-from oscal.func import QFunction
+from oscal.func import QFunction, is_continuous
 from oscal.rationals import Verdict
 from oscal.sampling import build_corpus
-from oscal.space import PrefixStep, RecurringStep, chain_space, resolve
+from oscal.space import (
+    PointRef,
+    PrefixStep,
+    RecurringStep,
+    chain_space,
+    point_at,
+    resolve,
+)
 from oscal.transfinite import iterate
 
 PROFILES = {
@@ -228,7 +241,114 @@ def test_one_v_trace_per_build(monkeypatch):
         calls.append(args[1:])
         return iterate(*args, **kwargs)
 
-    monkeypatch.setattr(oscal.extraction, "iterate", counted)
     monkeypatch.setattr(oscal.transfinite, "iterate", counted)
     build_jump_chain(chain_seq(12, PROFILES["alternating"]), 6, 0, F(1, 2))
     assert calls == [("v",)]
+
+
+# -- the run-by-run readers against the per-term scans ---------------------------
+
+
+def perturbed(bundle, rng):
+    """``bundle`` with t's copies drawn from 1..8, m increasing from 1 in
+    steps of 1..3, and indices a prefix of up to three of 1..9 followed by
+    an offset tail; t stays the last point."""
+    t = PointRef(tuple(
+        RecurringStep(s.pattern, rng.randint(1, 8))
+        if isinstance(s, RecurringStep) else s
+        for s in bundle.t.steps
+    ))
+    m = [1]
+    for _ in bundle.m[1:]:
+        m.append(m[-1] + rng.randint(1, 3))
+    prefix = sorted(rng.sample(range(1, 10), rng.randint(0, 3)))
+    offset = (prefix[-1] if prefix else 0) - len(prefix) + rng.randint(0, 2)
+    return replace(
+        bundle, t=t, points=bundle.points[:-1] + (t,), m=tuple(m),
+        indices=IndexSeq(tuple(prefix), offset),
+    )
+
+
+def corpus_witnesses(seed, rng):
+    """Perturbed jump chains of every discontinuous corpus function's
+    ``MovingStep`` sequence, at alpha in {1, 2} from its first two limit
+    nodes, three per chain built."""
+    for f in build_corpus(seed).functions:
+        if is_continuous(f):
+            continue
+        seq = FunctionSeq(f, MovingStep(None))
+        for alpha in (1, 2):
+            for x in f.space.limit_nodes()[:2]:
+                chain = outcome(build_jump_chain, seq, alpha, x, F(1, 2))
+                if isinstance(chain, WitnessBundle):
+                    for _ in range(3):
+                        yield seq, perturbed(chain, rng)
+
+
+def summed(acc):
+    return acc.rational, acc.squares
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_run_readers_match_the_per_term_scans(seed, monkeypatch):
+    rng = random.Random(5 + seed)
+    seen = set()
+    count = 0
+    for seq, w in corpus_witnesses(seed, rng):
+        count += 1
+        t, f = w.t, seq.limit
+        got = check_jump_chain(seq, w).conditions
+        with monkeypatch.context() as patched:
+            patched.setattr(
+                oscal.extraction, "_abs_sum", reference_extraction.abs_sum
+            )
+            want = check_jump_chain(seq, w).conditions
+        assert got == want
+        eta = rng.choice([F(1, 10), F(1, 2), F(9, 10)])
+        d = WitnessBundle(w.indices, w.m, w.k, t, eta, w.lam)
+        verdict = check_difference_witness(seq, d)
+        assert verdict is reference_extraction.check_difference_witness(seq, d)
+        seen.add((got["tail"], got["block_1"], verdict))
+        for ref in {f.at_point(p) for p in w.points}:
+            for lo in range(1, w.m[-1] + 2):
+                his = [lo + 3, 10**6] + ([None] if ref == f.at_point(t) else [])
+                for hi in his:
+                    args = (seq, w.indices, t, ref, lo, hi)
+                    assert summed(_abs_sum(*args)) == summed(
+                        reference_extraction.abs_sum(*args)
+                    ), (ref, lo, hi)
+        for j in range(1, 45):
+            assert seq.eval(j, t) == reference_extraction.eval_term(seq, j, t)
+    assert count > 100
+    # each condition and verdict came out both ways
+    for part in range(3):
+        assert {v[part] for v in seen} == {Verdict.TRUE, Verdict.FALSE}
+
+
+def continuous_function(sp, rng):
+    """Drawn values, then each acc(p) set to the value at p, outermost p
+    first: constant on {p} ∪ acc(p) at every limit node p."""
+    values = {i: F(rng.randint(-3, 3)) for i in sp.node_ids()}
+    for p in sorted(sp.limit_nodes(), key=lambda i: len(point_at(sp, i).steps)):
+        for y in sp.acc(p):
+            values[y] = values[p]
+    return QFunction(sp, values)
+
+
+def test_eventually_limit_runs_match_the_per_term_scan():
+    # prefix terms 2f and -f, then f, for a continuous f on each corpus
+    # space, read at every node
+    rng = random.Random(5)
+    read = 0
+    for sp in build_corpus(0).spaces:
+        f = continuous_function(sp, rng)
+        seq = FunctionSeq(f, EventuallyLimit((f + f, -f)))
+        for node in sp.node_ids():
+            x = point_at(sp, node, 2)
+            assert seq.runs(x)[0] == [1, 2]
+            for j in range(1, 5):
+                assert seq.eval(j, x) == reference_extraction.eval_term(seq, j, x)
+            # the points deeper than one step whose value is not their parent's
+            parent = PointRef(x.steps[:-1])
+            read += len(x.steps) > 1 and f.at_point(x) != f.at_point(parent)
+    assert read > 10

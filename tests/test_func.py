@@ -8,6 +8,7 @@ import helpers
 from helpers import (
     constant_function,
     fmax,
+    is_lsc,
     is_usc,
     leq,
     osc_pre_step,
@@ -19,7 +20,6 @@ from oscal.errors import ExactnessError, MismatchError, PreconditionError
 from oscal.func import (
     QFunction,
     is_continuous,
-    is_lsc,
     lsc_envelope,
     usc_envelope,
     zero_function,

@@ -22,6 +22,7 @@ import reference_func
 from helpers import (
     constant_function,
     drawn_functions,
+    is_lsc,
     is_usc,
     iterated_final_stage,
     osc_pre_step,
@@ -33,7 +34,7 @@ from oscal.func import QFunction, zero_function
 from oscal.rationals import GaussianRational
 from oscal.sampling import build_corpus, random_space
 from oscal.space import chain_space
-from oscal.transfinite import final_stage
+from oscal.transfinite import decompose, final_stage
 
 
 def outcome(call, f):
@@ -57,7 +58,7 @@ def check_final_stage(f):
 
 
 def check_against_reference(f):
-    for fn in (func.usc_envelope, func.lsc_envelope, is_usc, func.is_lsc, func.is_continuous):
+    for fn in (func.usc_envelope, func.lsc_envelope, is_usc, is_lsc, func.is_continuous):
         got = outcome(fn, f)
         assert got == outcome(getattr(reference_func, fn.__name__), f), fn.__name__
     for step, name in ((osc_pre_step, "underline_osc"), (osc_step, "osc")):
@@ -73,7 +74,7 @@ def test_corpus_functions_and_their_envelopes(seed):
     for f in corpus.functions:
         for h in (f, func.usc_envelope(f), func.lsc_envelope(f)):
             check_against_reference(h)
-            seen.add((is_usc(h), func.is_lsc(h), func.is_continuous(h)))
+            seen.add((is_usc(h), is_lsc(h), func.is_continuous(h)))
     for sp in corpus.spaces:
         check_against_reference(constant_function(sp, Fraction(-3, 2)))
     # both branches of each test ran
@@ -123,3 +124,36 @@ def test_cover_form_is_exact_past_an_irrational_pair():
     )
     assert outcome(reference_func.final_stage, f) is ExactnessError
     assert check_final_stage(f) == {0: Fraction(6), 1: Fraction(3), 2: Fraction(0)}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_decomposition_problems_match_the_pair_forms(seed):
+    # u, v off a decomposition by a drawn nudge at a few nodes: the problem
+    # names against the sign and difference tests, the acc-pair lsc test,
+    # and the lowest limit node whose acc holds a smaller value
+    rng = random.Random(seed)
+    seen = set()
+    for f in build_corpus(seed).functions:
+        dec = decompose(f)
+        sp = f.space
+        for _ in range(4):
+            u, v = dict(dec.u.values), dict(dec.v.values)
+            for i in rng.sample(sp.node_ids(), min(2, len(sp))):
+                (u if rng.random() < 0.5 else v)[i] += rng.choice([-2, -1, 1])
+            got = func.decomposition_problems(sp, f.values, u, v)
+            want = []
+            if min(u.values()) < 0 or min(v.values()) < 0:
+                want.append("negativity")
+            if any(u[i] - v[i] != f(i) for i in sp.nodes):
+                want.append("difference")
+            qu, qv = QFunction(sp, u), QFunction(sp, v)
+            if not (reference_func.is_lsc(qu) and reference_func.is_lsc(qv)):
+                low = min(
+                    p for p in sp.limit_nodes()
+                    if any(u[p] > u[y] or v[p] > v[y] for y in sp.acc(p))
+                )
+                want.append("monotonicity at %d" % low)
+            assert got == want
+            seen.update(want)
+    assert {"negativity", "difference"} <= seen
+    assert any(name.startswith("monotonicity") for name in seen)

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 import helpers
 import oscal.oracle
-from helpers import replace
+from helpers import is_lsc, replace
 from oscal.errors import InternalCheckError, PreconditionError
-from oscal.func import QFunction, is_lsc, lift_function
+from oscal.func import QFunction, lift_function
 from oscal.oracle import oracle_dnorm, oracle_lp, symmetry_check
 from oscal.sampling import build_corpus, random_space
 from oscal.simplex import solve

@@ -144,13 +144,17 @@ def test_truncate_point_cuts_at_the_threshold(k3):
     f = QFunction(k3, {i: Fraction(i) for i in k3.node_ids()})
     seq = FunctionSeq(f, MovingStep(None))
     assert [seq.eval(j, p) for j in (5, 4, 2, 1)] == [3, 1, 1, 0]
-    assert seq.support_threshold(p) == 4
+    # copy 2 of the last step is below copy 4 before it: no break there
+    assert seq.runs(p) == ([1, 4], [0, 1, 3])
+    # nor at a copy equal to an earlier one: the breaks strictly increase
+    q = PointRef(tuple(RecurringStep(0, c) for c in (2, 2, 1)))
+    assert seq.runs(q) == ([2], [0, 3])
     # a restricted moving set only counts steps entering those patterns;
-    # the limit must then be constant, so only the threshold shows it
+    # the limit must then be constant, so only the breaks show it
     flat = QFunction(k3, dict.fromkeys(k3.node_ids(), Fraction(0)))
-    for moving, top in (({3}, 2), ({2}, 4), ({2, 3}, 4)):
+    for moving, breaks in (({3}, [2]), ({2}, [4]), ({2, 3}, [4])):
         seq = FunctionSeq(flat, MovingStep(frozenset(moving)))
-        assert seq.support_threshold(p) == top
+        assert seq.runs(p)[0] == breaks
 
 
 @given(spaces, st.integers(min_value=0, max_value=2))
