@@ -52,19 +52,19 @@ from .space import (
 
 
 def _abs_sum(
-    seq: FunctionSeq,
+    runs: tuple[list[int], list[Scalar]],
     indices: IndexSeq,
-    pt: PointRef,
     ref: Scalar,
     lo: int,
     hi: Optional[int],
 ) -> IntervalSum:
     """Exact sum_{lo <= i < hi} |f_{n_i}(pt) - ref|, one term per run of
-    ``seq.runs(pt)``: the c positions count(T) < i <= count(T') with n_i in
-    a run (T, T'] add |c (v - ref)|, exact for Gaussian v since |c z| = c |z|.
-    With hi None the range is open; callers summing to infinity pass ref =
-    f(pt), so the last run, whose terms are 0, is left out."""
-    breaks, values = seq.runs(pt)
+    ``runs = seq.runs(pt)``: the c positions count(T) < i <= count(T') with
+    n_i in a run (T, T'] add |c (v - ref)|, exact for Gaussian v since
+    |c z| = c |z|.  With hi None the range is open; callers summing to
+    infinity pass ref = f(pt), so the last run, whose terms are 0, is left
+    out."""
+    breaks, values = runs
     ends = [indices.count(top) + 1 for top in breaks]
     if hi is not None:
         ends = [min(end, hi) for end in ends + [hi]]
@@ -216,16 +216,19 @@ class FunctionSeq:
         breaks, values = self.runs(x)
         return values[bisect_left(breaks, j)]
 
-    def tail_terms(self, x: PointRef, m: int) -> list[tuple[int, Scalar]]:
-        """All (j, f_j(x) - f(x)) with j >= m and a nonzero difference."""
+    def tail_terms(self, x: PointRef, m: int) -> list[tuple[int, int, Scalar]]:
+        """One (lo, hi, d) per run of ``runs(x)`` that meets j >= m with a
+        nonzero difference: f_j(x) - f(x) = d for lo <= j <= hi, lo >= m.
+        Their number is at most the number of breaks."""
         if m < 1:
             raise PreconditionError("tail start must be at least 1")
         breaks, values = self.runs(x)
         out = []
         for lo, top, v in zip([0] + breaks, breaks, values):
             d = v - values[-1]
-            if not (d.is_zero() if isinstance(d, GaussianRational) else d == 0):
-                out.extend((j, d) for j in range(max(lo + 1, m), top + 1))
+            vanishes = d.is_zero() if isinstance(d, GaussianRational) else d == 0
+            if top >= m and not vanishes:
+                out.append((max(lo + 1, m), top, d))
         return out
 
 
@@ -278,13 +281,30 @@ def _realize(seq: FunctionSeq, base: PointRef, target: int, copy: int) -> PointR
 
 def _first_index(seq: FunctionSeq, x1: PointRef, bound: Fraction) -> int:
     """The least a whose exact tail sum sum_{j >= a} |f_j(x1) - f(x1)| is
-    below ``bound``; the sum only grows as a falls, so walk the terms down
-    once."""
+    below ``bound``.  The sum only grows as a falls, so walk the runs down
+    once; in the run (lo, hi, d) where it reaches the bound, the sum of the
+    later runs plus c |d| = |c d| reaches it for the c top terms of the
+    run from some least c on, found by bisection."""
     tail = IntervalSum()
-    for j, d in reversed(seq.tail_terms(x1, 1)):
-        tail.add_abs(d)
-        if tail.less_than(bound) is Verdict.FALSE:
-            return j + 1
+
+    def reaches(c: int, d: Scalar) -> bool:
+        s = IntervalSum()
+        s.rational, s.squares = tail.rational, list(tail.squares)
+        s.add_abs(c * d)
+        return s.less_than(bound) is Verdict.FALSE
+
+    for lo, hi, d in reversed(seq.tail_terms(x1, 1)):
+        size = hi - lo + 1
+        if reaches(size, d):
+            least, most = 1, size
+            while least < most:
+                mid = (least + most) // 2
+                if reaches(mid, d):
+                    most = mid
+                else:
+                    least = mid + 1
+            return hi - least + 2
+        tail.add_abs(size * d)
     return 1
 
 
@@ -374,13 +394,14 @@ def check_jump_chain(seq: FunctionSeq, bundle: WitnessBundle) -> JumpChainReport
     total = sum(bundle.deltas, Fraction(0))
     ok = (1 - eta) * bundle.lam < total < (1 + eta) * bundle.lam
     conditions["sum_window"] = verdict(ok)
-    n, t = bundle.indices, bundle.t
+    n, runs = bundle.indices, seq.runs(bundle.t)
     for j in range(1, 2 * k):
         fxj = f.at_point(bundle.points[j - 1])
-        acc = _abs_sum(seq, n, t, fxj, bundle.m[j - 1], bundle.m[j])
+        acc = _abs_sum(runs, n, fxj, bundle.m[j - 1], bundle.m[j])
         lim = eta * bundle.deltas[(j + 1) // 2 - 1]
         conditions["block_%d" % j] = acc.less_than(lim)
-    tail = _abs_sum(seq, n, t, f.at_point(t), bundle.m[2 * k - 1], None)
+    # the last value of the runs is f(t)
+    tail = _abs_sum(runs, n, runs[1][-1], bundle.m[2 * k - 1], None)
     conditions["tail"] = tail.less_than(eta * bundle.deltas[k - 1])
     return JumpChainReport(conditions)
 

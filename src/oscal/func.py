@@ -16,6 +16,7 @@ in one children-first pass, and continuity is f(z) = f(p) on each edge.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Mapping, Union
 
@@ -129,6 +130,20 @@ def lift_function(
 ) -> QFunction:
     """Transport f to an unrolled presentation through the node mapping."""
     return QFunction(unrolled, {i: f(node_map[i]) for i in unrolled.nodes})
+
+
+def integer_scale(f: QFunction) -> tuple[int, dict[int, int]]:
+    """D, the lcm of the denominators of a real f's values, and D·f by
+    node, as ints: the one scale on which the stage formula and the norm
+    oracle compute."""
+    ratios = {i: v.as_integer_ratio() for i, v in f.values.items()}
+    scale = math.lcm(*(d for _, d in ratios.values()))
+    return scale, {i: n * (scale // d) for i, (n, d) in ratios.items()}
+
+
+def scaled_function(space: TreeSpace, nums: Mapping[int, int], scale: int) -> QFunction:
+    """The function with value nums[i] / scale at node i."""
+    return QFunction(space, {i: Fraction(x, scale) for i, x in nums.items()})
 
 
 # -- envelopes ----------------------------------------------------------------

@@ -27,17 +27,19 @@ shape:
              −2·y_j + Σ_(p,j) z_pj − Σ_(j,y) z_jy ≤ 0    (column w_j).
 
 Everything is computed on one integer scale.  D, the lcm of the
-denominators of f's values, the node ids, D·f and the cover edges with
-their bounds D·c_py are computed once per certified program, as
-``int``s; the program reads them all, and its certificate check reads the
-same D·f and recomputes the bound of each pair it uses.  The program is the
-dual above for D·f, so every coefficient the kernel sees is an ``int``,
-and each variable is named by its column, so the kernel keeps the program
-as it is built.  Its constraints do not involve f and only its objective
-is scaled, by D > 0: every reduced cost keeps its sign, so Bland's
-entering choices and the ratio tests, hence the pivot path and the y/z
-multipliers, are those of the program for f, while its objective and its
-(t, w) duals are D times f's.
+denominators of f's values, and D·f come from ``func.integer_scale``,
+the scale the stage formula folds on too.  They, the node ids and the
+cover edges with their bounds D·c_py are computed once per certified
+program, as ``int``s, by :func:`_cover`; the program reads them all, and
+its certificate check reads the same D·f and recomputes the bound of
+each pair it uses.  The program is the dual above for D·f, so every
+coefficient the kernel sees is an ``int``, and each variable is named by
+its column, so the kernel keeps the program as it is built.  Its
+constraints do not involve f and only its objective is scaled, by D > 0:
+every reduced cost keeps its sign, so Bland's entering choices and the
+ratio tests, hence the pivot path and the y/z multipliers, are those of
+the program for f, while its objective and its (t, w) duals are D times
+f's.
 
 The certificate is checked by one private checker, :func:`_verify`,
 which trusts neither the kernel nor the reductions.  :func:`_certify`
@@ -53,10 +55,11 @@ read from the kernel's integer answer: with d the cost row's
 denominator, the duals' numerators are d·D·t and d·D·w, so u and v are
 checked as d·D·u and d·D·v, and the multipliers, each a (numerator,
 denominator) pair, over the lcm of their denominators.
-:func:`oracle_dnorm` builds fractions only for what :class:`OracleResult`
-returns, in f's units: the optimum, u and v over d·D, and the kernel's
-result with d·D as its denominator, so its objective and duals are f's
-without a fraction per dual.
+:func:`oracle_dnorm` builds one fraction, the optimum over d·D.  Its
+:class:`OracleResult` holds the checked certificate and the kernel's
+result with d·D as its denominator, so that its objective and duals are
+f's without a fraction per dual; u and v, over d·D in f's units, are
+built from the certificate when first read.
 
 The LP here optimizes over node functions, i.e. decompositions constant
 on pattern copies.  :func:`symmetry_check` confirms that letting copies
@@ -90,11 +93,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from ._record import record
 from .errors import InternalCheckError, PreconditionError
-from .func import QFunction, decomposition_problems
+from .func import QFunction, decomposition_problems, integer_scale, scaled_function
 from .simplex import LinearProgram, LPResult, solve
 from .space import TreeSpace, unroll
 
@@ -105,16 +109,15 @@ _Cover = tuple[int, list[int], dict[int, int], list[tuple[int, int, int]]]
 
 def _cover(f: QFunction) -> _Cover:
     """For a real f on a valid space: D, the lcm of the denominators of its
-    values; its node ids; D·f; and every cover edge (p, y) with D·c_py,
-    where c_py is the tighter of the u row's bound f⁺(y) − f⁺(p) and the v
-    row's bound f⁻(y) − f⁻(p) on w_p − w_y."""
+    values; its node ids; D·f (D and D·f from ``integer_scale``); and
+    every cover edge (p, y) with D·c_py, where c_py is the tighter of the
+    u row's bound f⁺(y) − f⁺(p) and the v row's bound f⁻(y) − f⁻(p) on
+    w_p − w_y."""
     f.require_real("norm oracle")
     sp = f.space
     sp.require_valid()
     nodes = sp.node_ids()
-    values = f.values
-    scale = math.lcm(*(values[i].denominator for i in nodes))
-    df = {i: values[i].numerator * (scale // values[i].denominator) for i in nodes}
+    scale, df = integer_scale(f)
     edges = []
     for p in sp.limit_nodes():
         fp = df[p]
@@ -158,20 +161,6 @@ def oracle_lp(f: QFunction, cover: Optional[_Cover] = None) -> LinearProgram:
     for row in rows:
         lp.add(row, 0)
     return lp
-
-
-@record
-class OracleResult:
-    """The optimum, an attaining decomposition, and the dual LP's result
-    (its ``values`` are the y/z multipliers, its ``duals`` are t then w),
-    all in f's units."""
-
-    optimum: Fraction
-    u: QFunction
-    v: QFunction
-    lp_result: LPResult
-
-
 
 
 @record
@@ -302,17 +291,35 @@ def oracle_dnorm(f: QFunction) -> OracleResult:
     """Exact LP optimum together with an attaining decomposition, certified
     by :func:`_certify`."""
     cert, res = _certify(f)
-    # fractions only for what the result holds, in f's units
-    sp = f.space
     units = cert.units
-    optimum = Fraction(cert.optimum, units)
-    u = QFunction(sp, {i: Fraction(x, units) for i, x in cert.u.items()})
-    v = QFunction(sp, {i: Fraction(x, units) for i, x in cert.v.items()})
     lp_result = LPResult(
         res.status, res.pivots, units, res.num, res.dual_nums, res.basic,
         res.variables,
     )
-    return OracleResult(optimum, u, v, lp_result)
+    return OracleResult(Fraction(cert.optimum, units), f.space, cert, lp_result)
+
+
+@record
+class OracleResult:
+    """The optimum, an attaining decomposition, and the dual LP's result
+    (its ``values`` are the y/z multipliers, its ``duals`` are t then w),
+    all in f's units.  It holds the checked certificate, and ``u`` and
+    ``v`` are built from it on first read.  ``lp_result`` is the kernel's
+    result with d·D as its denominator, so that its objective and duals
+    are f's; it holds ints, and builds its fractions on first read."""
+
+    optimum: Fraction
+    space: TreeSpace
+    certificate: _Certificate
+    lp_result: LPResult
+
+    @cached_property
+    def u(self) -> QFunction:
+        return scaled_function(self.space, self.certificate.u, self.certificate.units)
+
+    @cached_property
+    def v(self) -> QFunction:
+        return scaled_function(self.space, self.certificate.v, self.certificate.units)
 
 
 @record

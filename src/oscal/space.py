@@ -138,8 +138,11 @@ class TreeSpace:
         out: list[str] = []
         parent = self._parent
         for n in self.nodes.values():
+            kids = n.children()
+            if not kids:
+                continue
             seen_local: set[int] = set()
-            for c in n.children():
+            for c in kids:
                 if c in seen_local:
                     out.append(
                         "node %d lists child %d more than once" % (n.ident, c)
@@ -184,11 +187,16 @@ class TreeSpace:
                     self._cover.setdefault(up, []).append(c)
                 pos[c] = len(order)
                 order.append(c)
-                on_path.add(c)
-                stack.append((c, iter(self.nodes[c].children())))
-        for i in self.node_ids():
-            if i not in pos:
-                out.append("node %d unreachable from root" % i)
+                below = self.nodes[c].children()
+                if below:
+                    on_path.add(c)
+                    stack.append((c, iter(below)))
+                else:  # a leaf's run ends where it starts
+                    end[c] = len(order)
+        if len(pos) < len(self.nodes):
+            for i in self.node_ids():
+                if i not in pos:
+                    out.append("node %d unreachable from root" % i)
         self._violations = out
         return list(out)
 
@@ -408,39 +416,44 @@ def unroll(space: TreeSpace, k: int) -> tuple[TreeSpace, dict[int, int]]:
             "unroll would create %d nodes (cap %d)" % (size, UNROLL_NODE_CAP)
         )
 
+    nodes = space.nodes
     node_map: dict[int, int] = {}
     new_nodes: list[SpaceNode] = []
-    counter = max(space.nodes) + 1
-
-    def frame(orig: int, new_id: int, keep: bool):
-        """Work for one unrolled node: its children as (original, keeps
-        original ids, slot) with slot 0 prefix, 1 copy, 2 recurring.  The
-        original spine keeps its ids; copies get fresh ones throughout."""
-        n = space.nodes[orig]
-        kids = [(c, keep, 0) for c in n.prefix]
-        for t in n.recurring:
-            kids += [(t, False, 1)] * k + [(t, keep, 2)]
-        return orig, new_id, iter(kids), ([], [], [])
-
-    stack = [frame(space.root, space.root, True)]
+    counter = max(nodes) + 1
+    # One walk.  Entering (original, keeps original ids, the parent's list
+    # for it) takes the node's id, fresh for a copy: the original spine
+    # keeps its ids.  A leaf is emitted at once; a limit node's exit
+    # marker (new id, original, prefix list, recurring list) sits under
+    # its children and emits it once they are done.  A node's prefix list
+    # gets its prefix children, then the k copies of each pattern, in
+    # order; its recurring list the patterns.  Children are pushed last
+    # first, so they are entered in that order.
+    stack: list = [(space.root, True, [])]
     while stack:
-        orig, new_id, kids, slots = stack[-1]
-        kid = next(kids, None)
-        if kid is None:
-            stack.pop()
+        entry = stack.pop()
+        if len(entry) == 4:
+            new_id, orig, prefix, recurring = entry
             node_map[new_id] = orig
-            new_nodes.append(
-                SpaceNode(new_id, tuple(slots[0] + slots[1]), tuple(slots[2]))
-            )
+            new_nodes.append(SpaceNode(new_id, tuple(prefix), tuple(recurring)))
             continue
-        child, keep, slot = kid
+        orig, keep, slot = entry
         if keep:
-            cid = child
+            new_id = orig
         else:
-            cid = counter
+            new_id = counter
             counter += 1
-        slots[slot].append(cid)
-        stack.append(frame(child, cid, keep))
+        slot.append(new_id)
+        n = nodes[orig]
+        if not n.recurring:  # a leaf, in a valid space
+            node_map[new_id] = orig
+            new_nodes.append(SpaceNode(new_id, (), ()))
+            continue
+        prefix, recurring = [], []
+        stack.append((new_id, orig, prefix, recurring))
+        for t in reversed(n.recurring):
+            stack.append((t, keep, recurring))
+            stack += [(t, False, prefix)] * k
+        stack += [(c, keep, prefix) for c in reversed(n.prefix)]
     return TreeSpace(new_nodes, space.root), node_map
 
 

@@ -20,14 +20,23 @@ so :func:`d_norm`, :func:`decompose` and ``fn osc`` have no cap.
 asked; only :func:`d_index` caps it, and reports hitting the cap as
 :class:`CapExceeded`.
 
-Stage values are exact rationals, so a complex f must have rational
-moduli |f(y) − f(x)| on its gaps, and |f(x)| for the norm; otherwise
-``ExactnessError`` reports that exact arithmetic cannot continue.
+The final stage is linear in f, so for a real f that pass runs on D·f,
+D the lcm of the denominators of f's values (``func.integer_scale``, the
+scale the norm oracle solves on), and every jump and stage value is an
+``int``.  ``final_stage`` divides by D once per node; :func:`d_norm`
+divides the largest |D·f| + D·W by D; :func:`decompose` checks its split
+in ints on the scale 2D, and its :class:`Decomposition` builds the
+``QFunction``s u and v on first read.  Only a complex f folds on
+rationals: its stage values are exact rationals, so it must have
+rational moduli |f(y) − f(x)| on its gaps, and |f(x)| for the norm;
+otherwise ``ExactnessError`` reports that exact arithmetic cannot
+continue.  :func:`iterate` steps on rationals for either kind of f.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import count
 from typing import Optional, Union
 
@@ -36,10 +45,13 @@ from .errors import InternalCheckError, PreconditionError
 from .func import (
     QFunction,
     decomposition_problems,
+    integer_scale,
+    scaled_function,
     usc_envelope,
     zero_function,
     _gap,
 )
+from .space import TreeSpace
 
 DEFAULT_CAP = 64
 
@@ -126,6 +138,29 @@ def d_index(f: QFunction, cap: int = DEFAULT_CAP) -> Union[int, CapExceeded]:
     return tr.stabilized_at
 
 
+def _final(f: QFunction, kind: str) -> tuple[int, dict, dict]:
+    """(D, F, W) for the final stage of ``kind`` (see :func:`final_stage`),
+    W being D times the final stage by node.  A real f folds on its integer
+    scale: D and F = D·f are :func:`integer_scale`'s, and every jump and
+    every value of W is an ``int``.  A complex f folds with D = 1, F = f
+    and ``_gap`` jumps, on ``Fraction``s."""
+    jump = _jump(f, kind)
+    if f.is_complex():
+        scale, F, zero = 1, f.values, Fraction(0)
+    else:
+        scale, F = integer_scale(f)
+        zero = 0
+        jump = (
+            (lambda y, x: abs(F[y] - F[x])) if kind == "osc"
+            else (lambda y, x: F[y] - F[x])
+        )
+
+    def visit(x, cover, w):
+        return max([zero] + [max(zero, jump(z, x)) + w[z] for z in cover])
+
+    return scale, F, f.space.fold_cover(visit)
+
+
 def final_stage(f: QFunction, kind: str = "osc") -> QFunction:
     """The final stage W of ``kind``, one children-first pass along cover
     edges:
@@ -143,54 +178,74 @@ def final_stage(f: QFunction, kind: str = "osc") -> QFunction:
     fixed point.  A fixed point w ≥ 0 is usc and satisfies the step, so
     w(x) ≥ max(0, jump(z, x)) + w(z) on the cover, and w ≥ W by induction
     on rank.  The stages climb from 0 and stay below W, so where they
-    stabilize is W."""
-    jump = _jump(f, kind)
-    zero = Fraction(0)
-
-    def visit(x, cover, w):
-        return max([zero] + [max(zero, jump(z, x)) + w[z] for z in cover])
-
-    return QFunction(f.space, f.space.fold_cover(visit))
+    stabilize is W.  Every term is linear in f and W, so the pass on D·f
+    gives D·W."""
+    scale, _, w = _final(f, kind)
+    return scaled_function(f.space, w, scale)
 
 
 def d_norm(f: QFunction) -> Fraction:
-    """max over nodes of |f| + final oscillation stage."""
-    mod, final = f.abs().values, final_stage(f).values
-    return max(mod[i] + final[i] for i in mod)
+    """max over nodes of |f| + final oscillation stage; for a real f,
+    max(|D·f| + D·W) / D."""
+    if f.is_complex():
+        mod = f.abs().values
+        _, _, final = _final(f, "osc")
+        return max(mod[i] + final[i] for i in mod)
+    scale, F, w = _final(f, "osc")
+    return Fraction(max(abs(x) + w[i] for i, x in F.items()), scale)
 
 
 @record
 class Decomposition:
-    u: QFunction
-    v: QFunction
+    """f = u − v with the norm max(u + v).  The decomposition is kept on the
+    integer scale ``scale``: u and v are ``u_nums`` and ``v_nums`` over
+    it, as ``QFunction``s built on first read."""
+
+    space: TreeSpace
+    scale: int
+    u_nums: dict
+    v_nums: dict
     norm: Fraction
     checks: dict
+
+    @cached_property
+    def u(self) -> QFunction:
+        return scaled_function(self.space, self.u_nums, self.scale)
+
+    @cached_property
+    def v(self) -> QFunction:
+        return scaled_function(self.space, self.v_nums, self.scale)
 
 
 def decompose(f: QFunction) -> Decomposition:
     """Split f = u − v with u, v nonnegative lower semicontinuous and
-    max(u + v) equal to the norm; the witness that the norm is attained."""
+    max(u + v) equal to the norm; the witness that the norm is attained.
+
+    With D, F = D·f and W = D times the final stage, and Λ = max(|F| + W)
+    (so the norm is Λ/D), the split is 2D·u = Λ − W + F and
+    2D·v = Λ − W − F, checked in ints against 2F."""
     f.require_real("decomposition")
-    fv = f.values
-    final = final_stage(f).values
-    lam = max(abs(x) + final[i] for i, x in fv.items())
-    half = Fraction(1, 2)
-    u_vals = {i: (lam - final[i] + x) * half for i, x in fv.items()}
-    v_vals = {i: (lam - final[i] - x) * half for i, x in fv.items()}
-    u, v = QFunction(f.space, u_vals), QFunction(f.space, v_vals)
-    problems = decomposition_problems(f.space, fv, u_vals, v_vals)
+    scale, F, w = _final(f, "osc")
+    lam = max(abs(x) + w[i] for i, x in F.items())
+    u_nums = {i: lam - w[i] + x for i, x in F.items()}
+    v_nums = {i: lam - w[i] - x for i, x in F.items()}
+    problems = decomposition_problems(
+        f.space, {i: 2 * x for i, x in F.items()}, u_nums, v_nums
+    )
     checks = {
         "difference": "difference" not in problems,
         "nonnegative": "negativity" not in problems,
         "lower_semicontinuous": not any(p.startswith("monotonicity") for p in problems),
-        "sup_norm": max(abs(u_vals[i] + v_vals[i]) for i in fv) == lam,
+        "sup_norm": max(abs(u_nums[i] + v_nums[i]) for i in F) == 2 * lam,
     }
     bad = [name for name, ok in checks.items() if not ok]
     if bad:
         raise InternalCheckError(
             "decomposition violated %s for the final stage" % ", ".join(bad)
         )
-    return Decomposition(u, v, lam, checks)
+    return Decomposition(
+        f.space, 2 * scale, u_nums, v_nums, Fraction(lam, scale), checks
+    )
 
 
 # -- level-set witness ---------------------------------------------------------

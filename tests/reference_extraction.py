@@ -18,10 +18,14 @@ the search that the closed form of ``ExtractionPlan.witness`` replaced.
 before ``FunctionSeq.runs`` read j -> f_j(x) as a step function: one
 path walk per term, up to the support threshold of the point.  They are
 the differential oracle for ``eval``, ``_abs_sum`` and the difference
-checker.  ``tail_bound`` is the tail sum ``FunctionSeq`` used to offer,
-summed term by term from ``eval_term``: the tests check ``tail_terms``
-against it and use it for the n_1 scan that the package replaced with one
-suffix sum.  It and ``uniform_bound`` round an irrational modulus up with
+checker.  ``tail_pairs`` is ``FunctionSeq.tail_terms`` as it was before
+it returned one entry per run: one (j, d) pair per nonzero term.  The
+bodies here that call ``_abs_sum`` pass it ``seq.runs`` of the point,
+which it now takes in place of the sequence and the point.
+``tail_bound`` is the tail sum ``FunctionSeq`` used to offer, summed
+term by term from ``eval_term``: the tests check ``tail_terms`` against
+it and use it for the n_1 scan that the package replaced with one suffix
+sum.  It and ``uniform_bound`` round an irrational modulus up with
 ``_abs_upper``, the 30-bit rounding that n_1 was once chosen with.
 """
 
@@ -180,6 +184,21 @@ def check_difference_witness(seq: FunctionSeq, bundle: WitnessBundle) -> Verdict
     )
 
 
+def tail_pairs(seq: FunctionSeq, x: PointRef, m: int) -> list[tuple[int, Scalar]]:
+    """All (j, f_j(x) - f(x)) with j >= m and a nonzero difference, one
+    pair per term: what ``FunctionSeq.tail_terms`` returned before it gave
+    one entry per run."""
+    if m < 1:
+        raise PreconditionError("tail start must be at least 1")
+    breaks, values = seq.runs(x)
+    out = []
+    for lo, top, v in zip([0] + breaks, breaks, values):
+        d = v - values[-1]
+        if not (d.is_zero() if isinstance(d, GaussianRational) else d == 0):
+            out.extend((j, d) for j in range(max(lo + 1, m), top + 1))
+    return out
+
+
 def uniform_bound(seq: FunctionSeq) -> Fraction:
     """Rational bound on |f_j| over all j and all points."""
     vals = list(seq.limit.values.values())
@@ -302,7 +321,7 @@ def extract_subsequence(
     bound = eta * delta
     a = 1
     tail = IntervalSum()
-    for j, d in reversed(seq.tail_terms(x1, 1)):
+    for j, d in reversed(tail_pairs(seq, x1, 1)):
         tail.add_abs(d)
         if tail.less_than(bound) is Verdict.FALSE:
             a = j + 1
@@ -339,8 +358,8 @@ def check_jump_witness(
     f = seq.limit
     jump = phi.at_point(x2) - phi.at_point(x1) > (1 - eta) * delta
     bound = eta * delta
-    head = _abs_sum(seq, indices, x2, f.at_point(x1), 1, m)
-    tail = _abs_sum(seq, indices, x2, f.at_point(x2), m, None)
+    head = _abs_sum(seq.runs(x2), indices, f.at_point(x1), 1, m)
+    tail = _abs_sum(seq.runs(x2), indices, f.at_point(x2), m, None)
     return verdict_all([verdict(jump), head.less_than(bound), tail.less_than(bound)])
 
 
@@ -494,17 +513,17 @@ def build_jump_chain(
     f = seq.limit
 
     def x3_ok(cand: PointRef) -> bool:
-        acc = _abs_sum(seq, n, cand, f.at_point(x2), m[1], m[2])
+        acc = _abs_sum(seq.runs(cand), n, f.at_point(x2), m[1], m[2])
         return acc.less_than(eta * lw.delta) is Verdict.TRUE
 
     def t_ok(cand: PointRef) -> bool:
-        acc = _abs_sum(seq, n, cand, f.at_point(x3), m[2], m[3])
+        acc = _abs_sum(seq.runs(cand), n, f.at_point(x3), m[2], m[3])
         if acc.less_than(eta * delta2) is not Verdict.TRUE:
             return False
         jump = phi.at_point(cand) - phi.at_point(x3) > (1 - eta) * delta2
         if not jump:
             return False
-        tail = _abs_sum(seq, n, cand, f.at_point(cand), m[3], None)
+        tail = _abs_sum(seq.runs(cand), n, f.at_point(cand), m[3], None)
         return tail.less_than(eta * delta2) is Verdict.TRUE
 
     x3 = _scan_copies(seq, x2, x3_node, range(c3_lo, c3_hi), x3_ok)

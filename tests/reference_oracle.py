@@ -17,6 +17,10 @@ requires the package's results to equal theirs field by field, and its
 program to equal theirs with the objective scaled by D, the lcm of the
 denominators of f's values.
 
+Its ``OracleResult`` is the result record of that time, with the
+optimum, u, v and the LP result as four fields built at once; the
+package's record builds the last three on first read.
+
 ``symmetry_check`` is the package's symmetry check as it was before it
 lifted the quotient certificate: it solves and certifies the whole
 decomposition program again on the unrolled presentation.
@@ -28,13 +32,25 @@ from __future__ import annotations
 from fractions import Fraction
 
 import oscal.oracle
+from oscal._record import record
 from oscal.errors import InternalCheckError, PreconditionError
 from oscal.func import QFunction, lift_function
-from oscal.oracle import OracleResult, SymmetryReport
-from oscal.simplex import LinearProgram, solve
+from oscal.oracle import SymmetryReport
+from oscal.simplex import LinearProgram, LPResult, solve
 from oscal.space import unroll
 from helpers import is_lsc
 from reference_simplex import GeneralProgram
+
+
+@record
+class OracleResult:
+    """The package's ``OracleResult`` as it was before it built u, v and
+    the LP result on first read: all four fields, built at once."""
+
+    optimum: Fraction
+    u: QFunction
+    v: QFunction
+    lp_result: LPResult
 
 
 def _pos_part(x: Fraction) -> Fraction:

@@ -24,7 +24,7 @@ from oscal.func import QFunction, is_continuous
 from oscal.rationals import Verdict
 from oscal.sampling import build_corpus
 from oscal.space import PointRef, RecurringStep, chain_space, point_at
-from reference_extraction import tail_bound, uniform_bound
+from reference_extraction import tail_bound, tail_pairs, uniform_bound
 
 IDENT = IndexSeq()
 ROOT = PointRef(())
@@ -60,9 +60,21 @@ def test_tail_terms_sum_to_the_term_by_term_bound(g_seq, h_seq, m):
     points = [ROOT] + [leaf(c) for c in range(1, 8)]
     cases = [(g_seq, x) for x in points] + [(h_seq, pt(1, 2, 3))]
     for seq, x in cases:
-        terms = seq.tail_terms(x, m)
-        assert all(j >= m and d != 0 for j, d in terms)
-        assert sum(abs(d) for _, d in terms) == tail_bound(seq, x, m)
+        runs = seq.tail_terms(x, m)
+        assert all(m <= lo <= hi and d != 0 for lo, hi, d in runs)
+        assert sum((hi - lo + 1) * abs(d) for lo, hi, d in runs) == tail_bound(seq, x, m)
+        pairs = [(j, d) for lo, hi, d in runs for j in range(lo, hi + 1)]
+        assert pairs == tail_pairs(seq, x, m)
+
+
+def test_tail_terms_are_one_entry_per_run():
+    # at copy 10^5 the tail has 10^5 nonzero terms and one run
+    sp = chain_space(1)
+    seq = FunctionSeq(QFunction(sp, {0: F(1), 1: F(0)}), MovingStep(None))
+    far = 10**5
+    assert seq.tail_terms(leaf(far), 1) == [(1, far, F(1))]
+    assert seq.tail_terms(leaf(far), far) == [(far, far, F(1))]
+    assert seq.tail_terms(leaf(far), far + 1) == []
 
 
 def test_eval_on_alternating_chain(h_seq):
@@ -311,14 +323,14 @@ def test_checker_time_does_not_grow_with_the_block_boundaries(g_seq):
     d = WitnessBundle(b.indices, (1, far), 1, b.t, F(1, 10), b.lam)
     assert check_difference_witness(g_seq, d) is Verdict.FALSE
     # f_j at leaf copy 2 is f(root) = -1 for j <= 2 and f(leaf) = 0 after
-    assert _abs_sum(g_seq, IDENT, leaf(2), F(-1), 1, far).rational == far - 3
+    assert _abs_sum(g_seq.runs(leaf(2)), IDENT, F(-1), 1, far).rational == far - 3
     # t at copy 10^12: f_j(t) = -1 = f(x_1) until then, so block 1 holds
     # and the tail has 10^12 - 1 terms |-1 - 0|; in difference form the
     # gain e_2 is 0, and e_i is 0 but at i = 10^12 + 1, where it is 1
     t = leaf(far)
     rep = check_jump_chain(g_seq, rebuild(b, t=t, points=(ROOT, t)))
     assert rep.failed() == ["tail"]
-    assert _abs_sum(g_seq, b.indices, t, F(0), 2, None).rational == far - 1
+    assert _abs_sum(g_seq.runs(t), b.indices, F(0), 2, None).rational == far - 1
     d = WitnessBundle(b.indices, (1, 2), 1, t, F(1, 2), b.lam)
     assert check_difference_witness(g_seq, d) is Verdict.FALSE
     assert time.perf_counter() - start < 5

@@ -299,9 +299,12 @@ def test_run_readers_match_the_per_term_scans(seed, monkeypatch):
         t, f = w.t, seq.limit
         got = check_jump_chain(seq, w).conditions
         with monkeypatch.context() as patched:
-            patched.setattr(
-                oscal.extraction, "_abs_sum", reference_extraction.abs_sum
-            )
+            # every sum of the checker is at t, from t's runs
+            def per_term(runs, indices, ref, lo, hi):
+                assert runs == seq.runs(t)
+                return reference_extraction.abs_sum(seq, indices, t, ref, lo, hi)
+
+            patched.setattr(oscal.extraction, "_abs_sum", per_term)
             want = check_jump_chain(seq, w).conditions
         assert got == want
         eta = rng.choice([F(1, 10), F(1, 2), F(9, 10)])
@@ -313,9 +316,9 @@ def test_run_readers_match_the_per_term_scans(seed, monkeypatch):
             for lo in range(1, w.m[-1] + 2):
                 his = [lo + 3, 10**6] + ([None] if ref == f.at_point(t) else [])
                 for hi in his:
-                    args = (seq, w.indices, t, ref, lo, hi)
-                    assert summed(_abs_sum(*args)) == summed(
-                        reference_extraction.abs_sum(*args)
+                    got_sum = _abs_sum(seq.runs(t), w.indices, ref, lo, hi)
+                    assert summed(got_sum) == summed(
+                        reference_extraction.abs_sum(seq, w.indices, t, ref, lo, hi)
                     ), (ref, lo, hi)
         for j in range(1, 45):
             assert seq.eval(j, t) == reference_extraction.eval_term(seq, j, t)
